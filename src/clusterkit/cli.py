@@ -77,9 +77,7 @@ def _cmd_mutate(args) -> int:
 def _cmd_explore(args) -> int:
     seed = Seed.initial(_read_matrix(args.matrix))
     limits = ExplorationLimits(max_depth=args.max_depth, max_seeds=args.max_seeds)
-    report = explore(
-        seed, limits, threads=args.threads, quotient_permutations=args.quotient_permutations
-    )
+    report = explore(seed, limits, quotient_permutations=args.quotient_permutations)
     data = report.to_json()
     human = [
         f"seeds found: {data['seeds_found']}",
@@ -113,7 +111,7 @@ def _cmd_check_laurent(args) -> int:
 
 
 def _cmd_factoriality(args) -> int:
-    B = _read_matrix(args.matrix)
+    B = Seed.initial(_read_matrix(args.matrix)).matrix
     field = FieldTag.COMPLEXES if args.field == "C" else FieldTag.RATIONALS
     verdict = column_criterion(B)
     if not verdict.is_not_factorial:
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--max-depth", type=int, default=ExplorationLimits.max_depth)
     p.add_argument("--max-seeds", type=int, default=ExplorationLimits.max_seeds)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--quotient-permutations", action="store_true")
 
     p = add("check-laurent", _cmd_check_laurent, "Laurent-ring membership against a target cluster")

@@ -2,14 +2,12 @@
 
 Seeds are expanded level by level in discovery order, children generated
 in direction order 1..n, so two runs with the same limits produce the
-same report no matter how many worker threads expand the frontier.
+same report.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 
 from .laurent import LaurentPoly, render_poly
 from .seeds import InvalidSeed, Seed, seed_mutate, validate
@@ -57,31 +55,28 @@ class ExplorationReport:
 
 
 def _permutation_key(seed: Seed):
-    """Canonical representative under simultaneous permutation of mutable indices."""
+    """Canonical representative under simultaneous permutation of mutable indices.
+
+    The mutable indices are sorted by their cluster entries, and the rows
+    and columns of the matrix are permuted to match.  The key is itself a
+    relabelling of the seed, so it never identifies two seeds that are not
+    equivalent.  The extended cluster of a seed reachable from Seed.initial
+    is a free generating set of the ambient field, so its entries are
+    pairwise distinct, the sort order is unique, and every equivalent pair
+    gets the same key.
+    """
     n = seed.profile.n
-    m = seed.profile.m
-    best = None
-    for perm in permutations(range(n)):
-        rows = []
-        for i in range(m):
-            src = perm[i] if i < n else i
-            row = seed.matrix.entries[src]
-            rows.append(tuple(row[perm[j]] for j in range(n)))
-        cluster = tuple(
-            seed.cluster[perm[i]].sort_key() if i < n else seed.cluster[i].sort_key()
-            for i in range(m)
-        )
-        key = (tuple(rows), cluster)
-        if best is None or key < best:
-            best = key
-    return best
+    keys = [c.sort_key() for c in seed.cluster]
+    perm = sorted(range(n), key=keys.__getitem__) + list(range(n, seed.profile.m))
+    entries = seed.matrix.entries
+    rows = tuple(tuple(entries[src][perm[j]] for j in range(n)) for src in perm)
+    return rows, tuple(keys[src] for src in perm)
 
 
 def explore(
     seed: Seed,
     limits: ExplorationLimits | None = None,
     *,
-    threads: int = 1,
     quotient_permutations: bool = False,
 ) -> ExplorationReport:
     """BFS over seed mutation in all n directions, deduplicating seeds.
@@ -104,21 +99,14 @@ def explore(
     budget_hit = False
     depth_hit = False
 
-    def children(s: Seed) -> list[Seed]:
-        return [seed_mutate(s, k) for k in range(1, n + 1)]
-
     while level:
         if depth == limits.max_depth:
             depth_hit = True
             break
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(children, level))
-        else:
-            batches = [children(s) for s in level]
         next_level = []
-        for batch in batches:
-            for child in batch:
+        for s in level:
+            for k in range(1, n + 1):
+                child = seed_mutate(s, k)
                 ck = key(child)
                 if ck in seen:
                     continue

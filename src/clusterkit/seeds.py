@@ -10,6 +10,7 @@ variable indices are 1-based throughout the public surface.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,6 +30,12 @@ def default_names(m: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(m))
 
 
+def _require_int(value, what: str) -> None:
+    # no int() coercion: it would read 1.5 as 1 and accept True and "3"
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SeedProfile:
     """Index bookkeeping: n mutable entries, p invertible, m ambient variables."""
@@ -39,6 +46,8 @@ class SeedProfile:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for field in ("n", "p", "m"):
+            _require_int(getattr(self, field), f"profile count {field}")
         if min(self.n, self.p, self.m) < 0:
             raise ValueError("profile counts must be nonnegative")
         if not self.names:
@@ -61,12 +70,14 @@ class ExchangeMatrix:
     __slots__ = ("entries", "profile")
 
     def __init__(self, entries: Sequence[Sequence[int]], profile: SeedProfile):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         if len(rows) != profile.m:
             raise ValueError(f"{len(rows)} rows for profile m={profile.m}")
         for row in rows:
             if len(row) != profile.n:
                 raise ValueError(f"row of length {len(row)} for profile n={profile.n}")
+            for v in row:
+                _require_int(v, "matrix entry")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "profile", profile)
 
@@ -154,11 +165,11 @@ def _diagonal_scaler(A: Sequence[Sequence[int]], skew: bool) -> tuple[int, ...] 
         # scale the component to minimal positive integers
         denom_lcm = 1
         for i in component:
-            denom_lcm = denom_lcm * d[i].denominator // _gcd(denom_lcm, d[i].denominator)
+            denom_lcm = denom_lcm * d[i].denominator // math.gcd(denom_lcm, d[i].denominator)
         ints = [int(d[i] * denom_lcm) for i in component]
         g = 0
         for v in ints:
-            g = _gcd(g, v)
+            g = math.gcd(g, v)
         for i, v in zip(component, ints):
             d[i] = Fraction(v // g)
     # final consistency sweep over every pair
@@ -167,12 +178,6 @@ def _diagonal_scaler(A: Sequence[Sequence[int]], skew: bool) -> tuple[int, ...] 
             if d[i] * A[i][j] != sign * d[j] * A[j][i]:
                 return None
     return tuple(int(v) for v in d)
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def skew_symmetrizer(B: ExchangeMatrix) -> tuple[int, ...] | None:
@@ -193,9 +198,13 @@ def validate(B: ExchangeMatrix) -> tuple[str, ...]:
 def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutate the exchange matrix in direction k (1-based mutable index).
 
-    The result is validated; a violation (possible in principle only for
-    connectivity, which mutation is not known to preserve in general) is
-    surfaced as InvalidSeed instead of being silently returned.
+    Precondition: validate(B) is empty, as it is for every matrix that
+    entered through Seed.initial or explore.  The result is then valid too,
+    so it is not checked again: mutation keeps the skew-symmetrizer D
+    (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); a direct-sum split
+    of mu_k(B) is also one of B, so connectivity is kept; and mu_k is an
+    involution on every integer matrix.  A matrix that was never validated
+    is mutated as given, without a check.
     """
     n, m = B.profile.n, B.profile.m
     if not 1 <= k <= n:
@@ -212,11 +221,7 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 bik, bkj = old[i][kk], old[kk][j]
                 row.append(old[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
         rows.append(row)
-    out = ExchangeMatrix(rows, B.profile)
-    bad = validate(out)
-    if bad:
-        raise InvalidSeed(f"mutation at {k} produced an invalid matrix: " + "; ".join(bad))
-    return out
+    return ExchangeMatrix(rows, B.profile)
 
 
 class Seed:
@@ -444,9 +449,8 @@ def parse_matrix(text: str) -> ExchangeMatrix:
         for key in ("n", "p", "m", "rows"):
             if key not in data:
                 raise ParseError(f"JSON matrix missing field {key!r}", 0)
-        profile = SeedProfile(int(data["n"]), int(data["p"]), int(data["m"]))
         try:
-            return ExchangeMatrix(data["rows"], profile)
+            return ExchangeMatrix(data["rows"], SeedProfile(data["n"], data["p"], data["m"]))
         except (ValueError, TypeError) as exc:
             raise ParseError(str(exc), 0) from None
     lines = stripped.splitlines()

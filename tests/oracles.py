@@ -9,10 +9,10 @@ back into the package to reject invalid samples.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 from clusterkit.constructions import CartanMatrix
-from clusterkit.seeds import ExchangeMatrix, SeedProfile, validate
+from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, validate
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,71 @@ def rank2_closure_bruteforce(b: int, c: int, max_seeds: int = 200):
 
 
 # ---------------------------------------------------------------------------
+# reference quotient key: minimum over all n! relabellings
+# ---------------------------------------------------------------------------
+
+
+def permutation_key_bruteforce(seed: Seed):
+    """Least (rows, cluster) form over every simultaneous permutation of the mutable indices.
+
+    A complete invariant of the relabelling class whatever the cluster
+    entries are, at O(n!) cost per seed.
+    """
+    n = seed.profile.n
+    m = seed.profile.m
+    best = None
+    for perm in permutations(range(n)):
+        rows = []
+        for i in range(m):
+            src = perm[i] if i < n else i
+            row = seed.matrix.entries[src]
+            rows.append(tuple(row[perm[j]] for j in range(n)))
+        cluster = tuple(
+            seed.cluster[perm[i]].sort_key() if i < n else seed.cluster[i].sort_key()
+            for i in range(m)
+        )
+        key = (tuple(rows), cluster)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+# ---------------------------------------------------------------------------
 # randomized inputs
 # ---------------------------------------------------------------------------
+
+
+def _dynkin_edges(letter: str, n: int) -> list[tuple[int, int, int, int]]:
+    """Edges (i, j, |a_ij|, |a_ji|) of the Dynkin tree of A_n, B_n, C_n or D_n, 0-indexed."""
+    if letter == "D":
+        return [(i, i + 1, 1, 1) for i in range(n - 2)] + [(n - 3, n - 1, 1, 1)]
+    edges = [(i, i + 1, 1, 1) for i in range(n - 1)]
+    if letter == "B":
+        edges[-1] = (n - 2, n - 1, 2, 1)
+    elif letter == "C":
+        edges[-1] = (n - 2, n - 1, 1, 2)
+    return edges
+
+
+def random_dynkin_matrix(rng, letter: str, n: int) -> ExchangeMatrix:
+    """A finite-type exchange matrix: random orientation, relabelling and 0..n frozen rows.
+
+    b_ij = s|a_ij| and b_ji = -s|a_ji| with a random sign s per Dynkin
+    edge; each frozen row has entries in {-1, 0, 1}, not all zero.
+    """
+    B = [[0] * n for _ in range(n)]
+    for i, j, aij, aji in _dynkin_edges(letter, n):
+        s = rng.choice((1, -1))
+        B[i][j], B[j][i] = s * aij, -s * aji
+    perm = rng.sample(range(n), n)
+    rows = [[B[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, n)):
+        row = [0] * n
+        while not any(row):
+            row = [rng.choice((-1, 0, 1)) for _ in range(n)]
+        rows.append(row)
+    m = len(rows)
+    return ExchangeMatrix(rows, SeedProfile(n, rng.randint(n, m), m))
 
 
 def random_valid_matrix(rng, max_n: int = 4, max_m: int = 6, bound: int = 3) -> ExchangeMatrix:

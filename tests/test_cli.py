@@ -140,6 +140,21 @@ def test_matrix_json_input(capsys, tmp_path):
     assert json.loads(out)["cluster"][0] == "x1^-1*x2 + x1^-1"
 
 
+@pytest.mark.parametrize("field", ["rows", "n"])
+@pytest.mark.parametrize("value", [1.5, True, "3"])
+def test_non_integer_json_matrix_is_input_error(capsys, tmp_path, field, value):
+    data = {"n": 2, "p": 2, "m": 2, "rows": [[0, 1], [-1, 0]]}
+    if field == "rows":
+        data["rows"][0][1] = value
+    else:
+        data["n"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mutate", "--matrix", str(path), "--word", "1")
+    assert code == 2 and out == ""
+    assert "must be an integer" in err
+
+
 def test_bad_poly_is_input_error(capsys, a3_file):
     code, _, err = run(capsys, "check-laurent", "--matrix", a3_file, "--expr", "x0")
     assert code == 2
@@ -163,6 +178,14 @@ def test_invalid_seed_is_input_error(capsys, tmp_path):
     path.write_text("2 2 4\n0 0; 0 0; 1 0; 0 1\n")
     code, _, err = run(capsys, "explore", "--matrix", str(path))
     assert code == 2 and "connect" in err
+
+
+def test_factoriality_rejects_invalid_matrix(capsys, tmp_path):
+    path = tmp_path / "disconnected.txt"
+    path.write_text("2 2 3\n0 1; -1 0; 0 0\n")
+    code, out, err = run(capsys, "factoriality", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert "connect" in err
 
 
 def test_out_of_range_word_is_input_error(capsys, a3_file):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from clusterkit.analysis import laurent_membership
@@ -9,6 +12,7 @@ from clusterkit.explore import ExplorationLimits, collect_variables, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import a3_matrix, rank2_matrix
 from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile
+from oracles import permutation_key_bruteforce, random_dynkin_matrix
 
 WIDE = ExplorationLimits(max_depth=64, max_seeds=100000)
 
@@ -75,13 +79,6 @@ def test_every_variable_in_some_cluster(a3_seed):
     assert members == set(report.distinct_variables)
 
 
-def test_determinism_across_threads(a3_seed):
-    base = explore(a3_seed, WIDE)
-    threaded = explore(a3_seed, WIDE, threads=4)
-    assert base.to_json() == threaded.to_json()
-    assert [s.word for s in base.seeds] == [s.word for s in threaded.seeds]
-
-
 def test_monotone_in_depth(a3_seed):
     found = []
     for depth in (1, 2, 3, 5):
@@ -113,6 +110,33 @@ def test_quotient_by_permutation(a3_seed):
     assert quotient.seeds_found <= raw.seeds_found
     assert set(quotient.distinct_variables) == set(raw.distinct_variables)
     assert len(quotient.distinct_clusters) == len(raw.distinct_clusters)
+
+
+@pytest.mark.parametrize("letter,n", [("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)])
+def test_quotient_key_matches_bruteforce(monkeypatch, letter, n):
+    # the package attribute clusterkit.explore is the function, not the module
+    module = sys.modules["clusterkit.explore"]
+    rng = random.Random(f"{letter}{n}")
+    for _ in range(3):
+        seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
+        fast = explore(seed, WIDE, quotient_permutations=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_permutation_key", permutation_key_bruteforce)
+            reference = explore(seed, WIDE, quotient_permutations=True)
+        assert fast.finite
+        assert fast.to_json() == reference.to_json()
+        assert [s.word for s in fast.seeds] == [s.word for s in reference.seeds]
+
+
+def test_a5_quotient_closure():
+    B = ExchangeMatrix(
+        [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]],
+        SeedProfile(5, 5, 5),
+    )
+    report = explore(Seed.initial(B), WIDE, quotient_permutations=True)
+    assert report.frontier_exhausted_reason == "closure"
+    assert len(report.distinct_variables) == 20
+    assert len(report.distinct_clusters) == 132
 
 
 def test_explore_rejects_invalid_matrix():

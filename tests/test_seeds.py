@@ -128,17 +128,22 @@ def test_matrix_mutation_index_range(a3):
 
 
 def test_matrix_mutation_randomized_invariants():
+    # matrix_mutate does not re-validate its result; this walk is the guard
+    # that validity, the symmetrizer and the rank survive any mutation word
     rng = random.Random(2024)
     for _ in range(60):
         B = random_valid_matrix(rng)
         d = skew_symmetrizer(B)
         r = matrix_rank(B)
-        for k in range(1, B.profile.n + 1):
-            mu = matrix_mutate(B, k)
-            assert validate(mu) == ()
-            assert matrix_mutate(mu, k) == B
-            assert skew_symmetrizer(mu) == d
-            assert matrix_rank(mu) == r
+        for start in range(1, B.profile.n + 1):
+            word = [start] + [rng.randint(1, B.profile.n) for _ in range(rng.randint(0, 7))]
+            mu = B
+            for k in word:
+                prev, mu = mu, matrix_mutate(mu, k)
+                assert validate(mu) == ()
+                assert matrix_mutate(mu, k) == prev
+                assert skew_symmetrizer(mu) == d
+                assert matrix_rank(mu) == r
 
 
 # -- seed mutation ------------------------------------------------------------

@@ -3,6 +3,7 @@
 from .analysis import (
     DegenerateColumn,
     FactorialityVerdict,
+    InternalInvariantError,
     UnitForm,
     are_associate,
     classify_unit,

@@ -36,6 +36,10 @@ class DegenerateColumn(ValueError):
     """A mutable column is entirely zero (connectedness violation upstream)."""
 
 
+class InternalInvariantError(RuntimeError):
+    """A cross-check inside clusterkit failed: a bug, not bad input."""
+
+
 @dataclass(frozen=True)
 class UnitForm:
     """A unit: sign * product of invertible coefficient variables."""
@@ -143,14 +147,15 @@ def clusters_disjoint(s1: Seed, s2: Seed) -> bool:
     """Whether the two seeds share no mutable cluster entry.
 
     Structural disjointness coincides with pairwise non-associateness of
-    the mutable entries; the agreement of the two formulations is
-    asserted in debug mode.
+    the mutable entries; the two formulations are cross-checked on every
+    call.
     """
     if s1.profile != s2.profile:
         raise ValueError("clusters belong to different algebra contexts")
     c1, c2 = s1.mutable_entries(), s2.mutable_entries()
     disjoint = not any(a == b for a in c1 for b in c2)
-    assert _associate_pairing_agrees(c1, c2, s1.profile)
+    if not _associate_pairing_agrees(c1, c2, s1.profile):
+        raise InternalInvariantError("structural disjointness disagrees with pairwise non-associateness")
     return disjoint
 
 
@@ -171,8 +176,12 @@ def column_criterion(B: ExchangeMatrix) -> FactorialityVerdict:
             cs = B.column(s)
             if ck == cs or ck == tuple(-v for v in cs):
                 negated = ck != cs
-                # re-validate the witness before returning it
-                assert B.entry(k, s) == 0 and (ck == cs or ck == tuple(-v for v in cs))
+                # re-validate the witness entry by entry before returning it
+                factor = -1 if negated else 1
+                if B.entry(k, s) != 0 or any(
+                    B.entry(i, k) != factor * B.entry(i, s) for i in range(1, B.profile.m + 1)
+                ):
+                    raise InternalInvariantError(f"column witness ({k}, {s}) fails re-validation")
                 sign = "-" if negated else ""
                 return FactorialityVerdict(
                     "not_factorial",
@@ -199,7 +208,8 @@ def gcd_criterion(B: ExchangeMatrix, field: FieldTag = FieldTag.RATIONALS) -> Fa
         for v in nonzero:
             d = gcd(d, v)
         if xd_plus_one_reducible(d, field):
-            assert all(v % d == 0 for v in col)
+            if any(v % d for v in col):
+                raise InternalInvariantError(f"column {k} is not divisible by its gcd {d}")
             q = odd_divisor(d)
             if field is FieldTag.COMPLEXES:
                 why = f"X^{d}+1 splits into linear factors over the complexes (d = {d} >= 2)"

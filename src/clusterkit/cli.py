@@ -94,7 +94,10 @@ def _cmd_explore(args) -> int:
 def _parse_expression(args) -> LaurentPoly | RationalFn:
     num = parse_poly(args.expr, m=args._m)
     if getattr(args, "den", None):
-        return RationalFn(num, parse_poly(args.den, m=args._m))
+        den = parse_poly(args.den, m=args._m)
+        if den.is_zero:
+            raise ValueError(f"denominator {args.den!r} is the zero polynomial")
+        return RationalFn(num, den)
     return num
 
 

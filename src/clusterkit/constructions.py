@@ -32,6 +32,7 @@ from .seeds import (
     Seed,
     SeedProfile,
     _diagonal_scaler,
+    _require_int,
     apply_word,
     seed_mutate,
 )
@@ -53,11 +54,13 @@ class CartanMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
+            for v in row:
+                _require_int(v, "Cartan matrix entry")
         for i in range(n):
             if rows[i][i] != 2:
                 raise ValueError(f"diagonal entry ({i + 1},{i + 1}) must be 2")

@@ -9,8 +9,9 @@ equality of this canonical form therefore coincides with mathematical
 equality, and values are hashable and immutable.
 
 The module also provides reduced fractions of ordinary polynomials
-(RationalFn), exact Laurent division, multivariate integer gcd via
-subresultant remainder sequences, formal substitution, and the
+(RationalFn), exact Laurent division, multivariate integer gcd (heuristic
+gcd GCDHEU first, verified by ordinary exact division; subresultant
+remainder sequences as fallback), formal substitution, and the
 reducibility decision for X^d + 1 over the rationals or the complexes.
 """
 
@@ -336,7 +337,7 @@ def _content_in(p: LaurentPoly, v: int) -> LaurentPoly:
     for d in range(_deg_in(p, v) + 1):
         cf = _coeff_of(p, v, d)
         if not cf.is_zero:
-            g = poly_gcd(g, cf)
+            g = _poly_gcd_prs(g, cf)
             if g.is_one:
                 break
     return g
@@ -368,17 +369,14 @@ def _prs_gcd(f: LaurentPoly, g: LaurentPoly, v: int) -> LaurentPoly:
             h = exact_div(coef**d, h ** (d - 1)) if d > 1 else coef
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Greatest common divisor of two ordinary integer polynomials.
+def _poly_gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """gcd by content/primitive-part recursion and subresultant sequences.
 
     Content and primitive part are split off recursively in the highest
     occurring variable; primitive parts go through a subresultant
-    remainder sequence.  The result is normalized to a positive leading
-    coefficient under lex order and divides both inputs exactly.
+    remainder sequence.  This is the fallback of poly_gcd and, in the
+    tests, its reference.
     """
-    a._check(b)
-    if not (a.is_ordinary() and b.is_ordinary()):
-        raise ValueError("poly_gcd expects ordinary polynomials (no negative exponents)")
     if a.is_zero:
         return _normalize_sign(b)
     if b.is_zero:
@@ -388,18 +386,148 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.const(a.m, math.gcd(a.terms[0][1], b.terms[0][1]))
     v = max(va | vb) - 1
     if v + 1 not in va:
-        return poly_gcd(a, _content_in(b, v))
+        return _poly_gcd_prs(a, _content_in(b, v))
     if v + 1 not in vb:
-        return poly_gcd(_content_in(a, v), b)
+        return _poly_gcd_prs(_content_in(a, v), b)
     ca = _content_in(a, v)
     cb = _content_in(b, v)
-    c = poly_gcd(ca, cb)
+    c = _poly_gcd_prs(ca, cb)
     pa = exact_div(a, ca)
     pb = exact_div(b, cb)
     g = _prs_gcd(pa, pb, v)
     if not g.is_one:
         g = exact_div(g, _content_in(g, v))
     return _normalize_sign(c * g)
+
+
+# Evaluation points the heuristic tries per level before giving up.
+_HEU_GCD_ATTEMPTS = 6
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """GCDHEU on nonzero {exponent tuple: coefficient} dicts of one arity.
+
+    Evaluates the first variable at an integer xi, recurses on the images
+    down to math.gcd, rebuilds a candidate from the symmetric xi-adic
+    digits of the image gcd and accepts its primitive part only if it
+    divides both inputs in Z[x].  Returns None when it gives up, at this
+    level or below.
+    """
+    content = math.gcd(*f.values(), *g.values())
+    if not next(iter(f)):
+        return {(): content}  # no variables left: integer gcd
+    if content > 1:
+        f = {e: c // content for e, c in f.items()}
+        g = {e: c // content for e, c in g.items()}
+    # xi >= 2 * min(|f|, |g|) + 2 is the provable bound; +29 skips tiny xi
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_GCD_ATTEMPTS):
+        fe = _eval_first(f, xi)
+        ge = _eval_first(g, xi)
+        if fe and ge:
+            gamma = _heu_gcd(fe, ge)
+            if gamma is None:
+                return None
+            h = _interpolate_first(gamma, xi)
+            if _divides(h, f) and _divides(h, g):
+                return {e: c * content for e, c in h.items()}
+        # grow by about 2.73 * xi^(1/4), the schedule of sympy's heugcd
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _eval_first(p: dict, xi: int) -> dict:
+    """Substitute xi for the first variable."""
+    powers = [1]
+    acc: dict[Exps, int] = {}
+    for exps, c in p.items():
+        e = exps[0]
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        key = exps[1:]
+        acc[key] = acc.get(key, 0) + c * powers[e]
+    return {e: c for e, c in acc.items() if c}
+
+
+def _interpolate_first(gamma: dict, xi: int) -> dict:
+    """Primitive part of the polynomial whose first-variable coefficients
+    are the symmetric xi-adic digits of gamma's coefficients."""
+    half = xi // 2
+    out: dict[Exps, int] = {}
+    for key, c in gamma.items():
+        i = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(i,) + key] = d
+            c = (c - d) // xi
+            i += 1
+    content = math.gcd(*out.values())
+    return {e: c // content for e, c in out.items()}
+
+
+def _divides(h: dict, f: dict) -> bool:
+    """Whether h divides f in Z[x]: a Laurent quotient with no negative exponent."""
+    if len(h) == 1 and not any(next(iter(h))):
+        return True  # the primitive constant 1
+    m = len(next(iter(f)))
+    try:
+        return exact_div(LaurentPoly(m, f), LaurentPoly(m, h)).is_ordinary()
+    except NotDivisible:
+        return False
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Greatest common divisor of two ordinary integer polynomials.
+
+    The heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
+    1989) runs first: the common integer content is split off, one
+    variable at a time is evaluated at an integer xi down to an integer
+    gcd, and a candidate is rebuilt from symmetric xi-adic digits.  It is
+    accepted only when both quotients are ordinary polynomials; exact_div
+    alone would treat monomials as units and accept a candidate that is
+    off by a monomial.  Every level starts at xi >= 2 * |f| + 2, with f
+    the content-free input of smaller max-norm |f|, and only grows,
+    because under that bound a candidate h dividing both inputs is their
+    gcd (Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    Thm 7.7).  In brief: the gcd is h * q with q(xi) dividing the content
+    of the rebuilt candidate, which is at most xi/2.  Every root of a
+    coefficient of f is below the Cauchy bound 1 + |f| <= xi/2, so q
+    cannot involve the other variables (its leading coefficient in them
+    would vanish at xi, and so would one of f) and, as a polynomial in
+    the evaluated variable alone, would have |q(xi)| > xi/2; hence
+    q = +-1.  The smaller start min(B, 99 * sqrt(B)) of other
+    implementations falls below that bound once coefficients exceed about
+    4,900.  When the heuristic gives up after a fixed number of
+    evaluation points, the content/primitive-part subresultant remainder
+    sequence computes the gcd instead.
+
+    The result is normalized to a positive leading coefficient under lex
+    order and divides both inputs exactly.
+    """
+    a._check(b)
+    if not (a.is_ordinary() and b.is_ordinary()):
+        raise ValueError("poly_gcd expects ordinary polynomials (no negative exponents)")
+    if a.is_zero:
+        return _normalize_sign(b)
+    if b.is_zero:
+        return _normalize_sign(a)
+    active = sorted(a.support_vars() | b.support_vars())
+    g = _heu_gcd(
+        {tuple(e[v - 1] for v in active): c for e, c in a.terms},
+        {tuple(e[v - 1] for v in active): c for e, c in b.terms},
+    )
+    if g is None:
+        return _poly_gcd_prs(a, b)
+    acc = {}
+    for key, c in g.items():
+        exps = [0] * a.m
+        for v, e in zip(active, key):
+            exps[v - 1] = e
+        acc[tuple(exps)] = c
+    return _normalize_sign(LaurentPoly(a.m, acc))
 
 
 def xd_plus_one_reducible(d: int, field: FieldTag) -> bool:

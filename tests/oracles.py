@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own arithmetic paths:
 the factor search works on plain coefficient lists, the rank-2 closure
-oracle runs on sympy rational functions, and the generators only call
-back into the package to reject invalid samples.
+oracle runs on sympy rational functions, the gcd oracle on sympy
+polynomials, and the generators only call back into the package to
+reject invalid samples.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from itertools import permutations, product
 
 from clusterkit.constructions import CartanMatrix
+from clusterkit.laurent import LaurentPoly
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, validate
 
 
@@ -61,6 +63,29 @@ def xd_plus_one_reducible_bruteforce(d: int) -> bool:
                 if _poly_divides(f, g):
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# sympy gcd of ordinary integer polynomials
+# ---------------------------------------------------------------------------
+
+
+def to_sympy_poly(p: LaurentPoly):
+    """The ordinary polynomial p as a sympy Poly over ZZ in x1..xm."""
+    import sympy
+
+    gens = sympy.symbols(f"x1:{p.m + 1}")
+    return sympy.Poly.from_dict(dict(p.terms), *gens, domain="ZZ")
+
+
+def from_sympy_poly(poly, m: int) -> LaurentPoly:
+    return LaurentPoly(m, {exps: int(c) for exps, c in poly.as_dict().items()})
+
+
+def sympy_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """gcd(a, b) computed by sympy, signed so that the lex-largest term is positive."""
+    g = from_sympy_poly(to_sympy_poly(a).gcd(to_sympy_poly(b)), a.m)
+    return -g if g.terms and g.terms[0][1] < 0 else g
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+import clusterkit.analysis
 from clusterkit.analysis import (
     DegenerateColumn,
     FactorialityVerdict,
+    InternalInvariantError,
     UnitForm,
     are_associate,
     classify_unit,
@@ -113,6 +115,14 @@ def test_acyclic_staircase_clusters_disjoint():
     assert mutated.word == (1, 2, 3)
 
 
+def test_disjointness_cross_check_raises(monkeypatch):
+    # python -O must not strip the check, so it raises a named error, not AssertionError
+    monkeypatch.setattr(clusterkit.analysis, "_associate_pairing_agrees", lambda c1, c2, profile: False)
+    seed = Seed.initial(a3_matrix())
+    with pytest.raises(InternalInvariantError):
+        clusters_disjoint(seed, apply_word(seed, (1,)))
+
+
 def test_staircase_on_a3():
     seed = Seed.initial(a3_matrix())
     _, disjoint = staircase_disjoint(seed)
@@ -144,6 +154,18 @@ def test_column_criterion_a3():
     k, s = verdict.witness.k, verdict.witness.s
     assert B.entry(k, s) == 0
     assert B.column(k) == tuple(-v for v in B.column(s))
+
+
+def test_column_witness_revalidation_raises():
+    class LyingColumns(ExchangeMatrix):
+        __slots__ = ()
+
+        def column(self, k):
+            return (0, 1, 0)
+
+    B = LyingColumns([[0, -1, 0], [1, 0, -2], [0, 2, 0]], SeedProfile(3, 3, 3))
+    with pytest.raises(InternalInvariantError):
+        column_criterion(B)
 
 
 def test_column_criterion_inconclusive_cases():
@@ -184,6 +206,12 @@ def test_gcd_criterion_degenerate_column():
     object.__setattr__(B, "profile", SeedProfile(2, 2, 3))
     with pytest.raises(DegenerateColumn):
         gcd_criterion(B, FieldTag.RATIONALS)
+
+
+def test_gcd_witness_revalidation_raises(monkeypatch):
+    monkeypatch.setattr(clusterkit.analysis, "gcd", lambda a, b: 3)
+    with pytest.raises(InternalInvariantError):
+        gcd_criterion(rank2_matrix(2, 2), FieldTag.COMPLEXES)
 
 
 def test_gcd_witness_revalidates():

@@ -161,6 +161,14 @@ def test_bad_poly_is_input_error(capsys, a3_file):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["check-laurent", "upper-bound"])
+@pytest.mark.parametrize("den", ["0", "x1 - x1"])
+def test_zero_denominator_is_input_error(capsys, a3_file, command, den):
+    code, out, err = run(capsys, command, "--matrix", a3_file, "--expr", "x1", "--den", den)
+    assert code == 2 and out == ""
+    assert "zero polynomial" in err and "Traceback" not in err
+
+
 def test_bad_matrix_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n0 1; -1 0\n")

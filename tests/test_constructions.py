@@ -117,6 +117,12 @@ def test_cartan_validation():
     CartanMatrix([[2, -1], [-2, 2]])  # symmetrizable, fine
 
 
+@pytest.mark.parametrize("value", [-1.5, -1.0, True, "-1"])
+def test_cartan_rejects_non_integer_entries(value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        CartanMatrix([[2, value], [-1, 2]])
+
+
 def test_cartan_seed_two_by_two():
     seed = acyclic_seed_from_cartan(CartanMatrix([[2, -2], [-2, 2]]))
     assert seed.matrix.entries == ((0, 2), (-2, 0), (1, -2), (0, 1))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import clusterkit.laurent
 from clusterkit.laurent import (
     DimensionMismatch,
     FieldTag,
@@ -14,6 +15,7 @@ from clusterkit.laurent import (
     ParseError,
     RationalFn,
     ZeroImageInverted,
+    _poly_gcd_prs,
     exact_div,
     parse_poly,
     poly_gcd,
@@ -21,7 +23,7 @@ from clusterkit.laurent import (
     substitute,
     xd_plus_one_reducible,
 )
-from oracles import xd_plus_one_reducible_bruteforce
+from oracles import sympy_gcd, xd_plus_one_reducible_bruteforce
 
 M = 4
 
@@ -138,6 +140,13 @@ def test_poly_gcd_examples():
     a = 2 * x(1) * x(3) - 4 * x(2)
     assert poly_gcd(a, LaurentPoly.zero(M)) == a
     assert poly_gcd(LaurentPoly.zero(M), -a) == a  # sign-normalized
+    # exact_div treats monomials as units; the gcd must not
+    a, b = parse_poly("6*x1^3*x2^2*x3^3"), parse_poly("-3*x1^4*x2^4*x3^2")
+    assert poly_gcd(a, b) == parse_poly("3*x1^3*x2^2*x3^2")
+    # the heuristic starts at xi = 2 * 19601 + 29; a start at 99 * isqrt(2 * 19601 + 29) = 19602,
+    # one past the root of q, would rebuild the candidate 1 and wrongly accept it
+    q = parse_poly("x1 - 19601")
+    assert poly_gcd(q * parse_poly("x1 + 1"), q * parse_poly("x1 - 1")) == q
 
 
 def test_poly_gcd_rejects_laurent_input():
@@ -168,6 +177,71 @@ def test_poly_gcd_construct_then_recover():
         got = poly_gcd(g * u, g * v)
         want = poly_gcd(g, LaurentPoly.zero(3))  # g, sign-normalized
         assert got == want
+
+
+GCD_KINDS = ("shared factor", "monomial content", "integer content", "large coefficients", "coprime", "constant", "zero")
+
+
+def gcd_case(rng, kind):
+    """A pair of ordinary polynomials in 1-4 variables of the given kind."""
+    m = rng.randint(1, 4)
+
+    def poly(max_coeff=9):
+        return random_poly(rng, m=m, max_terms=4, max_exp=3, max_coeff=max_coeff, laurent=False)
+
+    def monomial():
+        return LaurentPoly.monomial(m, [rng.randint(0, 4) for _ in range(m)], rng.choice((1, -1, 2, 3, -6)))
+
+    if kind == "shared factor":
+        g = poly()
+        return poly() * g, poly() * g
+    if kind == "monomial content":
+        if rng.random() < 0.5:
+            return monomial(), monomial()
+        return monomial() * poly(), monomial() * poly()
+    if kind == "integer content":
+        k = rng.choice((2, 3, 6, 12))
+        return poly() * (k * rng.choice((1, -2, 5))), poly() * (k * rng.choice((1, 3, -7)))
+    if kind == "large coefficients":
+        g = poly(10**6)
+        return poly(10**4) * g, poly(10**8) * g
+    if kind == "coprime":
+        a = poly()
+        return a, a * poly() + LaurentPoly.const(m, rng.choice((1, -1)))
+    if kind == "constant":
+        return LaurentPoly.const(m, rng.choice((1, 2, -4, 6, 30))), poly() * rng.choice((1, 2, 3))
+    return LaurentPoly.zero(m), poly()
+
+
+@pytest.mark.parametrize("kind", GCD_KINDS)
+def test_poly_gcd_agrees_with_prs_and_sympy(kind):
+    pytest.importorskip("sympy")
+    rng = random.Random(f"gcd {kind}")
+    for _ in range(60):
+        a, b = gcd_case(rng, kind)
+        got = poly_gcd(a, b)
+        assert got == _poly_gcd_prs(a, b) == sympy_gcd(a, b), (a, b)
+        assert poly_gcd(b, a) == got
+        if kind == "coprime":
+            assert got.is_one
+
+
+def test_poly_gcd_falls_back_to_prs(monkeypatch):
+    rng = random.Random(29)
+    cases = [gcd_case(rng, kind) for kind in GCD_KINDS for _ in range(10)]
+    want = [_poly_gcd_prs(a, b) for a, b in cases]
+    fallbacks = []
+
+    def counting_prs(a, b):
+        fallbacks.append((a, b))
+        return _poly_gcd_prs(a, b)
+
+    monkeypatch.setattr(clusterkit.laurent, "_HEU_GCD_ATTEMPTS", 0)
+    monkeypatch.setattr(clusterkit.laurent, "_poly_gcd_prs", counting_prs)
+    assert [poly_gcd(a, b) for a, b in cases] == want
+    # every pair the heuristic would see (nonzero, not both constant) went to the fallback
+    seen = [(a, b) for a, b in cases if not (a.is_zero or b.is_zero) and a.support_vars() | b.support_vars()]
+    assert seen and all(pair in fallbacks for pair in seen)
 
 
 # -- rational functions ------------------------------------------------------

@@ -35,12 +35,10 @@ from .laurent import (
     NotDivisible,
     ParseError,
     RationalFn,
-    ZeroImageInverted,
     exact_div,
     parse_poly,
     poly_gcd,
     render_poly,
-    substitute,
     xd_plus_one_reducible,
 )
 from .seeds import (

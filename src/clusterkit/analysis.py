@@ -25,6 +25,8 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     RationalFn,
+    _compose_as_quotient,
+    _integer_content,
     exact_div,
     odd_divisor,
     xd_plus_one_reducible,
@@ -201,12 +203,9 @@ def gcd_criterion(B: ExchangeMatrix, field: FieldTag = FieldTag.RATIONALS) -> Fa
     n, m = B.profile.n, B.profile.m
     for k in range(1, n + 1):
         col = B.column(k)
-        nonzero = [abs(v) for v in col if v]
-        if not nonzero:
+        d = gcd(*col)
+        if not d:
             raise DegenerateColumn(f"column {k} is entirely zero")
-        d = 0
-        for v in nonzero:
-            d = gcd(d, v)
         if xd_plus_one_reducible(d, field):
             if any(v % d for v in col):
                 raise InternalInvariantError(f"column {k} is not divisible by its gcd {d}")
@@ -240,50 +239,6 @@ def coordinate_images(target: Seed) -> list[LaurentPoly]:
     fresh = Seed.initial(target.matrix)
     back = apply_word(fresh, reversed(target.word))
     return list(back.cluster)
-
-
-def _compose_as_quotient(e: LaurentPoly, images: list[LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
-    """Rewrite e(x) at Laurent-polynomial images as a quotient num / den.
-
-    Negative exponents are cleared by one common factor per variable, so
-    the numerator is assembled with ring operations only; power tables
-    keep repeated exponents cheap.
-    """
-    m = images[0].m
-    if e.is_zero:
-        return LaurentPoly.zero(m), LaurentPoly.const(m, 1)
-    mins = e.min_exponents()
-    shifts = [min(0, v) for v in mins]
-    powers: list[dict[int, LaurentPoly]] = [{} for _ in range(e.m)]
-
-    def power(i: int, k: int) -> LaurentPoly:
-        table = powers[i]
-        if k not in table:
-            table[k] = images[i] ** k
-        return table[k]
-
-    num = LaurentPoly.zero(m)
-    for exps, c in e.terms:
-        term = LaurentPoly.const(m, c)
-        for i, ex in enumerate(exps):
-            k = ex - shifts[i]
-            if k:
-                term = term * power(i, k)
-        num = num + term
-    den = LaurentPoly.const(m, 1)
-    for i, s in enumerate(shifts):
-        if s:
-            den = den * power(i, -s)
-    return num, den
-
-
-def _integer_content(p: LaurentPoly) -> int:
-    out = 0
-    for _, c in p.terms:
-        out = gcd(out, c)
-        if out == 1:
-            break
-    return out
 
 
 def _rational_laurent_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:

@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 for success (mathematical verdicts such as "not factorial"
-or "not a member" are data, not failures), 1 when a verification bundle
-finds a broken identity, 2 for input or usage errors.
+or "not a member" are data, not failures), 1 when an identity fails: a
+verification bundle finds a broken one, or an internal check raises
+ConstructionError, NotDivisible or InternalInvariantError (reported as one
+"internal error:" line on stderr), 2 for input or usage errors.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import sys
 
 from .analysis import (
     FieldTag,
+    InternalInvariantError,
     column_criterion,
     gcd_criterion,
     laurent_membership,
     staircase_disjoint,
     upper_bound_member,
 )
+from .constructions import ConstructionError
 from .explore import ExplorationLimits, explore
-from .laurent import LaurentPoly, ParseError, RationalFn, parse_poly, render_poly
+from .laurent import LaurentPoly, NotDivisible, ParseError, RationalFn, parse_poly, render_poly
 from .presets import PRESETS, get_preset
 from .seeds import (
     InvalidSeed,
@@ -260,6 +264,9 @@ def main(argv=None) -> int:
     except (ParseError, InvalidSeed, FileNotFoundError, KeyError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConstructionError, NotDivisible, InternalInvariantError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

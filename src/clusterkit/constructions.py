@@ -21,16 +21,18 @@ equality of Laurent polynomials; any failure aborts the construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly, _compose_as_quotient, exact_div
 from .seeds import (
     ExchangeMatrix,
     Seed,
     SeedProfile,
+    _bareiss,
     _diagonal_scaler,
     _require_int,
     apply_word,
@@ -177,29 +179,18 @@ class VerificationResult:
 
 
 def _jacobian_det(gens: Sequence[LaurentPoly], point: Sequence[int]) -> Fraction:
-    r = len(gens)
+    """Exact Jacobian determinant: each row is cleared of denominators, then Bareiss."""
     m = gens[0].m
-    rows = [[g.derivative(i + 1).evaluate(point) for i in range(m)] for g in gens]
-    if r != m:
+    if len(gens) != m:
         raise ConstructionError("Jacobian requires as many generators as variables")
-    # exact Gaussian elimination over Fraction
-    det = Fraction(1)
-    M = [row[:] for row in rows]
-    for c in range(r):
-        piv = next((i for i in range(c, r) if M[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = M[c][c]
-        for i in range(c + 1, r):
-            f = M[i][c] / inv
-            if f:
-                for j in range(c, r):
-                    M[i][j] -= f * M[c][j]
-    return det
+    rows = []
+    scale = 1
+    for g in gens:
+        row = [g.derivative(i + 1).evaluate(point) for i in range(m)]
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        scale *= lcm
+    return Fraction(_bareiss(rows)[1], scale)
 
 
 def _sample_point_with_nonzero_jacobian(gens: Sequence[LaurentPoly]) -> tuple[tuple[int, ...], Fraction]:
@@ -607,16 +598,6 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
 
     E = [g(n + k) * g(k) - formal_tail(k) for k in range(1, n + 1)]
 
-    def eval_formal(p: LaurentPoly) -> LaurentPoly:
-        out = LaurentPoly.zero(seed0.profile.m)
-        for exps, c in p.terms:
-            term = LaurentPoly.const(seed0.profile.m, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * gens[i] ** e
-            out = out + term
-        return out
-
     primed_formal = []
     for k in range(1, n + 1):
         head = E[k - 1]
@@ -628,14 +609,15 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
         for i in range(1, k):
             tail = tail * E[i - 1] ** B0.entry(i, k)
         rhs = head + tail
-        if eval_formal(rhs) != LaurentPoly.variable(seed0.profile.m, k) * primed[k - 1]:
+        value, den = _compose_as_quotient(rhs, gens)
+        if not den.is_one or value != LaurentPoly.variable(seed0.profile.m, k) * primed[k - 1]:
             raise ConstructionError(f"combination identity for the one-step mutation at {k} failed")
         quotient = exact_div(rhs, g(k))
         if not quotient.is_ordinary():
             raise ConstructionError(
                 f"the combination identity at {k} is not divisible by generator {k}; construction falsified"
             )
-        if eval_formal(quotient) != primed[k - 1]:
+        if _compose_as_quotient(quotient, gens)[0] != primed[k - 1]:  # ordinary: denominator 1
             raise ConstructionError(f"formal quotient at {k} does not evaluate to the mutation value")
         primed_formal.append(quotient)
 

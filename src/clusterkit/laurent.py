@@ -11,8 +11,9 @@ equality, and values are hashable and immutable.
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd (heuristic
 gcd GCDHEU first, verified by ordinary exact division; subresultant
-remainder sequences as fallback), formal substitution, and the
-reducibility decision for X^d + 1 over the rationals or the complexes.
+remainder sequences as fallback), the composition of a Laurent polynomial
+at Laurent-polynomial images, and the reducibility decision for X^d + 1
+over the rationals or the complexes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 Exps = tuple  # exponent vector: one signed int per ambient variable
 
@@ -32,10 +33,6 @@ class DimensionMismatch(ValueError):
 
 class NotDivisible(ArithmeticError):
     """Exact division failed: no quotient exists in the Laurent ring."""
-
-
-class ZeroImageInverted(ZeroDivisionError):
-    """Substitution asked to invert a zero image (pole)."""
 
 
 class ParseError(ValueError):
@@ -58,8 +55,8 @@ class LaurentPoly:
 
     __slots__ = ("m", "terms", "_hash")
 
-    def __init__(self, m: int, terms: Mapping[Exps, int] | Iterable[tuple[Exps, int]]):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, m: int, terms: dict[Exps, int] | Iterable[tuple[Exps, int]]):
+        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Exps, int] = {}
         for exps, c in items:
             if len(exps) != m:
@@ -191,16 +188,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers are only defined for RationalFn values")
-        result = LaurentPoly.const(self.m, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k > 1
-            if base_needed:
-                base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, LaurentPoly.const(self.m, 1))
 
     def shift(self, offsets: Exps) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
@@ -250,6 +238,18 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.m}, {render_poly(self)!r})"
+
+
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by square-and-multiply, starting from one."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -313,12 +313,6 @@ def _lc_in(p: LaurentPoly, v: int) -> LaurentPoly:
     return _coeff_of(p, v, _deg_in(p, v))
 
 
-def _var_shift(p: LaurentPoly, v: int, k: int) -> LaurentPoly:
-    return LaurentPoly(
-        p.m, [(exps[:v] + (exps[v] + k,) + exps[v + 1 :], c) for exps, c in p.terms]
-    )
-
-
 def _prem(f: LaurentPoly, g: LaurentPoly, v: int) -> LaurentPoly:
     """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g in variable v."""
     dg = _deg_in(g, v)
@@ -327,7 +321,8 @@ def _prem(f: LaurentPoly, g: LaurentPoly, v: int) -> LaurentPoly:
     r = f
     while not r.is_zero and _deg_in(r, v) >= dg:
         lr = _lc_in(r, v)
-        r = lg * r - _var_shift(lr * g, v, _deg_in(r, v) - dg)
+        offsets = (0,) * v + (_deg_in(r, v) - dg,) + (0,) * (f.m - v - 1)
+        r = lg * r - (lr * g).shift(offsets)
         e -= 1
     return r * (lg**e) if e else r
 
@@ -646,15 +641,7 @@ class RationalFn:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             return RationalFn(self.den, self.num) ** (-k)
-        result = RationalFn.const(self.m, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, RationalFn.const(self.m, 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
@@ -670,6 +657,16 @@ class RationalFn:
         return f"RationalFn({render_poly(self.num)!r} / {render_poly(self.den)!r})"
 
 
+def _integer_content(p: LaurentPoly) -> int:
+    """gcd of the coefficients of p (0 for the zero polynomial)."""
+    out = 0
+    for _, c in p.terms:
+        out = math.gcd(out, c)
+        if out == 1:
+            break
+    return out
+
+
 def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if num.is_zero:
         return num, LaurentPoly.const(num.m, 1)
@@ -680,12 +677,7 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         common = tuple(min(a, b) for a, b in zip(mins, dexps))
         num = num.shift(tuple(-e for e in common))
         den = LaurentPoly.monomial(num.m, tuple(a - b for a, b in zip(dexps, common)), dc)
-        content = 0
-        for _, c in num.terms:
-            content = math.gcd(content, c)
-            if content == 1:
-                break
-        g = math.gcd(content, dc)
+        g = math.gcd(_integer_content(num), dc)
         if g > 1:
             num = LaurentPoly(num.m, [(e, c // g) for e, c in num.terms])
             den = LaurentPoly.monomial(num.m, den.terms[0][0], dc // g)
@@ -699,32 +691,40 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
     return num, den
 
 
-def substitute(e: LaurentPoly, images: Sequence[RationalFn]) -> RationalFn:
-    """Formal substitution x_i -> images[i-1], reduced.
+def _compose_as_quotient(e: LaurentPoly, images: Sequence[LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
+    """Rewrite e(x) at Laurent-polynomial images x_i -> images[i-1] as num / den.
 
-    Raises ZeroImageInverted when a variable with a negative exponent in
-    some term of e is mapped to zero.
+    Negative exponents are cleared by one common factor per variable, so
+    the numerator is assembled with ring operations only and den is the
+    product of images[i-1]^(-a_i) over the variables whose least exponent
+    a_i in e is negative (den is 1 when e is ordinary).  Each power of an
+    image is computed once per call.
     """
-    if len(images) != e.m:
-        raise DimensionMismatch(f"{len(images)} images for {e.m} variables")
-    if not images:
-        raise DimensionMismatch("substitution requires at least one image")
-    mt = images[0].m
-    for img in images:
-        if img.m != mt:
-            raise DimensionMismatch("images live in different ambient rings")
-    total = RationalFn.const(mt, 0)
+    m = images[0].m
+    if e.is_zero:
+        return LaurentPoly.zero(m), LaurentPoly.const(m, 1)
+    shifts = [min(0, v) for v in e.min_exponents()]
+    powers: list[dict[int, LaurentPoly]] = [{} for _ in range(e.m)]
+
+    def power(i: int, k: int) -> LaurentPoly:
+        table = powers[i]
+        if k not in table:
+            table[k] = images[i] ** k
+        return table[k]
+
+    num = LaurentPoly.zero(m)
     for exps, c in e.terms:
-        term = RationalFn.const(mt, c)
-        for i, ei in enumerate(exps):
-            if not ei:
-                continue
-            img = images[i]
-            if ei < 0 and img.is_zero:
-                raise ZeroImageInverted(f"x{i + 1} has a negative exponent but maps to 0")
-            term = term * img**ei
-        total = total + term
-    return total
+        term = LaurentPoly.const(m, c)
+        for i, ex in enumerate(exps):
+            k = ex - shifts[i]
+            if k:
+                term = term * power(i, k)
+        num = num + term
+    den = LaurentPoly.const(m, 1)
+    for i, s in enumerate(shifts):
+        if s:
+            den = den * power(i, -s)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -163,13 +163,9 @@ def _diagonal_scaler(A: Sequence[Sequence[int]], skew: bool) -> tuple[int, ...] 
                 elif d[j] != val:
                     return None
         # scale the component to minimal positive integers
-        denom_lcm = 1
-        for i in component:
-            denom_lcm = denom_lcm * d[i].denominator // math.gcd(denom_lcm, d[i].denominator)
+        denom_lcm = math.lcm(*(d[i].denominator for i in component))
         ints = [int(d[i] * denom_lcm) for i in component]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
+        g = math.gcd(*ints)
         for i, v in zip(component, ints):
             d[i] = Fraction(v // g)
     # final consistency sweep over every pair
@@ -207,6 +203,7 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     is mutated as given, without a check.
     """
     n, m = B.profile.n, B.profile.m
+    _require_int(k, "mutation index")
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} outside 1..{n}")
     kk = k - 1
@@ -241,7 +238,10 @@ class Seed:
                 raise InvalidSeed("cluster entries must be nonzero")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "cluster", cluster)
-        object.__setattr__(self, "word", tuple(int(w) for w in word))
+        word = tuple(word)
+        for w in word:
+            _require_int(w, "word entry")
+        object.__setattr__(self, "word", word)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -299,6 +299,7 @@ def exchange_monomials(s: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
 def seed_mutate(s: Seed, k: int) -> Seed:
     """Mutate the seed in direction k: exchange relation plus matrix mutation."""
     n = s.profile.n
+    _require_int(k, "mutation index")
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} outside 1..{n}")
     m1, m2 = exchange_monomials(s, k)
@@ -399,24 +400,37 @@ def is_acyclic(B: ExchangeMatrix) -> bool:
     return True
 
 
-def matrix_rank(B: ExchangeMatrix) -> int:
-    """Exact integer rank via fraction-free (Bareiss) elimination."""
-    M = [list(row) for row in B.entries]
+def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank and determinant (0 unless square and regular) of an integer matrix.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 1968): every entry is
+    a minor, so each division by the previous pivot is exact, and the last
+    pivot of a regular square matrix is its determinant up to row swaps.
+    """
+    M = [list(row) for row in entries]
     rows, cols = len(M), len(M[0]) if M else 0
     r = 0
     prev = 1
+    sign = 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 M[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // prev
             M[i][c] = 0
         prev = M[r][c]
         r += 1
-    return r
+    return r, sign * prev if r == rows == cols else 0
+
+
+def matrix_rank(B: ExchangeMatrix) -> int:
+    """Exact integer rank via fraction-free (Bareiss) elimination."""
+    return _bareiss(B.entries)[0]
 
 
 # ---------------------------------------------------------------------------

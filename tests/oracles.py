@@ -3,17 +3,19 @@
 Everything here deliberately avoids the package's own arithmetic paths:
 the factor search works on plain coefficient lists, the rank-2 closure
 oracle runs on sympy rational functions, the gcd oracle on sympy
-polynomials, and the generators only call back into the package to
-reject invalid samples.
+polynomials, formal substitution on reduced RationalFn values instead of
+the kernel's composition routine, and the generators only call back into
+the package to reject invalid samples.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import permutations, product
+from typing import Sequence
 
 from clusterkit.constructions import CartanMatrix
-from clusterkit.laurent import LaurentPoly
+from clusterkit.laurent import DimensionMismatch, LaurentPoly, RationalFn
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, validate
 
 
@@ -86,6 +88,43 @@ def sympy_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd(a, b) computed by sympy, signed so that the lex-largest term is positive."""
     g = from_sympy_poly(to_sympy_poly(a).gcd(to_sympy_poly(b)), a.m)
     return -g if g.terms and g.terms[0][1] < 0 else g
+
+
+# ---------------------------------------------------------------------------
+# formal substitution into reduced rational functions
+# ---------------------------------------------------------------------------
+
+
+class ZeroImageInverted(ZeroDivisionError):
+    """Substitution asked to invert a zero image (pole)."""
+
+
+def substitute(e: LaurentPoly, images: Sequence[RationalFn]) -> RationalFn:
+    """Formal substitution x_i -> images[i-1], reduced.
+
+    Raises ZeroImageInverted when a variable with a negative exponent in
+    some term of e is mapped to zero.
+    """
+    if len(images) != e.m:
+        raise DimensionMismatch(f"{len(images)} images for {e.m} variables")
+    if not images:
+        raise DimensionMismatch("substitution requires at least one image")
+    mt = images[0].m
+    for img in images:
+        if img.m != mt:
+            raise DimensionMismatch("images live in different ambient rings")
+    total = RationalFn.const(mt, 0)
+    for exps, c in e.terms:
+        term = RationalFn.const(mt, c)
+        for i, ei in enumerate(exps):
+            if not ei:
+                continue
+            img = images[i]
+            if ei < 0 and img.is_zero:
+                raise ZeroImageInverted(f"x{i + 1} has a negative exponent but maps to 0")
+            term = term * img**ei
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------

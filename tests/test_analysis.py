@@ -265,7 +265,7 @@ def test_membership_agrees_with_reduce_based_formulation():
     # the division-based decision must match substituting and inspecting
     # the reduced denominator, term for term
     from clusterkit.analysis import coordinate_images
-    from clusterkit.laurent import substitute
+    from oracles import substitute
 
     rng = random.Random(61)
     seed = Seed.initial(a3_matrix())

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import clusterkit.cli
+import clusterkit.presets
+from clusterkit.analysis import InternalInvariantError
 from clusterkit.cli import main
+from clusterkit.constructions import ConstructionError
+from clusterkit.laurent import LaurentPoly, NotDivisible
+from clusterkit.seeds import Seed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +135,81 @@ def test_verify_single_preset(capsys):
     code, out, _ = run(capsys, "verify", "--name", "a3")
     assert code == 0
     assert "[ok]" in out and "FAIL" not in out
+
+
+def _raising(exc):
+    def boom(*args):
+        raise exc("planted failure")
+
+    return boom
+
+
+@pytest.mark.parametrize(
+    "name, construction, exc",
+    [
+        ("type-a-m3", "type_a_chain", ConstructionError),
+        ("acyclic-n3", "acyclic_staircase", NotDivisible),
+        ("lie-rank2", "lie_preset", InternalInvariantError),
+    ],
+)
+def test_preset_internal_error_is_one_failed_check(capsys, monkeypatch, name, construction, exc):
+    monkeypatch.setattr(clusterkit.presets, construction, _raising(exc))
+    code, out, _ = run(capsys, "verify", "--name", name)
+    assert code == 1
+    assert out == f"[FAIL] {name}: verification runs to completion\n"
+
+
+def _with_counts(real, key, value):
+    def tampered(*args):
+        res = real(*args)
+        return dataclasses.replace(res, identity_counts={**res.identity_counts, key: value})
+
+    return tampered
+
+
+def _lie_with_half_coefficient(real):
+    def tampered():
+        lp = real()
+        last = lp.stages[-1]
+        half = LaurentPoly(8, {(0,) * 8: Fraction(1, 2)})
+        bad = Seed(last.matrix, (half,) + last.cluster[1:], last.word)
+        return dataclasses.replace(lp, stages=lp.stages[:-1] + (bad,))
+
+    return tampered
+
+
+def _lie_missing_stage(real):
+    def tampered():
+        lp = real()
+        return dataclasses.replace(lp, stages=lp.stages[:-1])
+
+    return tampered
+
+
+@pytest.mark.parametrize(
+    "name, construction, tamper, failing",
+    [
+        ("type-a-m4", "type_a_chain", lambda f: _with_counts(f, "shifted", 9), "chain identities hold for m=4"),
+        ("type-a-m5", "type_a_chain", lambda f: _with_counts(f, "stage1_recurrence", 3), "chain identities hold for m=5"),
+        ("acyclic-n3", "acyclic_staircase", lambda f: _with_counts(f, "matrix_shapes", 2), "intermediate matrices match the block shapes"),
+        ("lie-rank2", "lie_preset", _lie_missing_stage, "six-stage schedule runs to completion"),
+        ("lie-rank2", "lie_preset", _lie_with_half_coefficient, "all entries are integer Laurent polynomials"),
+    ],
+)
+def test_preset_checks_recompute_their_claims(capsys, monkeypatch, name, construction, tamper, failing):
+    real = getattr(clusterkit.presets, construction)
+    monkeypatch.setattr(clusterkit.presets, construction, tamper(real))
+    code, out, _ = run(capsys, "verify", "--name", name)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [f"[FAIL] {name}: {failing}"]
+
+
+@pytest.mark.parametrize("exc", [ConstructionError, NotDivisible, InternalInvariantError])
+def test_internal_error_is_one_line_exit_one(capsys, monkeypatch, a3_file, exc):
+    monkeypatch.setattr(clusterkit.cli, "apply_word", _raising(exc))
+    code, out, err = run(capsys, "mutate", "--matrix", a3_file, "--word", "1")
+    assert code == 1 and out == ""
+    assert err == f"internal error: {exc.__name__}: planted failure\n"
 
 
 # -- parsing and exit code 2 --------------------------------------------------------

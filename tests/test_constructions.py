@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from clusterkit.constructions import (
     CartanMatrix,
+    _jacobian_det,
     acyclic_seed_from_cartan,
     acyclic_staircase,
     bfz_basis_change,
@@ -102,6 +104,23 @@ def test_tampered_jacobian_detected():
     bad = dataclasses.replace(res.certificate, jacobian_det=res.certificate.jacobian_det + 1)
     out = verify_polynomial_generators(bad, res.disjoint_pair)
     assert not out.ok
+
+
+def test_jacobian_det_matches_sympy():
+    import sympy
+
+    rng = random.Random(1115)
+    families = [type_a_chain(m).certificate.generators for m in range(2, 7)]
+    families += [acyclic_staircase(random_cartan(rng, max_n=3)).certificate.generators for _ in range(5)]
+    for gens in families:
+        m = gens[0].m
+        xs = sympy.symbols(f"x1:{m + 1}")
+        exprs = [sum(c * sympy.Mul(*(x**e for x, e in zip(xs, exps))) for exps, c in g.terms) for g in gens]
+        J = sympy.Matrix(exprs).jacobian(xs)
+        for _ in range(4):
+            point = tuple(rng.choice((-5, -3, -2, -1, 1, 2, 3, 7)) for _ in range(m))
+            expected = J.subs(dict(zip(xs, point))).det()
+            assert _jacobian_det(gens, point) == Fraction(int(expected.p), int(expected.q))
 
 
 # -- Cartan-built acyclic seeds ----------------------------------------------------

@@ -14,16 +14,15 @@ from clusterkit.laurent import (
     NotDivisible,
     ParseError,
     RationalFn,
-    ZeroImageInverted,
+    _compose_as_quotient,
     _poly_gcd_prs,
     exact_div,
     parse_poly,
     poly_gcd,
     render_poly,
-    substitute,
     xd_plus_one_reducible,
 )
-from oracles import sympy_gcd, xd_plus_one_reducible_bruteforce
+from oracles import ZeroImageInverted, substitute, sympy_gcd, xd_plus_one_reducible_bruteforce
 
 M = 4
 
@@ -318,6 +317,26 @@ def test_substitute_pole():
     images[0] = RationalFn.const(M, 0)
     with pytest.raises(ZeroImageInverted):
         substitute(e, images)
+
+
+def test_compose_as_quotient_matches_substitute():
+    # the kernel's composition (num, den) against reduced RationalFn substitution,
+    # images in another ambient ring; num / den == a / b is checked as num * b == a * den
+    rng = random.Random(245)
+    checked = 0
+    for _ in range(300):
+        e = random_poly(rng, m=3, laurent=rng.random() < 0.7)
+        images = [random_poly(rng, m=2) for _ in range(3)]
+        images = [img if not img.is_zero else LaurentPoly.const(2, -2) for img in images]
+        num, den = _compose_as_quotient(e, images)
+        value = substitute(e, [RationalFn.from_laurent(img) for img in images])
+        assert num * value.den == value.num * den
+        expected_den = LaurentPoly.const(2, 1)
+        for img, a in zip(images, e.min_exponents()):
+            expected_den = expected_den * img ** max(0, -a)
+        assert den == expected_den
+        checked += not e.is_zero
+    assert checked > 200
 
 
 # -- X^d + 1 ------------------------------------------------------------------

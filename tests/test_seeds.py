@@ -14,6 +14,7 @@ from clusterkit.seeds import (
     ParseError,
     Seed,
     SeedProfile,
+    _bareiss,
     apply_word,
     exchange_monomials,
     gamma_quiver,
@@ -125,6 +126,23 @@ def test_matrix_mutation_index_range(a3):
         matrix_mutate(a3, 0)
     with pytest.raises(IndexError):
         matrix_mutate(a3, 4)
+
+
+def test_mutation_direction_is_not_coerced(a3):
+    seed = Seed.initial(a3)
+    for k in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="mutation index"):
+            matrix_mutate(a3, k)
+        with pytest.raises(ValueError, match="mutation index"):
+            seed_mutate(seed, k)
+
+
+def test_seed_word_is_not_coerced(a3):
+    seed = Seed.initial(a3)
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="word entry"):
+            Seed(seed.matrix, seed.cluster, (1, bad))
+    assert Seed(seed.matrix, seed.cluster, [1, 3]).word == (1, 3)
 
 
 def test_matrix_mutation_randomized_invariants():
@@ -253,6 +271,31 @@ def test_three_cycle_not_acyclic():
 
 
 # -- rank ---------------------------------------------------------------------
+
+
+def test_bareiss_rank_and_det_match_sympy():
+    import sympy
+
+    rng = random.Random(1968)
+    deficient = 0
+    for _ in range(400):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice((1, 4, 10**6))
+        M = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            # last row a combination of the first two: rank-deficient
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            M[-1] = [a * u + b * v for u, v in zip(M[0], M[rows - 2])]
+        if rng.random() < 0.2:
+            j = rng.randrange(cols)
+            for row in M:
+                row[j] = 0
+        S = sympy.Matrix(M)
+        rank, det = _bareiss(M)
+        assert rank == S.rank()
+        assert det == (S.det() if rows == cols else 0)
+        deficient += rank < min(rows, cols)
+    assert deficient > 50
 
 
 def test_matrix_rank(a3, b0, lampe):

@@ -235,8 +235,14 @@ def coordinate_images(target: Seed) -> list[LaurentPoly]:
     Replays the reversed mutation word from a fresh formal seed placed at
     the target's matrix, so entry i of the result is the initial variable
     x_i written in the target cluster's coordinates.
+
+    Precondition: the target's matrix is valid, as it is for every seed
+    reached by mutation from Seed.initial (see matrix_mutate), so it is not
+    validated again.  A seed built by hand around an invalid matrix is
+    replayed as given, without a check.
     """
-    fresh = Seed.initial(target.matrix)
+    m = target.profile.m
+    fresh = Seed(target.matrix, [LaurentPoly.variable(m, i + 1) for i in range(m)], ())
     back = apply_word(fresh, reversed(target.word))
     return list(back.cluster)
 
@@ -255,8 +261,9 @@ def _rational_laurent_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPol
         return num
     cn = _integer_content(num)
     cd = _integer_content(den)
-    prim_num = LaurentPoly(num.m, [(e, c // cn) for e, c in num.terms])
-    prim_den = LaurentPoly(den.m, [(e, c // cd) for e, c in den.terms])
+    # dividing by the content keeps the terms canonical
+    prim_num = LaurentPoly._from_canonical(num.m, tuple((e, c // cn) for e, c in num.terms))
+    prim_den = LaurentPoly._from_canonical(den.m, tuple((e, c // cd) for e, c in den.terms))
     try:
         return exact_div(prim_num, prim_den)
     except NotDivisible:

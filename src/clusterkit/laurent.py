@@ -8,6 +8,18 @@ order on the exponent vectors, with no zero coefficients.  Structural
 equality of this canonical form therefore coincides with mathematical
 equality, and values are hashable and immutable.
 
+Canonical terms are sorted strictly descending, carry nonzero int
+coefficients and exponent tuples of length m.  The public constructors
+(LaurentPoly(...), zero, const, variable, monomial) check the exponent
+lengths, merge repeated exponents, drop zero coefficients and sort; they
+do not check coefficient types, which parse_poly and the kernel always
+produce as int.  Kernel arithmetic on canonical operands yields canonical
+data by construction, so products, sums, negation, shifts and exact
+quotients are built through the private LaurentPoly._from_canonical, which
+trusts its input and checks nothing.  A product or quotient with a
+monomial factor is a shift and a scale of the other operand's terms, which
+keeps their order, so it needs no dictionary and no sort.
+
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd (heuristic
 gcd GCDHEU first, verified by ordinary exact division; subresultant
@@ -22,6 +34,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 Exps = tuple  # exponent vector: one signed int per ambient variable
@@ -75,6 +88,15 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _from_canonical(cls, m: int, terms: tuple) -> "LaurentPoly":
+        """Trusted constructor: terms must already be canonical (see the module docstring)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -149,6 +171,10 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for exps, c in other.terms:
             nc = acc.get(exps, 0) + c
@@ -156,10 +182,10 @@ class LaurentPoly:
                 acc[exps] = nc
             else:
                 del acc[exps]
-        return LaurentPoly(self.m, acc)
+        return LaurentPoly._from_canonical(self.m, tuple(sorted(acc.items(), reverse=True)))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.m, [(exps, -c) for exps, c in self.terms])
+        return LaurentPoly._from_canonical(self.m, tuple((exps, -c) for exps, c in self.terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -168,33 +194,51 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly(self.m, [(exps, c * other) for exps, c in self.terms])
+            if not other:
+                return LaurentPoly.zero(self.m)
+            return LaurentPoly._from_canonical(self.m, tuple((exps, c * other) for exps, c in self.terms))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b, other = b, a, self
+        if len(a) == 1:
+            # a monomial factor shifts and scales the other's terms, keeping their order
+            ea, ca = a[0]
+            if any(ea):
+                return LaurentPoly._from_canonical(
+                    self.m, tuple((tuple(map(add, eb, ea)), cb * ca) for eb, cb in b)
+                )
+            if ca == 1:
+                return other
+            return LaurentPoly._from_canonical(self.m, tuple((eb, cb * ca) for eb, cb in b))
+        if not a:
+            return LaurentPoly.zero(self.m)
         acc: dict[Exps, int] = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
+        for ea, ca in a:
+            for eb, cb in b:
+                key = tuple(map(add, ea, eb))
                 nc = acc.get(key, 0) + ca * cb
                 if nc:
                     acc[key] = nc
                 else:
                     del acc[key]
-        return LaurentPoly(self.m, acc)
+        return LaurentPoly._from_canonical(self.m, tuple(sorted(acc.items(), reverse=True)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers are only defined for RationalFn values")
-        return _power(self, k, LaurentPoly.const(self.m, 1))
+        return _power(self, k) if k else LaurentPoly.const(self.m, 1)
 
     def shift(self, offsets: Exps) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
-        return LaurentPoly(
-            self.m,
-            [(tuple(e + o for e, o in zip(exps, offsets)), c) for exps, c in self.terms],
+        if len(offsets) != self.m:
+            raise DimensionMismatch(f"offsets of length {len(offsets)} in dimension {self.m}")
+        return LaurentPoly._from_canonical(
+            self.m, tuple((tuple(map(add, exps, offsets)), c) for exps, c in self.terms)
         )
 
     def derivative(self, i: int) -> "LaurentPoly":
@@ -240,55 +284,67 @@ class LaurentPoly:
         return f"LaurentPoly({self.m}, {render_poly(self)!r})"
 
 
-def _power(base, k: int, one):
-    """base ** k for k >= 0 by square-and-multiply, starting from one."""
-    result = one
-    while k:
+def _power(base, k: int):
+    """base ** k for k >= 1 by square-and-multiply."""
+    result = None
+    while True:
         if k & 1:
-            result = result * base
+            result = base if result is None else result * base
         k >>= 1
-        if k:
-            base = base * base
-    return result
+        if not k:
+            return result
+        base = base * base
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient a / b in the Laurent ring; NotDivisible if none exists.
 
-    Both operands are shifted by monomials into the ordinary polynomial
-    ring, where single-divisor leading-term reduction under descending
-    lex order either terminates with zero remainder or proves that no
-    exact quotient exists.
+    A monomial divisor c * x^e divides exactly when c divides every
+    coefficient; the quotient is a shift and a scale.  Otherwise both
+    operands are shifted by monomials into the ordinary polynomial ring,
+    where single-divisor leading-term reduction under descending lex order
+    either terminates with zero remainder or proves that no exact quotient
+    exists.  Each reduction step leaves a remainder whose terms all lie
+    below the one just cancelled, so the quotient terms come out strictly
+    descending, which is their canonical order.
     """
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return LaurentPoly.zero(a.m)
+    if len(b.terms) == 1:
+        eb, cb = b.terms[0]
+        if any(c % cb for _, c in a.terms):
+            raise NotDivisible("coefficient not divisible by the monomial divisor's coefficient")
+        return LaurentPoly._from_canonical(
+            a.m, tuple((tuple(map(sub, exps, eb)), c // cb) for exps, c in a.terms)
+        )
     sa = a.min_exponents()
     sb = b.min_exponents()
-    rem = {tuple(e - s for e, s in zip(exps, sa)): c for exps, c in a.terms}
-    bterms = [(tuple(e - s for e, s in zip(exps, sb)), c) for exps, c in b.terms]
-    bl_exps = max(t[0] for t in bterms)
-    bl_c = dict(bterms)[bl_exps]
-    quot: dict[Exps, int] = {}
+    rem = {tuple(map(sub, exps, sa)): c for exps, c in a.terms}
+    bterms = [(tuple(map(sub, exps, sb)), c) for exps, c in b.terms]
+    bl_exps, bl_c = bterms[0]
+    quot: list[tuple[Exps, int]] = []
     while rem:
         r_exps = max(rem)
         r_c = rem[r_exps]
-        t_exps = tuple(x - y for x, y in zip(r_exps, bl_exps))
-        if any(e < 0 for e in t_exps) or r_c % bl_c:
+        t_exps = tuple(map(sub, r_exps, bl_exps))
+        if min(t_exps) < 0 or r_c % bl_c:
             raise NotDivisible("leading term not divisible; quotient does not exist")
         t_c = r_c // bl_c
-        quot[t_exps] = quot.get(t_exps, 0) + t_c
+        quot.append((t_exps, t_c))
         for exps, c in bterms:
-            key = tuple(x + y for x, y in zip(t_exps, exps))
+            key = tuple(map(add, t_exps, exps))
             nc = rem.get(key, 0) - t_c * c
             if nc:
                 rem[key] = nc
             else:
                 rem.pop(key, None)
-    shift = tuple(x - y for x, y in zip(sa, sb))
-    return LaurentPoly(a.m, {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in quot.items()})
+    shift = tuple(map(sub, sa, sb))
+    return LaurentPoly._from_canonical(
+        a.m, tuple((tuple(map(add, exps, shift)), c) for exps, c in quot)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +697,7 @@ class RationalFn:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
             return RationalFn(self.den, self.num) ** (-k)
-        return _power(self, k, RationalFn.const(self.m, 1))
+        return _power(self, k) if k else RationalFn.const(self.m, 1)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):
@@ -679,7 +735,7 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         den = LaurentPoly.monomial(num.m, tuple(a - b for a, b in zip(dexps, common)), dc)
         g = math.gcd(_integer_content(num), dc)
         if g > 1:
-            num = LaurentPoly(num.m, [(e, c // g) for e, c in num.terms])
+            num = LaurentPoly._from_canonical(num.m, tuple((e, c // g) for e, c in num.terms))
             den = LaurentPoly.monomial(num.m, den.terms[0][0], dc // g)
     else:
         g = poly_gcd(num, den)

@@ -84,6 +84,14 @@ class ExchangeMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExchangeMatrix is immutable")
 
+    @classmethod
+    def _from_canonical(cls, rows: tuple, profile: SeedProfile) -> "ExchangeMatrix":
+        """Trusted constructor: rows must be a tuple of profile.m tuples of profile.n ints."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "profile", profile)
+        return self
+
     def entry(self, i: int, j: int) -> int:
         """b_ij, 1-indexed."""
         return self.entries[i - 1][j - 1]
@@ -202,23 +210,25 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     involution on every integer matrix.  A matrix that was never validated
     is mutated as given, without a check.
     """
-    n, m = B.profile.n, B.profile.m
+    n = B.profile.n
     _require_int(k, "mutation index")
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} outside 1..{n}")
     kk = k - 1
-    old = B.entries
+    rowk = B.entries[kk]
     rows = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            if i == kk or j == kk:
-                row.append(-old[i][j])
-            else:
-                bik, bkj = old[i][kk], old[kk][j]
-                row.append(old[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        rows.append(row)
-    return ExchangeMatrix(rows, B.profile)
+    for i, row in enumerate(B.entries):
+        bik = row[kk]
+        if i == kk:
+            rows.append(tuple(-v for v in row))
+        elif not bik:
+            rows.append(row)  # b_ik = 0: the row is unchanged
+        else:
+            new = [bij + (abs(bik) * bkj + bik * abs(bkj)) // 2 for bij, bkj in zip(row, rowk)]
+            new[kk] = -bik
+            rows.append(tuple(new))
+    # ints computed from the int entries of B, in B's shape: nothing to re-check
+    return ExchangeMatrix._from_canonical(tuple(rows), B.profile)
 
 
 class Seed:
@@ -246,6 +256,17 @@ class Seed:
 
     def __setattr__(self, name, value):
         raise AttributeError("Seed is immutable")
+
+    @classmethod
+    def _from_canonical(cls, matrix: ExchangeMatrix, cluster: tuple, word: tuple) -> "Seed":
+        """Trusted constructor: cluster must be a tuple of m nonzero LaurentPoly values
+        in m variables and word a tuple of int letters, as Seed(...) checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     @classmethod
     def initial(cls, matrix: ExchangeMatrix) -> "Seed":
@@ -283,17 +304,14 @@ class Seed:
 
 def exchange_monomials(s: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The two products M1, M2 of the exchange relation x_k * x_k' = M1 + M2."""
+    products: list[LaurentPoly | None] = [None, None]
+    for x, b in zip(s.cluster, s.matrix.column(k)):
+        if b:
+            side = 0 if b > 0 else 1
+            power = x ** abs(b)
+            products[side] = power if products[side] is None else products[side] * power
     m = s.profile.m
-    col = s.matrix.column(k)
-    m1 = LaurentPoly.const(m, 1)
-    m2 = LaurentPoly.const(m, 1)
-    for i in range(m):
-        b = col[i]
-        if b > 0:
-            m1 = m1 * s.cluster[i] ** b
-        elif b < 0:
-            m2 = m2 * s.cluster[i] ** (-b)
-    return m1, m2
+    return tuple(LaurentPoly.const(m, 1) if p is None else p for p in products)
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:
@@ -306,9 +324,11 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     if m1 == m2:
         raise InvalidSeed(f"degenerate exchange at {k}: both exchange monomials equal")
     new_entry = exact_div(m1 + m2, s.cluster[k - 1])  # NotDivisible propagates
-    cluster = list(s.cluster)
-    cluster[k - 1] = new_entry
-    return Seed(matrix_mutate(s.matrix, k), cluster, s.word + (k,))
+    if new_entry.is_zero:
+        raise InvalidSeed("cluster entries must be nonzero")
+    cluster = s.cluster[: k - 1] + (new_entry,) + s.cluster[k:]
+    # the rest of the cluster and the word were checked when s was built
+    return Seed._from_canonical(matrix_mutate(s.matrix, k), cluster, s.word + (k,))
 
 
 def apply_word(s: Seed, word: Iterable[int]) -> Seed:

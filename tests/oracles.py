@@ -5,7 +5,9 @@ the factor search works on plain coefficient lists, the rank-2 closure
 oracle runs on sympy rational functions, the gcd oracle on sympy
 polynomials, formal substitution on reduced RationalFn values instead of
 the kernel's composition routine, and the generators only call back into
-the package to reject invalid samples.
+the package to reject invalid samples.  The kernel references (general
+multiply, leading-term division, matrix mutation) build every result
+through the checking public constructors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import permutations, product
 from typing import Sequence
 
 from clusterkit.constructions import CartanMatrix
-from clusterkit.laurent import DimensionMismatch, LaurentPoly, RationalFn
+from clusterkit.laurent import DimensionMismatch, LaurentPoly, NotDivisible, RationalFn
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, validate
 
 
@@ -88,6 +90,87 @@ def sympy_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd(a, b) computed by sympy, signed so that the lex-largest term is positive."""
     g = from_sympy_poly(to_sympy_poly(a).gcd(to_sympy_poly(b)), a.m)
     return -g if g.terms and g.terms[0][1] < 0 else g
+
+
+# ---------------------------------------------------------------------------
+# reference kernel arithmetic: the general product and leading-term division
+# ---------------------------------------------------------------------------
+
+
+def mul_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Product by the general term-by-term loop, whatever the factors."""
+    if a.m != b.m:
+        raise DimensionMismatch(f"ambient dimensions differ: {a.m} vs {b.m}")
+    acc: dict[tuple, int] = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            key = tuple(x + y for x, y in zip(ea, eb))
+            nc = acc.get(key, 0) + ca * cb
+            if nc:
+                acc[key] = nc
+            else:
+                del acc[key]
+    return LaurentPoly(a.m, acc)
+
+
+def exact_div_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a / b by leading-term reduction in the ordinary ring, for every divisor."""
+    if a.m != b.m:
+        raise DimensionMismatch(f"ambient dimensions differ: {a.m} vs {b.m}")
+    if b.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if a.is_zero:
+        return LaurentPoly.zero(a.m)
+    sa = a.min_exponents()
+    sb = b.min_exponents()
+    rem = {tuple(e - s for e, s in zip(exps, sa)): c for exps, c in a.terms}
+    bterms = [(tuple(e - s for e, s in zip(exps, sb)), c) for exps, c in b.terms]
+    bl_exps = max(t[0] for t in bterms)
+    bl_c = dict(bterms)[bl_exps]
+    quot: dict[tuple, int] = {}
+    while rem:
+        r_exps = max(rem)
+        r_c = rem[r_exps]
+        t_exps = tuple(x - y for x, y in zip(r_exps, bl_exps))
+        if any(e < 0 for e in t_exps) or r_c % bl_c:
+            raise NotDivisible("leading term not divisible; quotient does not exist")
+        t_c = r_c // bl_c
+        quot[t_exps] = quot.get(t_exps, 0) + t_c
+        for exps, c in bterms:
+            key = tuple(x + y for x, y in zip(t_exps, exps))
+            nc = rem.get(key, 0) - t_c * c
+            if nc:
+                rem[key] = nc
+            else:
+                rem.pop(key, None)
+    shift = tuple(x - y for x, y in zip(sa, sb))
+    return LaurentPoly(a.m, {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in quot.items()})
+
+
+def power_reference(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p ** k as k reference products starting from 1."""
+    out = LaurentPoly.const(p.m, 1)
+    for _ in range(k):
+        out = mul_reference(out, p)
+    return out
+
+
+def matrix_mutate_reference(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """mu_k(B) entry by entry, built through the checking constructor."""
+    n, m = B.profile.n, B.profile.m
+    kk = k - 1
+    old = B.entries
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            if i == kk or j == kk:
+                row.append(-old[i][j])
+            else:
+                bik, bkj = old[i][kk], old[kk][j]
+                row.append(old[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
+        rows.append(row)
+    return ExchangeMatrix(rows, B.profile)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,15 @@ from clusterkit.laurent import (
     render_poly,
     xd_plus_one_reducible,
 )
-from oracles import ZeroImageInverted, substitute, sympy_gcd, xd_plus_one_reducible_bruteforce
+from oracles import (
+    ZeroImageInverted,
+    exact_div_reference,
+    mul_reference,
+    power_reference,
+    substitute,
+    sympy_gcd,
+    xd_plus_one_reducible_bruteforce,
+)
 
 M = 4
 
@@ -129,6 +137,77 @@ def test_evaluation_commutes_with_division():
         if denom == 0:
             continue
         assert exact_div(a * b, b).evaluate(pt) == (a * b).evaluate(pt) / denom
+
+
+# -- fast paths against the general references --------------------------------
+
+
+def assert_canonical(p):
+    exps = [e for e, _ in p.terms]
+    assert type(p.terms) is tuple
+    assert all(a > b for a, b in zip(exps, exps[1:])), p.terms
+    for e, c in p.terms:
+        assert type(c) is int and c != 0, p.terms
+        assert type(e) is tuple and len(e) == p.m and all(type(v) is int for v in e), p.terms
+
+
+def kernel_operands(rng, m):
+    """Zero, +-1, integer constants, Laurent monomials and multi-term polynomials."""
+    ops = [LaurentPoly.zero(m), LaurentPoly.const(m, 1), LaurentPoly.const(m, -1)]
+    ops += [LaurentPoly.const(m, c) for c in rng.sample([-12, -3, 2, 6, 35], 2)]
+    for _ in range(4):
+        exps = [rng.randint(-3, 3) for _ in range(m)]
+        ops.append(LaurentPoly.monomial(m, exps, rng.choice([-6, -2, -1, 1, 3, 4])))
+    ops += [random_poly(rng, m=m, max_terms=4, max_exp=2, max_coeff=6) for _ in range(5)]
+    return ops
+
+
+def division_outcome(div, a, b):
+    try:
+        return div(a, b)
+    except (NotDivisible, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kernel_fast_paths_match_references(m):
+    rng = random.Random(900 + m)
+    ops = kernel_operands(rng, m)
+    for a in ops:
+        for k in range(4):
+            p = a**k
+            assert p == power_reference(a, k)
+            assert_canonical(p)
+        for c in (0, 1, -1, 3):
+            assert a * c == c * a == mul_reference(a, LaurentPoly.const(m, c))
+            assert_canonical(a * c)
+        for b in ops:
+            prod = a * b
+            assert prod == mul_reference(a, b)
+            assert_canonical(prod)
+            for total in (a + b, a - b):
+                assert_canonical(total)
+            assert a + b == LaurentPoly(m, list(a.terms) + list(b.terms))
+            q = division_outcome(exact_div, a, b)
+            assert q == division_outcome(exact_div_reference, a, b)
+            if isinstance(q, LaurentPoly):
+                assert_canonical(q)
+            if not b.is_zero:
+                assert exact_div(prod, b) == a
+                assert_canonical(exact_div(prod, b))
+            if b.is_monomial:
+                assert a.shift(b.terms[0][0]) == mul_reference(a, LaurentPoly.monomial(m, b.terms[0][0]))
+
+
+def test_exact_div_by_monomial_checks_every_coefficient():
+    x1 = parse_poly("x1", 1)
+    for a, b in [("2*x1 + 3", "2*x1"), ("6*x1^2 + 4", "4"), ("5", "-3*x1")]:
+        a, b = parse_poly(a, 1), parse_poly(b, 1)
+        assert division_outcome(exact_div, a, b) is NotDivisible
+        assert division_outcome(exact_div_reference, a, b) is NotDivisible
+    q = exact_div(parse_poly("6*x1^2 - 4", 1), parse_poly("-2*x1^-1", 1))
+    assert q == -3 * x1**3 + 2 * x1
+    assert_canonical(q)
 
 
 # -- gcd ---------------------------------------------------------------------

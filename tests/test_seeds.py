@@ -29,7 +29,14 @@ from clusterkit.seeds import (
     skew_symmetrizer,
     validate,
 )
-from oracles import random_valid_matrix
+from oracles import (
+    exact_div_reference,
+    matrix_mutate_reference,
+    mul_reference,
+    power_reference,
+    random_dynkin_matrix,
+    random_valid_matrix,
+)
 
 A3_TEXT = "3 3 3\n0 -1 0; 1 0 -1; 0 1 0"
 B0_TEXT = "3 3 6\n0 2 0; -2 0 1; 0 -1 0; 1 -2 0; 0 1 -1; 0 0 1"
@@ -241,6 +248,39 @@ def test_seed_randomized_invariants():
         word = tuple(rng.randint(1, n) for _ in range(4))
         t = apply_word(s, word)
         assert apply_word(Seed.initial(B), t.word) == t
+
+
+def test_mutation_matches_checking_constructors():
+    # matrix_mutate and seed_mutate build their results without the
+    # constructors' checks; this walk rebuilds every result through them
+    # from the general reference arithmetic
+    rng = random.Random(4242)
+    starts = [random_valid_matrix(rng, max_n=3, max_m=5, bound=2) for _ in range(40)]
+    starts += [random_dynkin_matrix(rng, letter, n) for letter, n in [("A", 4), ("B", 3), ("C", 3), ("D", 4)] * 2]
+    for B in starts:
+        s = Seed.initial(B)
+        n, m = B.profile.n, B.profile.m
+        for _ in range(rng.randint(1, 8)):
+            k = rng.randint(1, n)
+            mu = matrix_mutate(s.matrix, k)
+            assert mu == matrix_mutate_reference(s.matrix, k)
+            assert type(mu.entries) is tuple and len(mu.entries) == m
+            for row in mu.entries:
+                assert type(row) is tuple and len(row) == n and all(type(v) is int for v in row)
+            m1 = m2 = LaurentPoly.const(m, 1)
+            for x, b in zip(s.cluster, s.matrix.column(k)):
+                if b > 0:
+                    m1 = mul_reference(m1, power_reference(x, b))
+                elif b < 0:
+                    m2 = mul_reference(m2, power_reference(x, -b))
+            new_entry = exact_div_reference(LaurentPoly(m, m1.terms + m2.terms), s.cluster[k - 1])
+            cluster = list(s.cluster)
+            cluster[k - 1] = new_entry
+            expected = Seed(ExchangeMatrix([list(row) for row in mu.entries], B.profile), cluster, list(s.word) + [k])
+            t = seed_mutate(s, k)
+            assert t == expected and t.word == expected.word
+            assert type(t.cluster) is tuple and type(t.word) is tuple
+            s = t
 
 
 # -- quivers ------------------------------------------------------------------

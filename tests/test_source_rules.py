@@ -17,3 +17,46 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# The trusted constructors skip every check, so each may be called only where
+# its input is canonical by construction: (file, receiver) -> allowed callers,
+# None meaning any function of that file.
+TRUSTED_CALL_SITES = {
+    ("laurent.py", "LaurentPoly"): None,
+    ("seeds.py", "ExchangeMatrix"): None,
+    ("seeds.py", "Seed"): None,
+    ("analysis.py", "LaurentPoly"): {"_rational_laurent_quotient"},
+}
+
+
+def _trusted_calls(tree):
+    """(receiver, enclosing function, line) of every call to a _from_canonical attribute."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_from_canonical":
+            out.append((ast.unparse(node.func.value), func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_trusted_constructors_stay_in_their_home_modules():
+    files = sorted(Path(clusterkit.__file__).parent.glob("*.py"))
+    bad, used = [], set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for receiver, func, lineno in _trusted_calls(tree):
+            key = (path.name, receiver)
+            allowed = TRUSTED_CALL_SITES.get(key, set())
+            if allowed is None or func in allowed:
+                used.add(key)
+            else:
+                bad.append(f"{path.name}:{lineno} {receiver}._from_canonical in {func}")
+    assert bad == []
+    assert used == set(TRUSTED_CALL_SITES)

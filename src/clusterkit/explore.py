@@ -3,6 +3,23 @@
 Seeds are expanded level by level in discovery order, children generated
 in direction order 1..n, so two runs with the same limits produce the
 same report.
+
+Two shortcuts remove work without changing the report:
+
+* Exchange memo.  By the exchange relation x_k * x_k' = M1 + M2
+  (Fomin-Zelevinsky, Cluster algebras I, 2002), the new entry x_k' is a
+  function of x_k and of the multiset {(x_i, b_ik) : b_ik != 0} over all m
+  rows, frozen ones included: M1 and M2 are the products of x_i^|b_ik| over
+  the positive and the negative b_ik.  One explore call keys a memo on x_k
+  plus the sorted tuple of (x_i.sort_key(), b_ik); sort_key is the
+  canonical term tuple, so equal keys mean equal relations and the memo
+  is exact.  The key is a sorted tuple and not a set because a hand-built
+  seed may repeat an entry, which then counts twice in M1 or M2.  A miss
+  runs seed_mutate with all its checks; a hit reuses the entry it found.
+* Parent skip.  mu_k is an involution, so mutating a seed found by this
+  call at the last letter of its word gives back its parent, which is
+  already seen.  The root is always expanded in every direction: a caller
+  may pass a seed with a non-empty word whose parent was never seen.
 """
 
 from __future__ import annotations
@@ -10,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, render_poly
-from .seeds import InvalidSeed, Seed, seed_mutate, validate
+from .seeds import InvalidSeed, Seed, _exchanged, _require_int, seed_mutate, validate
 
 
 @dataclass(frozen=True)
@@ -19,6 +36,9 @@ class ExplorationLimits:
     max_seeds: int = 10000
 
     def __post_init__(self):
+        # no coercion: max_depth=1.5 never equals a depth and would run to closure
+        _require_int(self.max_depth, "max_depth")
+        _require_int(self.max_seeds, "max_seeds")
         if self.max_depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if self.max_seeds < 1:
@@ -83,7 +103,11 @@ def explore(
 
     Dedup is on structural (matrix, cluster) equality by default; with
     quotient_permutations the key additionally identifies seeds that
-    differ by a simultaneous permutation of the mutable indices.
+    differ by a simultaneous permutation of the mutable indices.  Each
+    distinct exchange relation is solved once per call, and a found seed
+    is not mutated back towards its parent (see the module docstring);
+    the report is the one that mutating every seed in every direction
+    gives.
     """
     limits = limits or ExplorationLimits()
     bad = validate(seed.matrix)
@@ -93,6 +117,7 @@ def explore(
     n = seed.profile.n
 
     seen = {key(seed)}
+    memo = {}  # exchange relation -> x_k', see the module docstring
     order = [seed]
     level = [seed]
     depth = 0
@@ -105,8 +130,20 @@ def explore(
             break
         next_level = []
         for s in level:
+            cluster, rows = s.cluster, s.matrix.entries
+            back = s.word[-1] if depth else 0  # the root's parent need not be in seen
             for k in range(1, n + 1):
-                child = seed_mutate(s, k)
+                if k == back:
+                    continue  # mu_k is an involution: this child is s's parent
+                kk = k - 1
+                support = sorted((x.sort_key(), row[kk]) for x, row in zip(cluster, rows) if row[kk])
+                relation = (cluster[kk], tuple(support))
+                entry = memo.get(relation)
+                if entry is None:
+                    child = seed_mutate(s, k)
+                    memo[relation] = child.cluster[kk]
+                else:
+                    child = _exchanged(s, k, entry)
                 ck = key(child)
                 if ck in seen:
                     continue
@@ -129,7 +166,11 @@ def explore(
         reason = "depth"
     else:
         reason = "closure"
+    return _report(order, reason)
 
+
+def _report(order: list[Seed], reason: str) -> ExplorationReport:
+    """The report on the seeds found, in discovery order, and the stop reason."""
     clusters = []
     cluster_seen = set()
     for s in order:

@@ -326,7 +326,13 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     new_entry = exact_div(m1 + m2, s.cluster[k - 1])  # NotDivisible propagates
     if new_entry.is_zero:
         raise InvalidSeed("cluster entries must be nonzero")
-    cluster = s.cluster[: k - 1] + (new_entry,) + s.cluster[k:]
+    return _exchanged(s, k, new_entry)
+
+
+def _exchanged(s: Seed, k: int, entry: LaurentPoly) -> Seed:
+    """mu_k(s) given its new entry x_k', which seed_mutate has solved and checked
+    for this exchange (explore reuses one entry across seeds with the same relation)."""
+    cluster = s.cluster[: k - 1] + (entry,) + s.cluster[k:]
     # the rest of the cluster and the word were checked when s was built
     return Seed._from_canonical(matrix_mutate(s.matrix, k), cluster, s.word + (k,))
 

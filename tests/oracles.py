@@ -7,18 +7,21 @@ polynomials, formal substitution on reduced RationalFn values instead of
 the kernel's composition routine, and the generators only call back into
 the package to reject invalid samples.  The kernel references (general
 multiply, leading-term division, matrix mutation) build every result
-through the checking public constructors.
+through the checking public constructors.  The reference exploration
+mutates every seed in every direction with seed_mutate, without the
+exchange memo or the parent skip.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import permutations, product
 from typing import Sequence
 
 from clusterkit.constructions import CartanMatrix
 from clusterkit.laurent import DimensionMismatch, LaurentPoly, NotDivisible, RationalFn
-from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, validate
+from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, seed_mutate, validate
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +309,46 @@ def permutation_key_bruteforce(seed: Seed):
         if best is None or key < best:
             best = key
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference exploration: every seed mutated in every direction
+# ---------------------------------------------------------------------------
+
+
+def explore_reference(seed: Seed, limits, quotient_permutations: bool = False):
+    """explore's breadth-first walk with one seed_mutate per seed and direction.
+
+    It shares explore's dedup key and report, so a difference from explore
+    comes from the exchange memo or the parent skip.
+    """
+    # the package attribute clusterkit.explore is the function, not the module
+    module = sys.modules["clusterkit.explore"]
+    key = module._permutation_key if quotient_permutations else (lambda s: s)
+    seen = {key(seed)}
+    order = [seed]
+    level = [seed]
+    depth = 0
+    reason = "closure"
+    while level:
+        if depth == limits.max_depth:
+            reason = "depth"
+            break
+        next_level = []
+        for s in level:
+            for k in range(1, s.profile.n + 1):
+                child = seed_mutate(s, k)
+                ck = key(child)
+                if ck in seen:
+                    continue
+                if len(seen) >= limits.max_seeds:
+                    return module._report(order, "budget")
+                seen.add(ck)
+                order.append(child)
+                next_level.append(child)
+        level = next_level
+        depth += 1
+    return module._report(order, reason)
 
 
 # ---------------------------------------------------------------------------

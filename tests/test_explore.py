@@ -1,4 +1,4 @@
-"""Explorer tests: closure detection, dedup, determinism, Laurent checks."""
+"""Explorer tests: closure detection, dedup, determinism, Laurent checks, exchange memo."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from clusterkit.analysis import laurent_membership
 from clusterkit.explore import ExplorationLimits, collect_variables, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import a3_matrix, rank2_matrix
-from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile
-from oracles import permutation_key_bruteforce, random_dynkin_matrix
+from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word
+from oracles import explore_reference, permutation_key_bruteforce, random_dynkin_matrix
 
 WIDE = ExplorationLimits(max_depth=64, max_seeds=100000)
 
@@ -165,5 +165,66 @@ def test_limits_validation():
         ExplorationLimits(max_depth=-1)
     with pytest.raises(ValueError):
         ExplorationLimits(max_seeds=0)
+    # no coercion: 1.5 never equals a depth, True is not a count
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(ValueError):
+            ExplorationLimits(max_depth=bad)
+        with pytest.raises(ValueError):
+            ExplorationLimits(max_seeds=bad)
     defaults = ExplorationLimits()
     assert defaults.max_depth == 6 and defaults.max_seeds == 10000
+
+
+def _outcome(run):
+    """The report and seed-word order of an exploration, or the error it raised."""
+    try:
+        report = run()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return report.to_json(), [s.word for s in report.seeds]
+
+
+def _assert_matches_reference(seed, limits, quotient):
+    fast = _outcome(lambda: explore(seed, limits, quotient_permutations=quotient))
+    assert fast == _outcome(lambda: explore_reference(seed, limits, quotient))
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+def test_exchange_memo_matches_reference(quotient):
+    # every draw has a random orientation, relabelling and 0..n frozen rows
+    limits = (WIDE, ExplorationLimits(max_depth=3, max_seeds=100000), ExplorationLimits(max_depth=64, max_seeds=40))
+    for letter, n in (("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)):
+        rng = random.Random(f"memo-{letter}{n}-{quotient}")
+        for _ in range(2):
+            seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
+            for lim in limits:
+                _assert_matches_reference(seed, lim, quotient)
+
+
+def test_exchange_memo_on_repeated_entries():
+    # Hand-built seeds whose cluster entries repeat (a specialisation of the
+    # initial variables): an exchange then depends on how often an entry
+    # occurs in the exchange relation and with which exponent, which the
+    # memo key must keep.
+    B = ExchangeMatrix([[0, 1, 0], [-1, 0, -1], [0, 1, 0], [-1, 0, 0]], SeedProfile(3, 3, 4))
+    x1 = LaurentPoly.variable(4, 1)
+    seed = Seed(B, [x1] * 4, ())
+    assert explore_reference(seed, WIDE).seeds_found == 84
+    _assert_matches_reference(seed, WIDE, False)
+    rng = random.Random("memo-repeated")
+    for letter, n in (("A", 2), ("A", 3), ("B", 3)):
+        for _ in range(12):
+            B = random_dynkin_matrix(rng, letter, n)
+            m = B.profile.m
+            pool = rng.randint(1, m)
+            cluster = [LaurentPoly.variable(m, rng.randint(1, pool)) for _ in range(m)]
+            _assert_matches_reference(Seed(B, cluster, ()), WIDE, False)
+
+
+def test_root_with_a_word_explores_its_parent_direction(a3_seed):
+    # only seeds found by this call skip the last letter of their word
+    root = apply_word(a3_seed, (1,))
+    report = explore(root, ExplorationLimits(max_depth=1, max_seeds=100))
+    assert report.seeds_found == 3 + 1
+    assert a3_seed in report.seeds
+    assert [s.word for s in report.seeds] == [(1,), (1, 1), (1, 2), (1, 3)]

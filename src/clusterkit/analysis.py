@@ -26,6 +26,7 @@ from .laurent import (
     NotDivisible,
     RationalFn,
     _compose_as_quotient,
+    _divide_coefficients,
     _integer_content,
     exact_div,
     odd_divisor,
@@ -259,11 +260,8 @@ def _rational_laurent_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPol
         raise ZeroDivisionError("zero denominator after substitution")
     if num.is_zero:
         return num
-    cn = _integer_content(num)
-    cd = _integer_content(den)
-    # dividing by the content keeps the terms canonical
-    prim_num = LaurentPoly._from_canonical(num.m, tuple((e, c // cn) for e, c in num.terms))
-    prim_den = LaurentPoly._from_canonical(den.m, tuple((e, c // cd) for e, c in den.terms))
+    prim_num = _divide_coefficients(num, _integer_content(num))
+    prim_den = _divide_coefficients(den, _integer_content(den))
     try:
         return exact_div(prim_num, prim_den)
     except NotDivisible:

@@ -101,7 +101,8 @@ def _parse_expression(args) -> LaurentPoly | RationalFn:
         den = parse_poly(args.den, m=args._m)
         if den.is_zero:
             raise ValueError(f"denominator {args.den!r} is the zero polynomial")
-        return RationalFn(num, den)
+        # either side may carry negative exponents, as the grammar allows
+        return RationalFn.from_laurent(num) / RationalFn.from_laurent(den)
     return num
 
 

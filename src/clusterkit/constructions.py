@@ -7,7 +7,8 @@ Three families are built and checked identity-by-identity:
 * acyclic seeds assembled from a generalized Cartan matrix, with the
   staircase mutation word (1..n), the recovery of every coefficient from
   the 2n generators, and the change of basis onto the one-step-mutation
-  monomials;
+  monomials (the table builds its generators from the seed and the word
+  alone, without a second staircase certificate);
 * a hard-coded rank-2 Kac-Moody seed with its six-stage mutation
   schedule.
 
@@ -15,8 +16,10 @@ Each family emits a GeneratorCertificate: the generator values, a
 triangular-support chain plus a nonzero Jacobian determinant as
 independence evidence, and per-target expression trees whose exact
 re-evaluation proves that both clusters and all coefficients lie in the
-subalgebra the generators span.  Every identity is checked as structural
-equality of Laurent polynomials; any failure aborts the construction.
+subalgebra the generators span.  Trees share subtrees (each chain tree
+refers to the two before it), and evaluation computes each shared subtree
+once.  Every identity is checked as structural equality of Laurent
+polynomials; any failure aborts the construction.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .laurent import LaurentPoly, _compose_as_quotient, exact_div
+from .analysis import clusters_disjoint
+from .laurent import LaurentPoly, _compose_as_quotient, exact_div, render_poly
 from .seeds import (
     ExchangeMatrix,
     Seed,
@@ -86,26 +90,36 @@ class CartanMatrix:
 
 
 def eval_expr(expr: tuple, env: dict[str, LaurentPoly], m: int) -> LaurentPoly:
-    tag = expr[0]
-    if tag == "gen":
-        return env[expr[1]]
-    if tag == "int":
-        return LaurentPoly.const(m, expr[1])
-    if tag == "add":
-        out = LaurentPoly.zero(m)
-        for t in expr[1:]:
-            out = out + eval_expr(t, env, m)
+    """Value of an expression tree; a subtree shared by several parents is evaluated once."""
+    memo: dict[int, LaurentPoly] = {}  # keyed on id(node): expr keeps every node alive for the call
+
+    def value(node: tuple) -> LaurentPoly:
+        out = memo.get(id(node))
+        if out is not None:
+            return out
+        tag = node[0]
+        if tag == "gen":
+            out = env[node[1]]
+        elif tag == "int":
+            out = LaurentPoly.const(m, node[1])
+        elif tag == "add":
+            out = LaurentPoly.zero(m)
+            for t in node[1:]:
+                out = out + value(t)
+        elif tag == "sub":
+            out = value(node[1]) - value(node[2])
+        elif tag == "mul":
+            out = LaurentPoly.const(m, 1)
+            for t in node[1:]:
+                out = out * value(t)
+        elif tag == "pow":
+            out = value(node[1]) ** node[2]
+        else:
+            raise ValueError(f"unknown expression node {tag!r}")
+        memo[id(node)] = out
         return out
-    if tag == "sub":
-        return eval_expr(expr[1], env, m) - eval_expr(expr[2], env, m)
-    if tag == "mul":
-        out = LaurentPoly.const(m, 1)
-        for t in expr[1:]:
-            out = out * eval_expr(t, env, m)
-        return out
-    if tag == "pow":
-        return eval_expr(expr[1], env, m) ** expr[2]
-    raise ValueError(f"unknown expression node {tag!r}")
+
+    return value(expr)
 
 
 def expr_to_json(expr: tuple) -> list:
@@ -117,7 +131,9 @@ def expr_to_json(expr: tuple) -> list:
     return [tag, *(expr_to_json(t) for t in expr[1:])]
 
 
-def _product_expr(factors: list[tuple]) -> tuple:
+def _monomial_expr(exps: Sequence[int], names: Sequence[str]) -> tuple:
+    """Tree of prod names[i]^exps[i], in the order of names, skipping zero exponents."""
+    factors = [("gen", nm) if e == 1 else ("pow", ("gen", nm), e) for nm, e in zip(names, exps) if e]
     if not factors:
         return ("int", 1)
     if len(factors) == 1:
@@ -148,12 +164,7 @@ class GeneratorCertificate:
     jacobian_det: Fraction
     expressions: tuple[tuple[str, LaurentPoly, tuple], ...]  # (label, target, tree)
 
-    def environment(self) -> dict[str, LaurentPoly]:
-        return dict(zip(self.generator_names, self.generators))
-
     def to_json(self) -> dict:
-        from .laurent import render_poly
-
         return {
             "generators": [
                 {"name": nm, "value": render_poly(g), "pivot": pv}
@@ -219,16 +230,21 @@ def _check_support_chain(gens: Sequence[LaurentPoly], pivots: Sequence[int]) -> 
     return failures
 
 
+def _failed_trees(names, gens, expressions) -> list[str]:
+    """Labels of the expression trees that do not evaluate to their targets."""
+    env = dict(zip(names, gens))
+    m = gens[0].m
+    return [label for label, target, tree in expressions if eval_expr(tree, env, m) != target]
+
+
 def _make_certificate(names, gens, pivots, expressions) -> GeneratorCertificate:
     bad = _check_support_chain(gens, pivots)
     if bad:
         raise ConstructionError("; ".join(bad))
     point, det = _sample_point_with_nonzero_jacobian(gens)
-    env = dict(zip(names, gens))
-    m = gens[0].m
-    for label, target, tree in expressions:
-        if eval_expr(tree, env, m) != target:
-            raise ConstructionError(f"expression tree for {label} does not evaluate to its target")
+    failed = _failed_trees(names, gens, expressions)
+    if failed:
+        raise ConstructionError(f"expression tree for {failed[0]} does not evaluate to its target")
     return GeneratorCertificate(
         tuple(names), tuple(gens), tuple(pivots), point, det, tuple(expressions)
     )
@@ -245,8 +261,6 @@ def verify_polynomial_generators(
     the hypotheses under which the generated subalgebra equals the whole
     algebra and its two-cluster upper bound.
     """
-    from .analysis import clusters_disjoint
-
     failures = []
     s0, s1 = seeds
     if not clusters_disjoint(s0, s1):
@@ -255,14 +269,9 @@ def verify_polynomial_generators(
     det = _jacobian_det(cert.generators, cert.sample_point)
     if det != cert.jacobian_det or det == 0:
         failures.append("Jacobian determinant at the recorded sample point does not match")
-    env = cert.environment()
-    m = cert.generators[0].m
-    expressed = set(cert.generators)
-    for label, target, tree in cert.expressions:
-        if eval_expr(tree, env, m) != target:
-            failures.append(f"expression tree for {label} does not re-evaluate to its target")
-        else:
-            expressed.add(target)
+    bad = _failed_trees(cert.generator_names, cert.generators, cert.expressions)
+    failures += [f"expression tree for {label} does not re-evaluate to its target" for label in bad]
+    expressed = set(cert.generators) | {target for label, target, _ in cert.expressions if label not in bad}
     n = s0.profile.n
     needed = [(f"mutable entry {i + 1} of first cluster", v) for i, v in enumerate(s0.mutable_entries())]
     needed += [(f"mutable entry {i + 1} of second cluster", v) for i, v in enumerate(s1.mutable_entries())]
@@ -303,6 +312,14 @@ def type_a_seed(m: int) -> Seed:
     return Seed.initial(ExchangeMatrix(rows, SeedProfile(n, n, m)))
 
 
+def _recurrence_trees(heads: Sequence[str]) -> list[tuple]:
+    """Trees t_0 = 1, t_1 = heads[0], t_s = heads[s-1] * t_{s-1} - t_{s-2}; t_s shares t_{s-1}, t_{s-2}."""
+    trees = [("int", 1), ("gen", heads[0])]
+    for h in heads[1:]:
+        trees.append(("sub", ("mul", ("gen", h), trees[-1]), trees[-2]))
+    return trees
+
+
 @dataclass(frozen=True)
 class TypeAChain:
     chain: tuple[LaurentPoly, ...]  # first entry of every stage seed
@@ -330,13 +347,11 @@ def type_a_chain(m: int) -> TypeAChain:
     for i in range(1, m):
         stages.append(apply_word(stages[i - 1], range(1, m - i + 1)))
 
-    mm = m
-
     def entry(stage: int, s: int) -> LaurentPoly:
         if s == 0:
-            return LaurentPoly.const(mm, 1)
+            return LaurentPoly.const(m, 1)
         if s == -1:
-            return LaurentPoly.zero(mm)
+            return LaurentPoly.zero(m)
         return stages[stage].cluster[s - 1]
 
     counts = {"three_term": 0, "shifted": 0, "initial_recurrence": 0, "stage1_recurrence": 0}
@@ -356,7 +371,7 @@ def type_a_chain(m: int) -> TypeAChain:
                 counts["shifted"] += 1
 
     chain = tuple(stages[i].cluster[0] for i in range(m))
-    var = lambda s: LaurentPoly.variable(mm, s) if s >= 1 else LaurentPoly.const(mm, 1)
+    var = lambda s: LaurentPoly.variable(m, s) if s >= 1 else LaurentPoly.const(m, 1)
 
     # initial variables from the chain heads
     for i in range(0, m - 1):
@@ -369,23 +384,14 @@ def type_a_chain(m: int) -> TypeAChain:
             raise ConstructionError(f"stage-1 recurrence failed at i={i}")
         counts["stage1_recurrence"] += 1
 
+    # the same recurrence gives the trees of the initial variables (heads from
+    # x1[0]) and of the stage-1 entries (heads from x1[1])
     names = [f"x1[{i}]" for i in range(m)]
-    pivots = list(range(1, m + 1))
-
-    # expression trees for the initial variables ...
-    var_trees: list[tuple] = [("int", 1), ("gen", names[0])]
-    for s in range(2, m + 1):
-        prev = var_trees[s - 1]
-        prev2 = var_trees[s - 2]
-        var_trees.append(("sub", ("mul", ("gen", names[s - 1]), prev), prev2))
-    # ... and for the stage-1 entries
-    st1_trees: list[tuple] = [("int", 1), ("gen", names[1])]
-    for s in range(2, m):
-        st1_trees.append(("sub", ("mul", ("gen", names[s]), st1_trees[s - 1]), st1_trees[s - 2]))
-
+    var_trees = _recurrence_trees(names)
+    st1_trees = _recurrence_trees(names[1:])
     expressions = [(f"x{s}", var(s), var_trees[s]) for s in range(1, m + 1)]
     expressions += [(f"x{s}[1]", entry(1, s), st1_trees[s]) for s in range(1, m)]
-    cert = _make_certificate(names, list(chain), pivots, expressions)
+    cert = _make_certificate(names, list(chain), list(range(1, m + 1)), expressions)
     return TypeAChain(chain, tuple(stages), cert, counts)
 
 
@@ -452,6 +458,20 @@ def staircase_intermediate_matrix(B0: ExchangeMatrix, i: int) -> ExchangeMatrix:
     return ExchangeMatrix(rows, B0.profile)
 
 
+def _staircase_tail(B0: ExchangeMatrix, k: int) -> LaurentPoly:
+    """prod_{i<k} x_i[1]^{b_ik} * prod_{i>k} x_i^{-b_ik} as a monomial in x_1..x_n, x_1[1]..x_n[1].
+
+    Every exponent is >= 0 on a Cartan-built seed.
+    """
+    n = B0.profile.n
+    exps = [0] * (2 * n)
+    for i in range(1, k):
+        exps[n + i - 1] = B0.entry(i, k)
+    for i in range(k + 1, n + 1):
+        exps[i - 1] = -B0.entry(i, k)
+    return LaurentPoly.monomial(2 * n, exps)
+
+
 @dataclass(frozen=True)
 class Staircase:
     initial: Seed
@@ -488,46 +508,26 @@ def acyclic_staircase(C: CartanMatrix) -> Staircase:
     seed1 = current
 
     var = lambda i: LaurentPoly.variable(mm, i)
-    one = LaurentPoly.const(mm, 1)
-
-    def tail_product(k: int) -> LaurentPoly:
-        out = one
-        for i in range(1, k):
-            b = B0.entry(i, k)
-            out = out * seed1.cluster[i - 1] ** b
-        for i in range(k + 1, n + 1):
-            out = out * var(i) ** (-B0.entry(i, k))
-        return out
+    names = [f"x{k}" for k in range(1, n + 1)] + [f"x{k}[1]" for k in range(1, n + 1)]
+    gens = [var(k) for k in range(1, n + 1)] + list(seed1.cluster[:n])
+    expressions = [(nm, g, ("gen", nm)) for nm, g in zip(names, gens)]
+    tree_order = names[n:] + names[:n]  # recovery trees list the x_i[1] factors first
 
     for k in range(1, n + 1):
-        rhs = var(n + k) + tail_product(k)
-        if seed1.cluster[k - 1] * var(k) != rhs:
+        tail = _staircase_tail(B0, k)
+        tail_value = _compose_as_quotient(tail, gens)[0]  # ordinary: denominator 1
+        if seed1.cluster[k - 1] * var(k) != var(n + k) + tail_value:
             raise ConstructionError(f"staircase exchange identity failed at k={k}")
         counts["exchange"] += 1
-        if var(n + k) != seed1.cluster[k - 1] * var(k) - tail_product(k):
+        if var(n + k) != seed1.cluster[k - 1] * var(k) - tail_value:
             raise ConstructionError(f"coefficient recovery failed at k={k}")
         counts["coefficient_recovery"] += 1
-
-    names = [f"x{k}" for k in range(1, n + 1)] + [f"x{k}[1]" for k in range(1, n + 1)]
-    gens = [var(k) for k in range(1, n + 1)] + [seed1.cluster[k - 1] for k in range(1, n + 1)]
-    pivots = list(range(1, 2 * n + 1))
-
-    expressions = [(f"x{k}", var(k), ("gen", f"x{k}")) for k in range(1, n + 1)]
-    expressions += [(f"x{k}[1]", seed1.cluster[k - 1], ("gen", f"x{k}[1]")) for k in range(1, n + 1)]
-    for k in range(1, n + 1):
-        factors = []
-        for i in range(1, k):
-            b = B0.entry(i, k)
-            if b:
-                factors.append(("pow", ("gen", f"x{i}[1]"), b) if b != 1 else ("gen", f"x{i}[1]"))
-        for i in range(k + 1, n + 1):
-            e = -B0.entry(i, k)
-            if e:
-                factors.append(("pow", ("gen", f"x{i}"), e) if e != 1 else ("gen", f"x{i}"))
-        tree = ("sub", ("mul", ("gen", f"x{k}[1]"), ("gen", f"x{k}")), _product_expr(factors))
+        exps = tail.terms[0][0]
+        recovered = _monomial_expr(exps[n:] + exps[:n], tree_order)
+        tree = ("sub", ("mul", ("gen", f"x{k}[1]"), ("gen", f"x{k}")), recovered)
         expressions.append((f"x{n + k}", var(n + k), tree))
 
-    cert = _make_certificate(names, gens, pivots, expressions)
+    cert = _make_certificate(names, gens, list(range(1, 2 * n + 1)), expressions)
     return Staircase(seed0, seed1, cert, counts)
 
 
@@ -551,8 +551,6 @@ class BfzTable:
     degree_bound: int
 
     def to_json(self) -> dict:
-        from .laurent import render_poly
-
         return {
             "degree_bound": self.degree_bound,
             "primed": [render_poly(p) for p in self.primed],
@@ -575,42 +573,32 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
     divides formally by the k-th generator (failure to divide would
     falsify the construction and is fatal), and tabulates every monomial
     x^a * coeff^b * (x')^c with total degree <= degree_bound and
-    a_k * c_k = 0 as an integer combination of generator monomials.
+    a_k * c_k = 0 as an integer combination of generator monomials.  The
+    generators come from the seed and the staircase word; no staircase
+    certificate is built.
     """
-    stair = acyclic_staircase(C)
-    seed0 = stair.initial
+    seed0 = acyclic_seed_from_cartan(C)
     n = seed0.profile.n
     B0 = seed0.matrix
-    gens = stair.certificate.generators  # x_1..x_n, then the staircase entries
+    gens = [LaurentPoly.variable(seed0.profile.m, k) for k in range(1, n + 1)]
+    gens += apply_word(seed0, range(1, n + 1)).cluster[:n]
 
     primed = tuple(seed_mutate(seed0, k).cluster[k - 1] for k in range(1, n + 1))
 
     g = lambda i: LaurentPoly.variable(2 * n, i)  # formal generator ring
-    fone = LaurentPoly.const(2 * n, 1)
-
-    def formal_tail(k: int) -> LaurentPoly:
-        out = fone
-        for i in range(1, k):
-            out = out * g(n + i) ** B0.entry(i, k)
-        for i in range(k + 1, n + 1):
-            out = out * g(i) ** (-B0.entry(i, k))
-        return out
-
-    E = [g(n + k) * g(k) - formal_tail(k) for k in range(1, n + 1)]
+    tails = [_staircase_tail(B0, k) for k in range(1, n + 1)]
+    E = [g(n + k) * g(k) - tails[k - 1] for k in range(1, n + 1)]
+    x_and_E = [g(k) for k in range(1, n + 1)] + E
 
     primed_formal = []
     for k in range(1, n + 1):
-        head = E[k - 1]
-        for i in range(1, k):
-            head = head * g(i) ** B0.entry(i, k)
-        tail = fone
-        for i in range(k + 1, n + 1):
-            tail = tail * g(i) ** (-B0.entry(i, k))
-        for i in range(1, k):
-            tail = tail * E[i - 1] ** B0.entry(i, k)
-        rhs = head + tail
+        # x_k * x_k' = x_{n+k} prod_{i<k} x_i^{b_ik} + prod_{i>k} x_i^{-b_ik} prod_{i<k} x_{n+i}^{b_ik},
+        # with every coefficient x_{n+i} written as its recovery polynomial E_i
+        exps = tails[k - 1].terms[0][0]
+        head = E[k - 1] * LaurentPoly.monomial(2 * n, exps[n:] + (0,) * n)
+        rhs = head + _compose_as_quotient(tails[k - 1], x_and_E)[0]
         value, den = _compose_as_quotient(rhs, gens)
-        if not den.is_one or value != LaurentPoly.variable(seed0.profile.m, k) * primed[k - 1]:
+        if not den.is_one or value != gens[k - 1] * primed[k - 1]:
             raise ConstructionError(f"combination identity for the one-step mutation at {k} failed")
         quotient = exact_div(rhs, g(k))
         if not quotient.is_ordinary():
@@ -636,16 +624,7 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
         for vec in vectors(total, 3 * n):
             if any(vec[k] and vec[2 * n + k] for k in range(n)):
                 continue
-            prod = fone
-            for i in range(n):
-                if vec[i]:
-                    prod = prod * g(i + 1) ** vec[i]
-            for i in range(n):
-                if vec[n + i]:
-                    prod = prod * E[i] ** vec[n + i]
-            for i in range(n):
-                if vec[2 * n + i]:
-                    prod = prod * primed_formal[i] ** vec[2 * n + i]
+            prod = _compose_as_quotient(LaurentPoly.monomial(3 * n, vec), x_and_E + primed_formal)[0]
             rows.append(BfzExpansion(vec, prod.terms))
 
     return BfzTable(primed, tuple(primed_formal), tuple(E), tuple(rows), degree_bound)
@@ -690,8 +669,6 @@ class LiePreset:
         return self.stages[-1]
 
     def variable_table(self) -> dict[str, str]:
-        from .laurent import render_poly
-
         out = {}
         for stage, seed in enumerate(self.stages):
             for j, v in enumerate(seed.cluster, start=1):
@@ -721,8 +698,6 @@ def lie_preset() -> LiePreset:
     full_word = tuple(k for word in LIE_STAGE_WORDS for k in word)
     if apply_word(seed, full_word) != stages[-1]:
         raise ConstructionError("staged schedule deviates from the concatenated word")
-    from .analysis import clusters_disjoint
-
     disjoint = clusters_disjoint(stages[0], stages[-1])
     if not disjoint:
         raise ConstructionError("initial and final clusters of the schedule are not disjoint")

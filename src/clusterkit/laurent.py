@@ -11,14 +11,15 @@ equality, and values are hashable and immutable.
 Canonical terms are sorted strictly descending, carry nonzero int
 coefficients and exponent tuples of length m.  The public constructors
 (LaurentPoly(...), zero, const, variable, monomial) check the exponent
-lengths, merge repeated exponents, drop zero coefficients and sort; they
-do not check coefficient types, which parse_poly and the kernel always
-produce as int.  Kernel arithmetic on canonical operands yields canonical
-data by construction, so products, sums, negation, shifts and exact
-quotients are built through the private LaurentPoly._from_canonical, which
-trusts its input and checks nothing.  A product or quotient with a
-monomial factor is a shift and a scale of the other operand's terms, which
-keeps their order, so it needs no dictionary and no sort.
+lengths, refuse any coefficient or exponent that is not an int (bool
+included), merge repeated exponents, drop zero coefficients and sort.
+Kernel arithmetic on canonical operands yields canonical data by
+construction, so products, sums, negation, shifts, exact quotients and
+divisions by a common coefficient divisor are built through the private
+LaurentPoly._from_canonical, which trusts its input and checks nothing.
+A product or quotient with a monomial factor is a shift and a scale of the
+other operand's terms, which keeps their order, so it needs no dictionary
+and no sort.
 
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd (heuristic
@@ -63,6 +64,12 @@ class FieldTag(Enum):
     COMPLEXES = "C"
 
 
+def _require_int(value, what: str) -> None:
+    # no int() coercion: it would read 1.5 as 1 and accept True and "3"
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
@@ -76,6 +83,12 @@ class LaurentPoly:
                 raise DimensionMismatch(
                     f"exponent vector of length {len(exps)} in ambient dimension {m}"
                 )
+            # type() is the fast test; _require_int also admits int subclasses but bool
+            if type(c) is not int:
+                _require_int(c, "Laurent polynomial coefficient")
+            for e in exps:
+                if type(e) is not int:
+                    _require_int(e, "Laurent polynomial exponent")
             if c:
                 nc = acc.get(exps, 0) + c
                 if nc:
@@ -723,6 +736,11 @@ def _integer_content(p: LaurentPoly) -> int:
     return out
 
 
+def _divide_coefficients(p: LaurentPoly, d: int) -> LaurentPoly:
+    """p with every coefficient divided by d, a nonzero divisor of all of them."""
+    return LaurentPoly._from_canonical(p.m, tuple((e, c // d) for e, c in p.terms))
+
+
 def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     if num.is_zero:
         return num, LaurentPoly.const(num.m, 1)
@@ -735,7 +753,7 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         den = LaurentPoly.monomial(num.m, tuple(a - b for a, b in zip(dexps, common)), dc)
         g = math.gcd(_integer_content(num), dc)
         if g > 1:
-            num = LaurentPoly._from_canonical(num.m, tuple((e, c // g) for e, c in num.terms))
+            num = _divide_coefficients(num, g)
             den = LaurentPoly.monomial(num.m, den.terms[0][0], dc // g)
     else:
         g = poly_gcd(num, den)

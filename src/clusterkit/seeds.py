@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, ParseError, exact_div
+from .laurent import LaurentPoly, ParseError, _require_int, exact_div
 
 
 class InvalidSeed(ValueError):
@@ -28,12 +28,6 @@ class NotSkewSymmetric(ValueError):
 
 def default_names(m: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(m))
-
-
-def _require_int(value, what: str) -> None:
-    # no int() coercion: it would read 1.5 as 1 and accept True and "3"
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ the package to reject invalid samples.  The kernel references (general
 multiply, leading-term division, matrix mutation) build every result
 through the checking public constructors.  The reference exploration
 mutates every seed in every direction with seed_mutate, without the
-exchange memo or the parent skip.
+exchange memo or the parent skip.  The reference tree evaluator walks
+every path of an expression tree, re-evaluating shared subtrees.
 """
 
 from __future__ import annotations
@@ -211,6 +212,35 @@ def substitute(e: LaurentPoly, images: Sequence[RationalFn]) -> RationalFn:
             term = term * img**ei
         total = total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# expression trees of the constructions
+# ---------------------------------------------------------------------------
+
+
+def eval_expr_reference(expr: tuple, env: dict[str, LaurentPoly], m: int) -> LaurentPoly:
+    """Plain recursive evaluation of a construction's expression tree."""
+    tag = expr[0]
+    if tag == "gen":
+        return env[expr[1]]
+    if tag == "int":
+        return LaurentPoly.const(m, expr[1])
+    if tag == "add":
+        out = LaurentPoly.zero(m)
+        for t in expr[1:]:
+            out = out + eval_expr_reference(t, env, m)
+        return out
+    if tag == "sub":
+        return eval_expr_reference(expr[1], env, m) - eval_expr_reference(expr[2], env, m)
+    if tag == "mul":
+        out = LaurentPoly.const(m, 1)
+        for t in expr[1:]:
+            out = out * eval_expr_reference(t, env, m)
+        return out
+    if tag == "pow":
+        return eval_expr_reference(expr[1], env, m) ** expr[2]
+    raise ValueError(f"unknown expression node {tag!r}")
 
 
 # ---------------------------------------------------------------------------

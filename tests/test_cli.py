@@ -114,6 +114,29 @@ def test_upper_bound_command(capsys, a3_file):
     assert code == 0 and json.loads(out)["member"] is True
 
 
+@pytest.mark.parametrize(
+    "expr, den, quotient",
+    [("x1^-1", "x2", "x1^-1*x2^-1"), ("x1^-1 + x3", "x2^-1", "x1^-1*x2 + x2*x3")],
+)
+def test_laurent_denominator_gives_the_verdict_of_the_quotient(capsys, a3_file, expr, den, quotient):
+    def verdicts(*arg):
+        out = []
+        for word in ("", "1", "2", "1,3"):
+            code, text, err = run(capsys, "check-laurent", "--matrix", a3_file, "--word", word, *arg, "--json")
+            assert code == 0, err
+            out.append(json.loads(text)["member"])
+            code, text, err = run(
+                capsys, "upper-bound", "--matrix", a3_file, "--word1", "", "--word2", word, *arg, "--json"
+            )
+            assert code == 0, err
+            out.append(json.loads(text)["member"])
+        return out
+
+    expected = verdicts("--expr", quotient)
+    assert True in expected and False in expected
+    assert verdicts("--expr", expr, "--den", den) == expected
+
+
 # -- presets and verification -----------------------------------------------------
 
 
@@ -171,7 +194,8 @@ def _lie_with_half_coefficient(real):
     def tampered():
         lp = real()
         last = lp.stages[-1]
-        half = LaurentPoly(8, {(0,) * 8: Fraction(1, 2)})
+        # the public constructor refuses a Fraction, so forge it on the trusted path
+        half = LaurentPoly._from_canonical(8, (((0,) * 8, Fraction(1, 2)),))
         bad = Seed(last.matrix, (half,) + last.cluster[1:], last.word)
         return dataclasses.replace(lp, stages=lp.stages[:-1] + (bad,))
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,8 @@ from clusterkit.constructions import (
     type_a_seed,
     verify_polynomial_generators,
 )
-from clusterkit.laurent import LaurentPoly, exact_div
+from clusterkit.laurent import LaurentPoly, exact_div, render_poly
+from clusterkit.presets import acyclic_n3_cartan
 from clusterkit.seeds import (
     apply_word,
     gamma_quiver,
@@ -33,7 +37,7 @@ from clusterkit.seeds import (
     skew_symmetrizer,
     validate,
 )
-from oracles import random_cartan
+from oracles import eval_expr_reference, random_cartan
 
 N3_CARTAN = CartanMatrix([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
 
@@ -223,6 +227,64 @@ def test_expression_tree_round_trip():
     value = eval_expr(tree, env, 2)
     assert value == var(1, 2) * var(2, 2) ** 2 - LaurentPoly.const(2, 3)
     assert expr_to_json(tree) == ["sub", ["mul", ["gen", "a"], ["pow", ["gen", "b"], 2]], ["int", 3]]
+
+
+def test_expression_trees_match_the_reference_evaluator():
+    certs = [type_a_chain(m).certificate for m in range(2, 11)]
+    rng = random.Random(4242)
+    certs += [acyclic_staircase(random_cartan(rng)).certificate for _ in range(10)]
+    for cert in certs:
+        env = dict(zip(cert.generator_names, cert.generators))
+        m = cert.generators[0].m
+        for _, target, tree in cert.expressions:
+            value = eval_expr(tree, env, m)
+            assert value == eval_expr_reference(tree, env, m)
+            assert value == target
+
+
+def test_shared_subtrees_are_evaluated_once():
+    # 2^22 root-to-leaf paths but only 23 distinct nodes: a walk over every
+    # path takes tens of seconds, one evaluation per node is instant
+    depth = 22
+    tree = ("gen", "x1")
+    for _ in range(depth):
+        tree = ("add", tree, tree)
+    start = time.perf_counter()
+    value = eval_expr(tree, {"x1": var(1, 1)}, 1)
+    assert time.perf_counter() - start < 1.0
+    assert value == LaurentPoly.monomial(1, (1,), 2**depth)
+
+
+# -- outputs pinned by goldens ---------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _certified(result) -> dict:
+    return {"certificate": result.certificate.to_json(), "identity_counts": result.identity_counts}
+
+
+def construction_golden_payloads() -> dict[str, object]:
+    """Golden file name -> the payload its text was written from."""
+    C = acyclic_n3_cartan()
+    table = bfz_basis_change(C, 2)
+    bfz = table.to_json()
+    bfz["primed_in_generators"] = [render_poly(p) for p in table.primed_in_generators]
+    bfz["coefficient_in_generators"] = [render_poly(p) for p in table.coefficient_in_generators]
+    return {
+        "type_a_chain_certificates.json": {str(m): _certified(type_a_chain(m)) for m in range(2, 7)},
+        "acyclic_n3_staircase_certificate.json": _certified(acyclic_staircase(C)),
+        "acyclic_n3_bfz_degree2.json": bfz,
+    }
+
+
+def golden_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_construction_outputs_match_goldens_byte_for_byte():
+    for name, payload in construction_golden_payloads().items():
+        assert golden_text(payload) == (GOLDEN / name).read_text(encoding="utf-8"), name
 
 
 # -- change of basis ------------------------------------------------------------

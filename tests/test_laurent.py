@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,30 @@ def random_poly(rng, m=3, max_terms=3, max_exp=2, max_coeff=5, laurent=True):
 
 def nonzero_point(rng, m):
     return tuple(rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m))
+
+
+# -- construction ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("coeff", [1.5, True, Fraction(1), "1"])
+def test_constructors_reject_non_integer_coefficients(coeff):
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        LaurentPoly(2, {(1, 0): coeff})
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        LaurentPoly(2, [((0, 0), 1), ((1, 0), coeff)])
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        LaurentPoly.const(2, coeff)
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        LaurentPoly.monomial(2, (0, 1), coeff)
+
+
+def test_constructors_reject_non_integer_exponents():
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        LaurentPoly(2, {(1.5, 0): 1})
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        LaurentPoly.monomial(2, (1, 1.5))
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        LaurentPoly(2, {(0, True): 0})  # checked before zero terms are dropped
 
 
 # -- addition and multiplication --------------------------------------------

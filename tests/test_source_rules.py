@@ -26,7 +26,6 @@ TRUSTED_CALL_SITES = {
     ("laurent.py", "LaurentPoly"): None,
     ("seeds.py", "ExchangeMatrix"): None,
     ("seeds.py", "Seed"): None,
-    ("analysis.py", "LaurentPoly"): {"_rational_laurent_quotient"},
 }
 
 

@@ -17,7 +17,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from .laurent import (
@@ -25,7 +25,7 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     RationalFn,
-    _compose_as_quotient,
+    _compose,
     _divide_coefficients,
     _integer_content,
     exact_div,
@@ -84,24 +84,15 @@ class FactorialityVerdict:
         return self.status == "not_factorial"
 
     def to_json(self) -> dict:
-        out = {"status": self.status, "criterion": self.criterion, "justification": self.justification}
-        if isinstance(self.witness, ColumnWitness):
-            out["witness"] = {"k": self.witness.k, "s": self.witness.s, "negated": self.witness.negated}
-        elif isinstance(self.witness, GcdWitness):
-            out["witness"] = {
-                "k": self.witness.k,
-                "d": self.witness.d,
-                "field": self.witness.field.value,
-                "odd_factor": self.witness.odd_factor,
-            }
-        else:
-            out["witness"] = None
-        return out
-
-
-INCONCLUSIVE = FactorialityVerdict(
-    "inconclusive", None, None, "no criterion applied; factoriality undecided"
-)
+        witness = None if self.witness is None else asdict(self.witness)
+        if witness and "field" in witness:
+            witness["field"] = witness["field"].value
+        return {
+            "status": self.status,
+            "criterion": self.criterion,
+            "witness": witness,
+            "justification": self.justification,
+        }
 
 
 def classify_unit(e: LaurentPoly, profile: SeedProfile) -> UnitForm | None:
@@ -271,19 +262,17 @@ def _rational_laurent_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPol
 def laurent_membership(e: LaurentPoly | RationalFn, target: Seed) -> bool:
     """Whether e (over the initial variables) lies in the target cluster's Laurent ring.
 
-    The value is rewritten in target coordinates as a quotient of Laurent
-    polynomials; it lies in the fully localized ring exactly when the
+    The value, as a fraction of ordinary polynomials (a Laurent polynomial
+    over a monomial), is rewritten in target coordinates as a quotient of
+    Laurent polynomials; it lies in the fully localized ring exactly when the
     denominator divides the numerator there (monomials are units, so no
     common-factor reduction is needed), and in the target's Laurent ring
     when additionally the non-invertible coefficients p+1..m keep
     nonnegative exponents in the quotient.
     """
-    images = coordinate_images(target)
     if isinstance(e, LaurentPoly):
-        num, den = _compose_as_quotient(e, images)
-    else:
-        num, _ = _compose_as_quotient(e.num, images)
-        den, _ = _compose_as_quotient(e.den, images)
+        e = RationalFn.from_laurent(e)
+    num, den = _compose((e.num, e.den), coordinate_images(target))
     q = _rational_laurent_quotient(num, den)
     if q is None:
         return False

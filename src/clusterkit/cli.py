@@ -10,24 +10,22 @@ ConstructionError, NotDivisible or InternalInvariantError (reported as one
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .analysis import (
     FieldTag,
-    InternalInvariantError,
     column_criterion,
     gcd_criterion,
     laurent_membership,
     staircase_disjoint,
     upper_bound_member,
 )
-from .constructions import ConstructionError
 from .explore import ExplorationLimits, explore
-from .laurent import LaurentPoly, NotDivisible, ParseError, RationalFn, parse_poly, render_poly
-from .presets import PRESETS, get_preset
+from .laurent import LaurentPoly, ParseError, RationalFn, parse_int, parse_poly, render_poly
+from .presets import INTERNAL_ERRORS, PRESETS, get_preset
 from .seeds import (
-    InvalidSeed,
     Seed,
     apply_word,
     matrix_rank,
@@ -48,7 +46,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(parse_int(part) for part in text.split(","))
     except ValueError:
         raise ParseError(f"bad mutation word {text!r}; expected comma-separated indices", 0) from None
 
@@ -64,9 +62,8 @@ def _cmd_mutate(args) -> int:
     seed = Seed.initial(_read_matrix(args.matrix))
     word = _parse_word(args.word)
     out = apply_word(seed, word)
-    names = out.profile.names
     lines = [f"word: {','.join(map(str, word)) or '(empty)'}"]
-    lines += [f"y{i + 1} = {render_poly(c, names)}" for i, c in enumerate(out.cluster)]
+    lines += [f"y{i + 1} = {render_poly(c)}" for i, c in enumerate(out.cluster)]
     lines.append("matrix:")
     lines.append(render_matrix(out.matrix))
     payload = {
@@ -95,10 +92,10 @@ def _cmd_explore(args) -> int:
     return 0
 
 
-def _parse_expression(args) -> LaurentPoly | RationalFn:
-    num = parse_poly(args.expr, m=args._m)
-    if getattr(args, "den", None):
-        den = parse_poly(args.den, m=args._m)
+def _parse_expression(args, m: int) -> LaurentPoly | RationalFn:
+    num = parse_poly(args.expr, m=m)
+    if args.den:
+        den = parse_poly(args.den, m=m)
         if den.is_zero:
             raise ValueError(f"denominator {args.den!r} is the zero polynomial")
         # either side may carry negative exponents, as the grammar allows
@@ -108,11 +105,10 @@ def _parse_expression(args) -> LaurentPoly | RationalFn:
 
 def _cmd_check_laurent(args) -> int:
     seed = Seed.initial(_read_matrix(args.matrix))
-    args._m = seed.profile.m
     target = apply_word(seed, _parse_word(args.word))
-    expr = _parse_expression(args)
+    expr = _parse_expression(args, seed.profile.m)
     member = laurent_membership(expr, target)
-    payload = {"member": member, "expr": args.expr, "den": getattr(args, "den", None), "word": list(target.word)}
+    payload = {"member": member, "expr": args.expr, "den": args.den, "word": list(target.word)}
     verdict = "in" if member else "not in"
     _emit(payload, args, f"expression is {verdict} the Laurent ring of the target cluster")
     return 0
@@ -137,15 +133,14 @@ def _cmd_factoriality(args) -> int:
 
 def _cmd_upper_bound(args) -> int:
     seed = Seed.initial(_read_matrix(args.matrix))
-    args._m = seed.profile.m
     seed_y = apply_word(seed, _parse_word(args.word1))
     seed_z = apply_word(seed, _parse_word(args.word2))
-    expr = _parse_expression(args)
+    expr = _parse_expression(args, seed.profile.m)
     member = upper_bound_member(expr, seed_y, seed_z)
     payload = {
         "member": member,
         "expr": args.expr,
-        "den": getattr(args, "den", None),
+        "den": args.den,
         "word1": list(seed_y.word),
         "word2": list(seed_z.word),
     }
@@ -168,24 +163,18 @@ def _cmd_staircase(args) -> int:
     return 0
 
 
-def _run_checks(name: str) -> tuple[list, bool]:
-    preset = get_preset(name)
-    checks = preset.verify()
-    return checks, all(c.ok for c in checks)
-
-
 def _cmd_preset(args) -> int:
     preset = get_preset(args.name)
     B = preset.matrix()
     payload = {"name": preset.name, "description": preset.description, "matrix": matrix_to_json(B)}
     lines = [f"{preset.name}: {preset.description}", render_matrix(B)]
-    all_ok = True
+    checks = []
     if args.verify:
-        checks, all_ok = _run_checks(args.name)
-        payload["checks"] = [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks]
+        checks = preset.verify()
+        payload["checks"] = [dataclasses.asdict(c) for c in checks]
         lines += [f"[{'ok' if c.ok else 'FAIL'}] {c.name}" for c in checks]
     _emit(payload, args, "\n".join(lines))
-    return 0 if all_ok else 1
+    return 0 if all(c.ok for c in checks) else 1
 
 
 def _cmd_verify(args) -> int:
@@ -193,9 +182,9 @@ def _cmd_verify(args) -> int:
     overall = True
     results = []
     for name in names:
-        checks, ok = _run_checks(name)
-        overall = overall and ok
-        results.append({"name": name, "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks]})
+        checks = get_preset(name).verify()
+        overall = overall and all(c.ok for c in checks)
+        results.append({"name": name, "checks": [dataclasses.asdict(c) for c in checks]})
         if not args.json:
             for c in checks:
                 print(f"[{'ok' if c.ok else 'FAIL'}] {name}: {c.name}")
@@ -223,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("explore", _cmd_explore, "breadth-first exploration of the exchange graph")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--max-depth", type=int, default=ExplorationLimits.max_depth)
-    p.add_argument("--max-seeds", type=int, default=ExplorationLimits.max_seeds)
+    p.add_argument("--max-depth", type=parse_int, default=ExplorationLimits.max_depth)
+    p.add_argument("--max-seeds", type=parse_int, default=ExplorationLimits.max_seeds)
     p.add_argument("--quotient-permutations", action="store_true")
 
     p = add("check-laurent", _cmd_check_laurent, "Laurent-ring membership against a target cluster")
@@ -262,10 +251,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, InvalidSeed, FileNotFoundError, KeyError, ValueError, IndexError) as exc:
+    # ParseError and InvalidSeed are ValueErrors; OSError covers a missing or unreadable file
+    except (OSError, KeyError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionError, NotDivisible, InternalInvariantError) as exc:
+    except INTERNAL_ERRORS as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

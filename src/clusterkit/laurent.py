@@ -24,9 +24,10 @@ and no sort.
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd (heuristic
 gcd GCDHEU first, verified by ordinary exact division; subresultant
-remainder sequences as fallback), the composition of a Laurent polynomial
-at Laurent-polynomial images, and the reducibility decision for X^d + 1
-over the rationals or the complexes.
+remainder sequences as fallback), the composition of ordinary polynomials
+at Laurent-polynomial images (a Laurent value is composed as the numerator
+and monomial denominator RationalFn.from_laurent splits it into), and the
+reducibility decision for X^d + 1 over the rationals or the complexes.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+def parse_int(text: str) -> int:
+    """The one integer rule for text: an optional sign and ASCII digits (int() alone
+    would also read '1_0' as 10 and the digits of other scripts); ValueError otherwise."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 class FieldTag(Enum):
@@ -765,40 +774,31 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
     return num, den
 
 
-def _compose_as_quotient(e: LaurentPoly, images: Sequence[LaurentPoly]) -> tuple[LaurentPoly, LaurentPoly]:
-    """Rewrite e(x) at Laurent-polynomial images x_i -> images[i-1] as num / den.
+def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """Values of ordinary polynomials at Laurent-polynomial images x_i -> images[i-1].
 
-    Negative exponents are cleared by one common factor per variable, so
-    the numerator is assembled with ring operations only and den is the
-    product of images[i-1]^(-a_i) over the variables whose least exponent
-    a_i in e is negative (den is 1 when e is ordinary).  Each power of an
-    image is computed once per call.
+    All the values share one table of image powers, so each power of an
+    image is computed once per call.  A negative exponent raises
+    ValueError: RationalFn.from_laurent splits a Laurent value into the
+    ordinary numerator and denominator that are composed instead.
     """
     m = images[0].m
-    if e.is_zero:
-        return LaurentPoly.zero(m), LaurentPoly.const(m, 1)
-    shifts = [min(0, v) for v in e.min_exponents()]
-    powers: list[dict[int, LaurentPoly]] = [{} for _ in range(e.m)]
-
-    def power(i: int, k: int) -> LaurentPoly:
-        table = powers[i]
-        if k not in table:
-            table[k] = images[i] ** k
-        return table[k]
-
-    num = LaurentPoly.zero(m)
-    for exps, c in e.terms:
-        term = LaurentPoly.const(m, c)
-        for i, ex in enumerate(exps):
-            k = ex - shifts[i]
-            if k:
-                term = term * power(i, k)
-        num = num + term
-    den = LaurentPoly.const(m, 1)
-    for i, s in enumerate(shifts):
-        if s:
-            den = den * power(i, -s)
-    return num, den
+    powers: list[dict[int, LaurentPoly]] = [{} for _ in images]
+    values = []
+    for p in polys:
+        value = LaurentPoly.zero(m)
+        for exps, c in p.terms:
+            term = LaurentPoly.const(m, c)
+            for i, k in enumerate(exps):
+                if k < 0:
+                    raise ValueError("composition expects ordinary polynomials (no negative exponents)")
+                if k:
+                    if k not in powers[i]:
+                        powers[i][k] = images[i] ** k
+                    term = term * powers[i][k]
+            value = value + term
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -806,12 +806,11 @@ def _compose_as_quotient(e: LaurentPoly, images: Sequence[LaurentPoly]) -> tuple
 # ---------------------------------------------------------------------------
 
 
-def render_poly(p: LaurentPoly, names: Sequence[str] | None = None) -> str:
+def render_poly(p: LaurentPoly) -> str:
     """Canonical text form: terms joined by ' + '/' - ', factors by '*'."""
     if p.is_zero:
         return "0"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(p.m)]
+    names = [f"x{i + 1}" for i in range(p.m)]
     pieces = []
     for idx, (exps, c) in enumerate(p.terms):
         mag = abs(c)
@@ -830,7 +829,7 @@ def render_poly(p: LaurentPoly, names: Sequence[str] | None = None) -> str:
     return "".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*^−]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^−]))")
 
 
 def _tokenize_poly(text: str):

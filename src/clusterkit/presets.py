@@ -22,6 +22,9 @@ from .constructions import (
 from .laurent import LaurentPoly, NotDivisible, exact_div
 from .seeds import ExchangeMatrix, Seed, SeedProfile, matrix_rank, seed_mutate
 
+# errors an internal check raises: an identity failed, not the input
+INTERNAL_ERRORS = (ConstructionError, NotDivisible, InternalInvariantError)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -41,7 +44,7 @@ class Preset:
         """Run the checks; an error raised inside them becomes one failed check."""
         try:
             return self.run_checks()
-        except (ConstructionError, NotDivisible, InternalInvariantError) as exc:
+        except INTERNAL_ERRORS as exc:
             return [Check("verification runs to completion", False, f"{type(exc).__name__}: {exc}")]
 
 

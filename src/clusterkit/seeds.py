@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, ParseError, _require_int, exact_div
+from .laurent import LaurentPoly, ParseError, _require_int, exact_div, parse_int
 
 
 class InvalidSeed(ValueError):
@@ -26,10 +26,6 @@ class NotSkewSymmetric(ValueError):
     """Operation requires a skew-symmetric principal part."""
 
 
-def default_names(m: int) -> tuple[str, ...]:
-    return tuple(f"x{i + 1}" for i in range(m))
-
-
 @dataclass(frozen=True)
 class SeedProfile:
     """Index bookkeeping: n mutable entries, p invertible, m ambient variables."""
@@ -37,17 +33,12 @@ class SeedProfile:
     n: int
     p: int
     m: int
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         for field in ("n", "p", "m"):
             _require_int(getattr(self, field), f"profile count {field}")
         if min(self.n, self.p, self.m) < 0:
             raise ValueError("profile counts must be nonnegative")
-        if not self.names:
-            object.__setattr__(self, "names", default_names(self.m))
-        elif len(self.names) != self.m:
-            raise ValueError(f"{len(self.names)} names for {self.m} variables")
 
     def violations(self) -> list[str]:
         out = []
@@ -350,12 +341,6 @@ class Quiver:
     vertex_count: int
     arrows: tuple[tuple[tuple[int, int], int], ...]
 
-    def multiplicity(self, i: int, j: int) -> int:
-        for (a, b), mult in self.arrows:
-            if (a, b) == (i, j):
-                return mult
-        return 0
-
 
 def sigma_quiver(B: ExchangeMatrix) -> Quiver:
     """Sign-pattern quiver on the mutable indices: an arrow i->j when b_ij > 0."""
@@ -394,30 +379,23 @@ def gamma_quiver(B: ExchangeMatrix) -> Quiver:
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
-    """True when the sign-pattern quiver has no oriented cycle."""
+    """True when the sign-pattern quiver has no oriented cycle (Kahn's algorithm: removing
+    sources one by one leaves exactly the vertices on or behind a cycle, self-loops included)."""
     n = B.profile.n
     succ = [[j for j in range(n) if B.entries[i][j] > 0] for i in range(n)]
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return True
+    indegree = [0] * n
+    for targets in succ:
+        for j in targets:
+            indegree[j] += 1
+    sources = [v for v in range(n) if not indegree[v]]
+    removed = 0
+    while sources:
+        removed += 1
+        for w in succ[sources.pop()]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                sources.append(w)
+    return removed == n
 
 
 def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -492,7 +470,7 @@ def parse_matrix(text: str) -> ExchangeMatrix:
     if len(header) != 3:
         raise ParseError("header must be 'n p m'", 0)
     try:
-        n, p, m = (int(v) for v in header)
+        n, p, m = (parse_int(v) for v in header)
     except ValueError:
         raise ParseError("header must contain three integers", 0) from None
     body = " ".join(lines[1:])
@@ -500,7 +478,7 @@ def parse_matrix(text: str) -> ExchangeMatrix:
     rows = []
     for r in row_texts:
         try:
-            rows.append([int(v) for v in r.split()])
+            rows.append([parse_int(v) for v in r.split()])
         except ValueError:
             raise ParseError(f"non-integer matrix entry in row {r!r}", text.find(r)) from None
     try:

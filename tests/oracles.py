@@ -7,7 +7,8 @@ polynomials, formal substitution on reduced RationalFn values instead of
 the kernel's composition routine, and the generators only call back into
 the package to reject invalid samples.  The kernel references (general
 multiply, leading-term division, matrix mutation) build every result
-through the checking public constructors.  The reference exploration
+through the checking public constructors; the reference acyclicity test
+is a depth-first search for a back edge.  The reference exploration
 mutates every seed in every direction with seed_mutate, without the
 exchange memo or the parent skip.  The reference tree evaluator walks
 every path of an expression tree, re-evaluating shared subtrees.
@@ -175,6 +176,33 @@ def matrix_mutate_reference(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 row.append(old[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
         rows.append(row)
     return ExchangeMatrix(rows, B.profile)
+
+
+def is_acyclic_reference(B: ExchangeMatrix) -> bool:
+    """No oriented cycle in the sign-pattern quiver: depth-first search for a back edge."""
+    n = B.profile.n
+    succ = [[j for j in range(n) if B.entries[i][j] > 0] for i in range(n)]
+    state = [0] * n  # 0 unseen, 1 on stack, 2 done
+    for start in range(n):
+        if state[start]:
+            continue
+        stack = [(start, iter(succ[start]))]
+        state[start] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if state[w] == 1:
+                    return False
+                if state[w] == 0:
+                    state[w] = 1
+                    stack.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                state[v] = 2
+                stack.pop()
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,57 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_directory_as_matrix_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "mutate", "--matrix", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+# integers are ASCII digits with an optional sign: int() would read each of
+# these as a number (10, 1, 3, 2)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2 2\n0 1_0; -1 0\n", "non-integer matrix entry"),
+        ("2 2 2\n0 \u0661; -1 0\n", "non-integer matrix entry"),
+        ("\u0663 3 3\n0 -1 0; 1 0 -1; 0 1 0\n", "header must contain three integers"),
+    ],
+)
+def test_non_ascii_integer_in_matrix_is_input_error(capsys, tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "mutate", "--matrix", str(path), "--word", "1")
+    assert code == 2 and out == ""
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("word", ["\u0662", "1_0", "\uff12", "1,\u0663"])
+def test_non_ascii_integer_in_word_is_input_error(capsys, a3_file, word):
+    code, out, err = run(capsys, "mutate", "--matrix", a3_file, "--word", word)
+    assert code == 2 and out == ""
+    assert "bad mutation word" in err and err.count("\n") == 1
+
+
+def test_word_letters_may_carry_spaces(capsys, a3_file):
+    code, out, _ = run(capsys, "mutate", "--matrix", a3_file, "--word", "1, 3", "--json")
+    assert code == 0 and json.loads(out)["word"] == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--max-depth", "\u0663"), ("--max-seeds", "1_0"), ("--max-depth", "\uff13")]
+)
+def test_non_ascii_integer_option_is_usage_error(capsys, a3_file, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--matrix", a3_file, option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid" in capsys.readouterr().err
+
+
+def test_signed_integer_option_is_accepted(capsys, a3_file):
+    code, out, _ = run(capsys, "explore", "--matrix", a3_file, "--max-depth", "+64", "--json")
+    assert code == 0 and json.loads(out)["finite"] is True
+
+
 def test_invalid_seed_is_input_error(capsys, tmp_path):
     path = tmp_path / "disconnected.txt"
     path.write_text("2 2 4\n0 0; 0 0; 1 0; 0 1\n")

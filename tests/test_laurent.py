@@ -15,7 +15,7 @@ from clusterkit.laurent import (
     NotDivisible,
     ParseError,
     RationalFn,
-    _compose_as_quotient,
+    _compose,
     _poly_gcd_prs,
     exact_div,
     parse_poly,
@@ -424,15 +424,17 @@ def test_substitute_pole():
 
 
 def test_compose_as_quotient_matches_substitute():
-    # the kernel's composition (num, den) against reduced RationalFn substitution,
-    # images in another ambient ring; num / den == a / b is checked as num * b == a * den
+    # the kernel's composition of e's (num, den) split against reduced RationalFn
+    # substitution, images in another ambient ring; num / den == a / b is checked
+    # as num * b == a * den
     rng = random.Random(245)
     checked = 0
     for _ in range(300):
         e = random_poly(rng, m=3, laurent=rng.random() < 0.7)
         images = [random_poly(rng, m=2) for _ in range(3)]
         images = [img if not img.is_zero else LaurentPoly.const(2, -2) for img in images]
-        num, den = _compose_as_quotient(e, images)
+        split = RationalFn.from_laurent(e)
+        num, den = _compose((split.num, split.den), images)
         value = substitute(e, [RationalFn.from_laurent(img) for img in images])
         assert num * value.den == value.num * den
         expected_den = LaurentPoly.const(2, 1)
@@ -441,6 +443,21 @@ def test_compose_as_quotient_matches_substitute():
         assert den == expected_den
         checked += not e.is_zero
     assert checked > 200
+
+
+def test_compose_rejects_negative_exponents():
+    images = [x(1, 2), x(2, 2)]
+    assert _compose([], images) == []
+    assert _compose([LaurentPoly.zero(2)], images) == [LaurentPoly.zero(2)]
+    with pytest.raises(ValueError, match="ordinary"):
+        _compose([x(1, 2), exact_div(x(1, 2), x(2, 2))], images)
+
+
+@pytest.mark.parametrize("text", ["x1^\u0661\u0660", "\uff12*x1", "x\u0663", "x1^1_0", "1_0*x1"])
+def test_parse_poly_reads_only_ascii_digits(text):
+    # int() and \d would read these as x1^10, 2*x1, x3 and so on
+    with pytest.raises(ParseError):
+        parse_poly(text)
 
 
 # -- X^d + 1 ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from clusterkit.seeds import (
 )
 from oracles import (
     exact_div_reference,
+    is_acyclic_reference,
     matrix_mutate_reference,
     mul_reference,
     power_reference,
@@ -308,6 +309,31 @@ def test_sigma_quiver_orientation(b0):
 def test_three_cycle_not_acyclic():
     B = ExchangeMatrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], SeedProfile(3, 3, 3))
     assert not is_acyclic(B)
+
+
+def test_is_acyclic_matches_depth_first_reference():
+    # validated random matrices, plus unvalidated ones with arbitrary signs and
+    # positive diagonal entries (self-loops), which no seed has but is_acyclic accepts
+    rng = random.Random(1962)
+    verdicts = {True: 0, False: 0}
+    self_loops = 0
+    for trial in range(600):
+        if trial % 3 == 0:
+            B = random_valid_matrix(rng, max_n=6, max_m=8)
+        else:
+            n = rng.randint(1, 7)
+            rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 2:
+                i = rng.randrange(n)
+                rows[i][i] = rng.randint(1, 3)
+                self_loops += 1
+            B = ExchangeMatrix(rows, SeedProfile(n, n, n))
+        expected = is_acyclic_reference(B)
+        assert is_acyclic(B) == expected, B.entries
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 100 and self_loops == 200
+    loop = ExchangeMatrix([[1, 0], [0, 0]], SeedProfile(2, 2, 2))
+    assert not is_acyclic(loop) and not is_acyclic_reference(loop)
 
 
 # -- rank ---------------------------------------------------------------------

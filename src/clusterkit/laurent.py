@@ -22,12 +22,13 @@ other operand's terms, which keeps their order, so it needs no dictionary
 and no sort.
 
 The module also provides reduced fractions of ordinary polynomials
-(RationalFn), exact Laurent division, multivariate integer gcd (heuristic
-gcd GCDHEU first, verified by ordinary exact division; subresultant
-remainder sequences as fallback), the composition of ordinary polynomials
-at Laurent-polynomial images (a Laurent value is composed as the numerator
-and monomial denominator RationalFn.from_laurent splits it into), and the
-reducibility decision for X^d + 1 over the rationals or the complexes.
+(RationalFn), exact Laurent division, multivariate integer gcd on
+LaurentPoly values (heuristic gcd GCDHEU first, verified by ordinary exact
+division; subresultant remainder sequences as fallback), the composition
+of ordinary polynomials at Laurent-polynomial images (a Laurent value is
+composed as the numerator and monomial denominator RationalFn.from_laurent
+splits it into), and the reducibility decision for X^d + 1 over the
+rationals or the complexes.
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ class LaurentPoly:
         """Multiply by the monomial with the given exponent vector."""
         if len(offsets) != self.m:
             raise DimensionMismatch(f"offsets of length {len(offsets)} in dimension {self.m}")
+        for e in offsets:
+            if type(e) is not int:
+                _require_int(e, "shift offset")
         return LaurentPoly._from_canonical(
             self.m, tuple((tuple(map(add, exps, offsets)), c) for exps, c in self.terms)
         )
@@ -378,41 +382,40 @@ def _deg_in(p: LaurentPoly, v: int) -> int:
     return max(exps[v] for exps, _ in p.terms)
 
 
-def _coeff_of(p: LaurentPoly, v: int, d: int) -> LaurentPoly:
-    """Coefficient of x_{v+1}^d, as a polynomial with the v-slot zeroed."""
-    acc = {}
+def _coefficients_in(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
+    """p as a polynomial in x_{v+1}: {exponent: coefficient with the v-slot zeroed}.
+
+    One pass over p.  Zeroing one slot keeps the order of terms that agree
+    in that slot, so every coefficient is canonical as collected.
+    """
+    acc: dict[int, list] = {}
     for exps, c in p.terms:
-        if exps[v] == d:
-            acc[exps[:v] + (0,) + exps[v + 1 :]] = c
-    return LaurentPoly(p.m, acc)
-
-
-def _lc_in(p: LaurentPoly, v: int) -> LaurentPoly:
-    return _coeff_of(p, v, _deg_in(p, v))
+        acc.setdefault(exps[v], []).append((exps[:v] + (0,) + exps[v + 1 :], c))
+    return {d: LaurentPoly._from_canonical(p.m, tuple(terms)) for d, terms in acc.items()}
 
 
 def _prem(f: LaurentPoly, g: LaurentPoly, v: int) -> LaurentPoly:
     """Pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g in variable v."""
     dg = _deg_in(g, v)
-    lg = _lc_in(g, v)
+    lg = _coefficients_in(g, v)[dg]
     e = _deg_in(f, v) - dg + 1
     r = f
     while not r.is_zero and _deg_in(r, v) >= dg:
-        lr = _lc_in(r, v)
-        offsets = (0,) * v + (_deg_in(r, v) - dg,) + (0,) * (f.m - v - 1)
-        r = lg * r - (lr * g).shift(offsets)
+        dr = _deg_in(r, v)
+        offsets = (0,) * v + (dr - dg,) + (0,) * (f.m - v - 1)
+        r = lg * r - (_coefficients_in(r, v)[dr] * g).shift(offsets)
         e -= 1
     return r * (lg**e) if e else r
 
 
 def _content_in(p: LaurentPoly, v: int) -> LaurentPoly:
     g = LaurentPoly.zero(p.m)
-    for d in range(_deg_in(p, v) + 1):
-        cf = _coeff_of(p, v, d)
-        if not cf.is_zero:
-            g = _poly_gcd_prs(g, cf)
-            if g.is_one:
-                break
+    # ascending degree (the keys are distinct, so sorting never compares two
+    # coefficients): the exit at 1 comes sooner than in term order
+    for _, cf in sorted(_coefficients_in(p, v).items()):
+        g = _poly_gcd_prs(g, cf)
+        if g.is_one:
+            break
     return g
 
 
@@ -437,7 +440,7 @@ def _prs_gcd(f: LaurentPoly, g: LaurentPoly, v: int) -> LaurentPoly:
         if _deg_in(rem, v) == 0:
             return LaurentPoly.const(f.m, 1)
         r0, r1 = r1, exact_div(rem, coef * h**d)
-        coef = _lc_in(r0, v)
+        coef = _coefficients_in(r0, v)[_deg_in(r0, v)]
         if d > 0:
             h = exact_div(coef**d, h ** (d - 1)) if d > 1 else coef
 
@@ -477,77 +480,76 @@ def _poly_gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 _HEU_GCD_ATTEMPTS = 6
 
 
-def _heu_gcd(f: dict, g: dict) -> dict | None:
-    """GCDHEU on nonzero {exponent tuple: coefficient} dicts of one arity.
+def _heu_gcd(f: LaurentPoly, g: LaurentPoly, active: tuple) -> LaurentPoly | None:
+    """GCDHEU on nonzero ordinary polynomials whose variables lie in active.
 
-    Evaluates the first variable at an integer xi, recurses on the images
-    down to math.gcd, rebuilds a candidate from the symmetric xi-adic
-    digits of the image gcd and accepts its primitive part only if it
-    divides both inputs in Z[x].  Returns None when it gives up, at this
-    level or below.
+    active holds the 0-based slots still free, in ascending order.  Evaluates
+    the first of them at an integer xi, recurses on the images over the rest
+    down to math.gcd, rebuilds a candidate from the symmetric xi-adic digits
+    of the image gcd and accepts its primitive part only if it divides both
+    inputs in Z[x].  Returns None when it gives up, at this level or below.
     """
-    content = math.gcd(*f.values(), *g.values())
-    if not next(iter(f)):
-        return {(): content}  # no variables left: integer gcd
+    content = math.gcd(_integer_content(f), _integer_content(g))
+    if not active:
+        return LaurentPoly.const(f.m, content)  # no variables left: integer gcd
     if content > 1:
-        f = {e: c // content for e, c in f.items()}
-        g = {e: c // content for e, c in g.items()}
+        f = _divide_coefficients(f, content)
+        g = _divide_coefficients(g, content)
     # xi >= 2 * min(|f|, |g|) + 2 is the provable bound; +29 skips tiny xi
-    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    xi = 2 * min(max(abs(c) for _, c in f.terms), max(abs(c) for _, c in g.terms)) + 29
+    v = active[0]
     for _ in range(_HEU_GCD_ATTEMPTS):
-        fe = _eval_first(f, xi)
-        ge = _eval_first(g, xi)
-        if fe and ge:
-            gamma = _heu_gcd(fe, ge)
+        fe = _evaluate_at(f, v, xi)
+        ge = _evaluate_at(g, v, xi)
+        if not (fe.is_zero or ge.is_zero):
+            gamma = _heu_gcd(fe, ge, active[1:])
             if gamma is None:
                 return None
-            h = _interpolate_first(gamma, xi)
+            h = _interpolate_at(gamma, v, xi)
             if _divides(h, f) and _divides(h, g):
-                return {e: c * content for e, c in h.items()}
+                return h * content
         # grow by about 2.73 * xi^(1/4), the schedule of sympy's heugcd
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def _eval_first(p: dict, xi: int) -> dict:
-    """Substitute xi for the first variable."""
+def _evaluate_at(p: LaurentPoly, v: int, xi: int) -> LaurentPoly:
+    """Substitute xi for x_{v+1}; the v-slot of the result is zero."""
     powers = [1]
     acc: dict[Exps, int] = {}
-    for exps, c in p.items():
-        e = exps[0]
+    for exps, c in p.terms:
+        e = exps[v]
         while len(powers) <= e:
             powers.append(powers[-1] * xi)
-        key = exps[1:]
+        key = exps[:v] + (0,) + exps[v + 1 :]
         acc[key] = acc.get(key, 0) + c * powers[e]
-    return {e: c for e, c in acc.items() if c}
+    terms = sorted(((key, c) for key, c in acc.items() if c), reverse=True)
+    return LaurentPoly._from_canonical(p.m, tuple(terms))
 
 
-def _interpolate_first(gamma: dict, xi: int) -> dict:
-    """Primitive part of the polynomial whose first-variable coefficients
-    are the symmetric xi-adic digits of gamma's coefficients."""
+def _interpolate_at(gamma: LaurentPoly, v: int, xi: int) -> LaurentPoly:
+    """Primitive part of the polynomial whose x_{v+1}-coefficients are the
+    symmetric xi-adic digits of gamma's coefficients (gamma's v-slot is zero)."""
     half = xi // 2
-    out: dict[Exps, int] = {}
-    for key, c in gamma.items():
+    out = []
+    for exps, c in gamma.terms:
         i = 0
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out[(i,) + key] = d
+                out.append((exps[:v] + (i,) + exps[v + 1 :], d))
             c = (c - d) // xi
             i += 1
-    content = math.gcd(*out.values())
-    return {e: c // content for e, c in out.items()}
+    h = LaurentPoly._from_canonical(gamma.m, tuple(sorted(out, reverse=True)))
+    return _divide_coefficients(h, _integer_content(h))
 
 
-def _divides(h: dict, f: dict) -> bool:
+def _divides(h: LaurentPoly, f: LaurentPoly) -> bool:
     """Whether h divides f in Z[x]: a Laurent quotient with no negative exponent."""
-    if len(h) == 1 and not any(next(iter(h))):
-        return True  # the primitive constant 1
-    m = len(next(iter(f)))
     try:
-        return exact_div(LaurentPoly(m, f), LaurentPoly(m, h)).is_ordinary()
+        return h.is_one or exact_div(f, h).is_ordinary()
     except NotDivisible:
         return False
 
@@ -587,20 +589,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return _normalize_sign(b)
     if b.is_zero:
         return _normalize_sign(a)
-    active = sorted(a.support_vars() | b.support_vars())
-    g = _heu_gcd(
-        {tuple(e[v - 1] for v in active): c for e, c in a.terms},
-        {tuple(e[v - 1] for v in active): c for e, c in b.terms},
-    )
+    g = _heu_gcd(a, b, tuple(v - 1 for v in sorted(a.support_vars() | b.support_vars())))
     if g is None:
         return _poly_gcd_prs(a, b)
-    acc = {}
-    for key, c in g.items():
-        exps = [0] * a.m
-        for v, e in zip(active, key):
-            exps[v - 1] = e
-        acc[tuple(exps)] = c
-    return _normalize_sign(LaurentPoly(a.m, acc))
+    return _normalize_sign(g)
 
 
 def xd_plus_one_reducible(d: int, field: FieldTag) -> bool:
@@ -682,12 +674,6 @@ class RationalFn:
     @property
     def is_polynomial(self) -> bool:
         return self.den.is_one
-
-    def as_laurent(self) -> LaurentPoly:
-        """Convert back when the denominator is a monomial; NotDivisible otherwise."""
-        if not self.den.is_monomial:
-            raise NotDivisible("denominator is not a monomial")
-        return exact_div(self.num, self.den)
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):

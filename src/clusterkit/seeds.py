@@ -79,9 +79,16 @@ class ExchangeMatrix:
 
     def entry(self, i: int, j: int) -> int:
         """b_ij, 1-indexed."""
+        m, n = self.profile.m, self.profile.n
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise IndexError(f"entry ({i}, {j}) outside 1..{m} x 1..{n}")
         return self.entries[i - 1][j - 1]
 
     def column(self, k: int) -> tuple[int, ...]:
+        """Column k, 1-indexed."""
+        n = self.profile.n
+        if not 1 <= k <= n:
+            raise IndexError(f"column index {k} outside 1..{n}")
         return tuple(row[k - 1] for row in self.entries)
 
     def principal(self) -> tuple[tuple[int, ...], ...]:

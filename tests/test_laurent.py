@@ -15,6 +15,7 @@ from clusterkit.laurent import (
     NotDivisible,
     ParseError,
     RationalFn,
+    _coefficients_in,
     _compose,
     _poly_gcd_prs,
     exact_div,
@@ -79,6 +80,15 @@ def test_constructors_reject_non_integer_exponents():
         LaurentPoly.monomial(2, (1, 1.5))
     with pytest.raises(ValueError, match="exponent must be an integer"):
         LaurentPoly(2, {(0, True): 0})  # checked before zero terms are dropped
+
+
+@pytest.mark.parametrize("offset", [0.5, True, "1", Fraction(1)])
+def test_shift_rejects_non_integer_offsets(offset):
+    # shift builds its result unchecked, so a float or bool offset would end up in the terms
+    with pytest.raises(ValueError, match="shift offset must be an integer"):
+        LaurentPoly.variable(2, 1).shift((offset, 0))
+    with pytest.raises(ValueError, match="shift offset must be an integer"):
+        LaurentPoly.variable(2, 1).shift((0, offset))
 
 
 # -- addition and multiplication --------------------------------------------
@@ -238,6 +248,20 @@ def test_exact_div_by_monomial_checks_every_coefficient():
 # -- gcd ---------------------------------------------------------------------
 
 
+def test_coefficients_in_splits_canonically():
+    rng = random.Random(41)
+    for m in range(1, 5):
+        for _ in range(40):
+            p = random_poly(rng, m=m, max_terms=6, max_exp=3, max_coeff=5)
+            for v in range(m):
+                rebuilt = LaurentPoly.zero(m)
+                for d, cf in _coefficients_in(p, v).items():
+                    assert_canonical(cf)
+                    assert not cf.is_zero and all(e[v] == 0 for e, _ in cf.terms)
+                    rebuilt = rebuilt + cf.shift(tuple(d if i == v else 0 for i in range(m)))
+                assert rebuilt == p
+
+
 def test_poly_gcd_examples():
     assert poly_gcd(x(1) ** 2 - x(2) ** 2, x(1) - x(2)) == x(1) - x(2)
     a = 2 * x(1) * x(3) - 4 * x(2)
@@ -282,11 +306,21 @@ def test_poly_gcd_construct_then_recover():
         assert got == want
 
 
-GCD_KINDS = ("shared factor", "monomial content", "integer content", "large coefficients", "coprime", "constant", "zero")
+GCD_KINDS = (
+    "shared factor",
+    "monomial content",
+    "integer content",
+    "large coefficients",
+    "coprime",
+    "constant",
+    "zero",
+    "sparse support",
+)
 
 
 def gcd_case(rng, kind):
-    """A pair of ordinary polynomials in 1-4 variables of the given kind."""
+    """A pair of ordinary polynomials in 1-4 variables of the given kind
+    (6 variables for "sparse support", of which only 2-3 occur)."""
     m = rng.randint(1, 4)
 
     def poly(max_coeff=9):
@@ -313,6 +347,22 @@ def gcd_case(rng, kind):
         return a, a * poly() + LaurentPoly.const(m, rng.choice((1, -1)))
     if kind == "constant":
         return LaurentPoly.const(m, rng.choice((1, 2, -4, 6, 30))), poly() * rng.choice((1, 2, 3))
+    if kind == "sparse support":
+        # the heuristic evaluates only the occurring slots and leaves the others alone
+        slots = sorted(rng.sample(range(6), rng.randint(2, 3)))
+
+        def sparse():
+            p = random_poly(rng, m=len(slots), max_terms=4, max_exp=3, max_coeff=9, laurent=False)
+            embed = [0] * 6
+            terms = []
+            for exps, c in p.terms:
+                for slot, e in zip(slots, exps):
+                    embed[slot] = e
+                terms.append((tuple(embed), c))
+            return LaurentPoly(6, terms)
+
+        g = sparse()
+        return sparse() * g, sparse() * g
     return LaurentPoly.zero(m), poly()
 
 

@@ -136,6 +136,18 @@ def test_matrix_mutation_index_range(a3):
         matrix_mutate(a3, 4)
 
 
+def test_entry_and_column_index_range():
+    # index 0 and negative indices would otherwise wrap to the last row or column
+    B = parse_matrix("2 2 3\n0 1; -1 0; 1 1")
+    assert B.entry(3, 1) == 1 and B.column(2) == (1, 0, 1)
+    for i, j in [(0, 1), (-1, 1), (4, 1), (1, 0), (1, -2), (1, 3)]:
+        with pytest.raises(IndexError, match="outside"):
+            B.entry(i, j)
+    for k in (0, -1, 3):
+        with pytest.raises(IndexError, match="outside"):
+            B.column(k)
+
+
 def test_mutation_direction_is_not_coerced(a3):
     seed = Seed.initial(a3)
     for k in (True, 1.0, "1"):

@@ -29,6 +29,13 @@ of ordinary polynomials at Laurent-polynomial images (a Laurent value is
 composed as the numerator and monomial denominator RationalFn.from_laurent
 splits it into), and the reducibility decision for X^d + 1 over the
 rationals or the complexes.
+
+Composition is multivariate Horner evaluation over the descending lex
+order of the terms: one multiply by a power of one image per degree step,
+the powers taken from one gap-power table that every value of the call
+shares.  Its sums and products are exact, and the canonical form makes
+equal values identical, so the result is the same as adding up each
+term's product of image powers.
 """
 
 from __future__ import annotations
@@ -763,27 +770,66 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
 def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> list[LaurentPoly]:
     """Values of ordinary polynomials at Laurent-polynomial images x_i -> images[i-1].
 
-    All the values share one table of image powers, so each power of an
-    image is computed once per call.  A negative exponent raises
-    ValueError: RationalFn.from_laurent splits a Laurent value into the
-    ordinary numerator and denominator that are composed instead.
+    Multivariate Horner evaluation: p = sum over d of x1^d * p_d(x2, ...)
+    is folded as (...(p_d1 * img1^(d1 - d2) + p_d2) * img1^(d2 - d3) + ...)
+    * img1^dr over the degrees d1 > d2 > ... > dr of x1, and each p_d the
+    same way in x2, and so on.  In descending lex order each p_d is a
+    contiguous run of terms.  The walk keeps one accumulator per variable
+    in a list, not in Python frames, so m is not bounded by the recursion
+    limit: at each term it closes the levels after the first slot where the
+    exponents differ from the previous term's, folding each into its
+    parent, and steps that slot's level down by the gap.  Each degree step
+    costs one multiply by a power of one image, where term-by-term
+    composition multiplies full image powers for every term.  All the
+    values share one table of these powers, so each is computed once per
+    call.  The sums and products are exact and the canonical form makes
+    equal values identical, so the result is the term-by-term one.
+
+    A negative exponent raises ValueError: RationalFn.from_laurent splits
+    a Laurent value into the ordinary numerator and denominator that are
+    composed instead.
     """
     m = images[0].m
     powers: list[dict[int, LaurentPoly]] = [{} for _ in images]
+
+    def times_power(value: LaurentPoly, i: int, k: int) -> LaurentPoly:
+        if not k:
+            return value
+        power = powers[i].get(k)
+        if power is None:
+            power = powers[i][k] = images[i] ** k
+        return value * power
+
     values = []
     for p in polys:
-        value = LaurentPoly.zero(m)
+        for exps, _ in p.terms:
+            if min(exps) < 0:
+                raise ValueError("composition expects ordinary polynomials (no negative exponents)")
+        n, zero = p.m, LaurentPoly.zero(m)
+        if not p.terms:
+            values.append(zero)
+            continue
+        # acc[i + 1] sums the closed runs of level i (the runs of one degree of
+        # variable i + 1) in units of images[i] ** deg[i], deg[i] being the degree
+        # of the open run; acc[0] collects the value
+        acc = [zero] * (n + 1)
+        prev = p.terms[0][0]
+        deg = list(prev)
         for exps, c in p.terms:
-            term = LaurentPoly.const(m, c)
-            for i, k in enumerate(exps):
-                if k < 0:
-                    raise ValueError("composition expects ordinary polynomials (no negative exponents)")
-                if k:
-                    if k not in powers[i]:
-                        powers[i][k] = images[i] ** k
-                    term = term * powers[i][k]
-            value = value + term
-        values.append(value)
+            if exps is not prev:
+                j = 0
+                while exps[j] == prev[j]:
+                    j += 1
+                for i in range(n - 1, j, -1):
+                    acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])
+                    acc[i + 1] = zero
+                acc[j + 1] = times_power(acc[j + 1], j, deg[j] - exps[j])
+                deg[j:] = exps[j:]
+                prev = exps
+            acc[n] = acc[n] + LaurentPoly.const(m, c)
+        for i in range(n - 1, -1, -1):
+            acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])
+        values.append(acc[0])
     return values
 
 

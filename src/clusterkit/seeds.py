@@ -80,6 +80,10 @@ class ExchangeMatrix:
     def entry(self, i: int, j: int) -> int:
         """b_ij, 1-indexed."""
         m, n = self.profile.m, self.profile.n
+        # type() is the fast test; _require_int also admits int subclasses but bool
+        if type(i) is not int or type(j) is not int:
+            _require_int(i, "matrix row index")
+            _require_int(j, "matrix column index")
         if not (1 <= i <= m and 1 <= j <= n):
             raise IndexError(f"entry ({i}, {j}) outside 1..{m} x 1..{n}")
         return self.entries[i - 1][j - 1]
@@ -87,6 +91,8 @@ class ExchangeMatrix:
     def column(self, k: int) -> tuple[int, ...]:
         """Column k, 1-indexed."""
         n = self.profile.n
+        if type(k) is not int:  # the fast test, as in entry
+            _require_int(k, "column index")
         if not 1 <= k <= n:
             raise IndexError(f"column index {k} outside 1..{n}")
         return tuple(row[k - 1] for row in self.entries)

@@ -5,7 +5,9 @@ the factor search works on plain coefficient lists, the rank-2 closure
 oracle runs on sympy rational functions, the gcd oracle on sympy
 polynomials, formal substitution on reduced RationalFn values instead of
 the kernel's composition routine, and the generators only call back into
-the package to reject invalid samples.  The kernel references (general
+the package to reject invalid samples.  The reference composition builds
+each term's value as a product of image powers and adds the terms one by
+one, without the kernel's Horner walk.  The kernel references (general
 multiply, leading-term division, matrix mutation) build every result
 through the checking public constructors; the reference acyclicity test
 is a depth-first search for a back edge.  The reference exploration
@@ -240,6 +242,33 @@ def substitute(e: LaurentPoly, images: Sequence[RationalFn]) -> RationalFn:
             term = term * img**ei
         total = total + term
     return total
+
+
+def compose_reference(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """Values of ordinary polynomials at Laurent-polynomial images x_i -> images[i-1].
+
+    All the values share one table of image powers, so each power of an
+    image is computed once per call.  A negative exponent raises
+    ValueError: RationalFn.from_laurent splits a Laurent value into the
+    ordinary numerator and denominator that are composed instead.
+    """
+    m = images[0].m
+    powers: list[dict[int, LaurentPoly]] = [{} for _ in images]
+    values = []
+    for p in polys:
+        value = LaurentPoly.zero(m)
+        for exps, c in p.terms:
+            term = LaurentPoly.const(m, c)
+            for i, k in enumerate(exps):
+                if k < 0:
+                    raise ValueError("composition expects ordinary polynomials (no negative exponents)")
+                if k:
+                    if k not in powers[i]:
+                        powers[i][k] = images[i] ** k
+                    term = term * powers[i][k]
+            value = value + term
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------

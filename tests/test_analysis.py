@@ -288,6 +288,28 @@ def test_membership_agrees_with_reduce_based_formulation():
             assert laurent_membership(e, target) == reduce_based
 
 
+def test_rank2_membership_composition_matches_reference():
+    # a mid-depth (2,2) pair: the value's (num, den) rewritten in the target's
+    # coordinates, Horner against the term-by-term reference (under 1 s)
+    from clusterkit.analysis import coordinate_images
+    from clusterkit.laurent import _compose
+    from oracles import compose_reference
+
+    seed = Seed.initial(rank2_matrix(2, 2))
+    target = apply_word(seed, (1, 2) * 2)
+    e = RationalFn.from_laurent(apply_word(seed, (2, 1) * 4).cluster[0])
+    images = coordinate_images(target)
+    assert len(e.num.terms) == 37 and not e.den.is_one
+    assert _compose((e.num, e.den), images) == compose_reference((e.num, e.den), images)
+
+
+def test_deep_rank2_membership():
+    # a cluster variable lies in every cluster's Laurent ring (the Laurent phenomenon)
+    seed = Seed.initial(rank2_matrix(2, 2))
+    target = apply_word(seed, (1, 2) * 3)
+    assert laurent_membership(apply_word(seed, (2, 1) * 4).cluster[0], target)
+
+
 # -- worked identity -------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from clusterkit.laurent import (
 )
 from oracles import (
     ZeroImageInverted,
+    compose_reference,
     exact_div_reference,
     mul_reference,
     power_reference,
@@ -501,6 +503,23 @@ def test_compose_rejects_negative_exponents():
     assert _compose([LaurentPoly.zero(2)], images) == [LaurentPoly.zero(2)]
     with pytest.raises(ValueError, match="ordinary"):
         _compose([x(1, 2), exact_div(x(1, 2), x(2, 2))], images)
+
+
+def test_compose_depth_does_not_follow_the_variable_count():
+    # more source variables than the recursion limit allows frames: one term
+    # opens every level of the Horner walk at once
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    images = [LaurentPoly.monomial(2, (i % 3 - 1, i % 2)) for i in range(n)]
+    terms = {tuple(1 + i % 2 for i in range(n)): 2, (0,) * (n - 1) + (3,): -1, (0,) * n: 5}
+    p = LaurentPoly(n, terms)
+
+    def image_exps(exps):  # the product of the monomial images' powers
+        return tuple(sum(a * img.terms[0][0][t] for a, img in zip(exps, images)) for t in (0, 1))
+
+    expected = LaurentPoly(2, [(image_exps(exps), c) for exps, c in terms.items()])
+    assert _compose([p, LaurentPoly.zero(n)], images) == [expected, LaurentPoly.zero(2)]
+    assert compose_reference([p], images) == [expected]
 
 
 @pytest.mark.parametrize("text", ["x1^\u0661\u0660", "\uff12*x1", "x\u0663", "x1^1_0", "1_0*x1"])

@@ -148,6 +148,18 @@ def test_entry_and_column_index_range():
             B.column(k)
 
 
+def test_entry_and_column_index_is_not_coerced():
+    # True would read as row or column 1, and 1.5 or "1" fail inside tuple indexing
+    B = parse_matrix("2 2 3\n0 1; -1 0; 1 1")
+    for bad in (True, False, 1.5, "1"):
+        with pytest.raises(ValueError, match="row index"):
+            B.entry(bad, 2)
+        with pytest.raises(ValueError, match="column index"):
+            B.entry(1, bad)
+        with pytest.raises(ValueError, match="column index"):
+            B.column(bad)
+
+
 def test_mutation_direction_is_not_coerced(a3):
     seed = Seed.initial(a3)
     for k in (True, 1.0, "1"):

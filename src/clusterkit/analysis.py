@@ -124,6 +124,8 @@ def are_associate(a: LaurentPoly, b: LaurentPoly, profile: SeedProfile) -> bool:
     """True when a = u*b for a unit u (sign times invertible-coefficient monomial)."""
     if a.is_zero or b.is_zero:
         raise ValueError("associateness is defined for nonzero elements")
+    if len(a.terms) != len(b.terms):
+        return False  # a unit is +-monomial, and multiplying by one maps terms one to one
     try:
         q = exact_div(a, b)
     except NotDivisible:

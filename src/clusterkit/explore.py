@@ -4,30 +4,45 @@ Seeds are expanded level by level in discovery order, children generated
 in direction order 1..n, so two runs with the same limits produce the
 same report.
 
-Two shortcuts remove work without changing the report:
+Labels.  One explore call gives each distinct cluster entry a small int
+label, the first time the value is seen (the root's entries, then each
+newly solved x_k'), and every seed in the frontier carries its tuple of
+labels.  Labels are injective on values, so the walk keys everything on
+ints and tuples of ints instead of on LaurentPoly terms:
 
+* Dedup.  Two seeds are equal exactly when (matrix entries, labels) are.
+  With quotient_permutations the mutable indices are sorted by label and
+  the matrix is permuted to match (see _quotient_key).
 * Exchange memo.  By the exchange relation x_k * x_k' = M1 + M2
   (Fomin-Zelevinsky, Cluster algebras I, 2002), the new entry x_k' is a
   function of x_k and of the multiset {(x_i, b_ik) : b_ik != 0} over all m
   rows, frozen ones included: M1 and M2 are the products of x_i^|b_ik| over
-  the positive and the negative b_ik.  One explore call keys a memo on x_k
-  plus the sorted tuple of (x_i.sort_key(), b_ik); sort_key is the
-  canonical term tuple, so equal keys mean equal relations and the memo
-  is exact.  The key is a sorted tuple and not a set because a hand-built
-  seed may repeat an entry, which then counts twice in M1 or M2.  A miss
-  runs seed_mutate with all its checks; a hit reuses the entry it found.
+  the positive and the negative b_ik.  The memo key is the label of x_k
+  plus the sorted tuple of (label of x_i, b_ik), so equal keys mean equal
+  relations and the memo is exact.  The key is a sorted tuple and not a
+  set because a hand-built seed may repeat an entry, which then counts
+  twice in M1 or M2.  A miss runs seed_mutate with all its checks; a hit
+  reuses the entry it found.
+* The reverse relation.  Mutation negates column k, and b_kk = 0 in every
+  validated matrix, so the child's relation at k is x_k' against
+  {(x_i, -b_ik)}: M1 and M2 swap, and it solves to x_k.  A miss stores
+  that relation too, and the walk never solves an exchange twice.
 * Parent skip.  mu_k is an involution, so mutating a seed found by this
   call at the last letter of its word gives back its parent, which is
   already seen.  The root is always expanded in every direction: a caller
   may pass a seed with a non-empty word whose parent was never seen.
+
+A child's matrix and labels are computed first, and its Seed is built
+only when its key is new.  None of this changes the report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .laurent import LaurentPoly, render_poly
-from .seeds import InvalidSeed, Seed, _exchanged, _require_int, seed_mutate, validate
+from .seeds import InvalidSeed, Seed, _exchanged, _require_int, matrix_mutate, seed_mutate, validate
 
 
 @dataclass(frozen=True)
@@ -74,23 +89,33 @@ class ExplorationReport:
         }
 
 
-def _permutation_key(seed: Seed):
-    """Canonical representative under simultaneous permutation of mutable indices.
+def _labelled_key(rows: tuple, labels: tuple, n: int):
+    """Dedup key of structural (matrix, cluster) equality: labels are injective on values."""
+    return rows, labels
 
-    The mutable indices are sorted by their cluster entries, and the rows
-    and columns of the matrix are permuted to match.  The key is itself a
-    relabelling of the seed, so it never identifies two seeds that are not
-    equivalent.  The extended cluster of a seed reachable from Seed.initial
-    is a free generating set of the ambient field, so its entries are
-    pairwise distinct, the sort order is unique, and every equivalent pair
-    gets the same key.
+
+def _quotient_key(rows: tuple, labels: tuple, n: int):
+    """Dedup key up to simultaneous permutation of the mutable indices.
+
+    The mutable indices are sorted by label, and the rows and columns of
+    the matrix are permuted to match; frozen entries never change, so
+    their labels are left out.  The key is itself a relabelling of the
+    seed, so it never identifies two seeds that are not equivalent.
+    Labels order values by first sight, not by LaurentPoly.sort_key, but
+    the partition is the same: two equivalent seeds have the same
+    multiset of values, and a stable sort by any total order on values
+    puts them into the same blocks of equal values, in index order inside
+    a block; another order only rearranges whole blocks, the same way for
+    both seeds.  The extended cluster of a seed reachable from
+    Seed.initial is a free generating set of the ambient field, so its
+    entries are pairwise distinct and every equivalent pair gets the same
+    key.
     """
-    n = seed.profile.n
-    keys = [c.sort_key() for c in seed.cluster]
-    perm = sorted(range(n), key=keys.__getitem__) + list(range(n, seed.profile.m))
-    entries = seed.matrix.entries
-    rows = tuple(tuple(entries[src][perm[j]] for j in range(n)) for src in perm)
-    return rows, tuple(keys[src] for src in perm)
+    if n == 1:
+        return rows, labels  # the only permutation is the identity
+    perm = sorted(range(n), key=labels.__getitem__)
+    pick = itemgetter(*perm)
+    return tuple(map(pick, pick(rows) + rows[n:])), pick(labels)
 
 
 def explore(
@@ -104,22 +129,24 @@ def explore(
     Dedup is on structural (matrix, cluster) equality by default; with
     quotient_permutations the key additionally identifies seeds that
     differ by a simultaneous permutation of the mutable indices.  Each
-    distinct exchange relation is solved once per call, and a found seed
-    is not mutated back towards its parent (see the module docstring);
-    the report is the one that mutating every seed in every direction
-    gives.
+    exchange relation is solved once per call, and the solve serves both
+    directions; a found seed is not mutated back towards its parent
+    (see the module docstring); the report is the one that mutating every
+    seed in every direction gives.
     """
     limits = limits or ExplorationLimits()
     bad = validate(seed.matrix)
     if bad:
         raise InvalidSeed("; ".join(bad))
-    key = _permutation_key if quotient_permutations else (lambda s: s)
+    key = _quotient_key if quotient_permutations else _labelled_key
     n = seed.profile.n
 
-    seen = {key(seed)}
-    memo = {}  # exchange relation -> x_k', see the module docstring
+    label = {}  # cluster value -> its int label in this call
+    root_labels = tuple(label.setdefault(x, len(label)) for x in seed.cluster)
+    seen = {key(seed.matrix.entries, root_labels, n)}
+    memo = {}  # exchange relation on labels -> (x_k', its label), see the module docstring
     order = [seed]
-    level = [seed]
+    level = [(seed, root_labels)]
     depth = 0
     budget_hit = False
     depth_hit = False
@@ -129,30 +156,40 @@ def explore(
             depth_hit = True
             break
         next_level = []
-        for s in level:
-            cluster, rows = s.cluster, s.matrix.entries
+        for s, labels in level:
+            rows = s.matrix.entries
             back = s.word[-1] if depth else 0  # the root's parent need not be in seen
             for k in range(1, n + 1):
                 if k == back:
                     continue  # mu_k is an involution: this child is s's parent
                 kk = k - 1
-                support = sorted((x.sort_key(), row[kk]) for x, row in zip(cluster, rows) if row[kk])
-                relation = (cluster[kk], tuple(support))
-                entry = memo.get(relation)
-                if entry is None:
+                support = [(lb, row[kk]) for lb, row in zip(labels, rows) if row[kk]]
+                relation = (labels[kk], tuple(sorted(support)))
+                solved = memo.get(relation)
+                child = None
+                if solved is None:
                     child = seed_mutate(s, k)
-                    memo[relation] = child.cluster[kk]
+                    entry = child.cluster[kk]
+                    solved = memo[relation] = (entry, label.setdefault(entry, len(label)))
+                    # the child's relation at k: x_k' against the negated column k
+                    reverse = (solved[1], tuple(sorted((lb, -b) for lb, b in support)))
+                    memo[reverse] = (s.cluster[kk], labels[kk])
+                    matrix = child.matrix
                 else:
-                    child = _exchanged(s, k, entry)
-                ck = key(child)
+                    matrix = matrix_mutate(s.matrix, k)
+                entry, entry_label = solved
+                child_labels = labels[:kk] + (entry_label,) + labels[k:]
+                ck = key(matrix.entries, child_labels, n)
                 if ck in seen:
                     continue
                 if len(seen) >= limits.max_seeds:
                     budget_hit = True
                     break
                 seen.add(ck)
+                if child is None:
+                    child = _exchanged(s, k, entry, matrix)
                 order.append(child)
-                next_level.append(child)
+                next_level.append((child, child_labels))
             if budget_hit:
                 break
         if budget_hit:

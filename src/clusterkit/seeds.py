@@ -209,22 +209,29 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     is mutated as given, without a check.
     """
     n = B.profile.n
-    _require_int(k, "mutation index")
+    if type(k) is not int:  # the fast test, as in ExchangeMatrix.entry
+        _require_int(k, "mutation index")
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} outside 1..{n}")
     kk = k - 1
-    rowk = B.entries[kk]
+    entries = B.entries
+    rowk = entries[kk]
+    # b_ij changes only where sign(b_kj) = sign(b_ik), by b_ik * |b_kj|: the
+    # dense (|b_ik| b_kj + b_ik |b_kj|) / 2 is zero for opposite signs or a zero
+    positive = [(j, b) for j, b in enumerate(rowk) if b > 0]
+    negative = [(j, -b) for j, b in enumerate(rowk) if b < 0]
     rows = []
-    for i, row in enumerate(B.entries):
+    for row in entries:
         bik = row[kk]
-        if i == kk:
-            rows.append(tuple(-v for v in row))
-        elif not bik:
+        if not bik:
             rows.append(row)  # b_ik = 0: the row is unchanged
-        else:
-            new = [bij + (abs(bik) * bkj + bik * abs(bkj)) // 2 for bij, bkj in zip(row, rowk)]
-            new[kk] = -bik
-            rows.append(tuple(new))
+            continue
+        new = list(row)
+        for j, bkj in positive if bik > 0 else negative:
+            new[j] += bik * bkj
+        new[kk] = -bik  # after the loop, which touches column k when b_kk != 0
+        rows.append(tuple(new))
+    rows[kk] = tuple([-v for v in rowk])  # row k is negated whatever b_kk is
     # ints computed from the int entries of B, in B's shape: nothing to re-check
     return ExchangeMatrix._from_canonical(tuple(rows), B.profile)
 
@@ -324,15 +331,16 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     new_entry = exact_div(m1 + m2, s.cluster[k - 1])  # NotDivisible propagates
     if new_entry.is_zero:
         raise InvalidSeed("cluster entries must be nonzero")
-    return _exchanged(s, k, new_entry)
+    return _exchanged(s, k, new_entry, matrix_mutate(s.matrix, k))
 
 
-def _exchanged(s: Seed, k: int, entry: LaurentPoly) -> Seed:
+def _exchanged(s: Seed, k: int, entry: LaurentPoly, matrix: ExchangeMatrix) -> Seed:
     """mu_k(s) given its new entry x_k', which seed_mutate has solved and checked
-    for this exchange (explore reuses one entry across seeds with the same relation)."""
+    for this exchange, and its matrix mu_k(B) (explore reuses one entry across
+    seeds with the same relation, and builds the matrix before the seed)."""
     cluster = s.cluster[: k - 1] + (entry,) + s.cluster[k:]
     # the rest of the cluster and the word were checked when s was built
-    return Seed._from_canonical(matrix_mutate(s.matrix, k), cluster, s.word + (k,))
+    return Seed._from_canonical(matrix, cluster, s.word + (k,))
 
 
 def apply_word(s: Seed, word: Iterable[int]) -> Seed:

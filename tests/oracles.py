@@ -12,7 +12,9 @@ multiply, leading-term division, matrix mutation) build every result
 through the checking public constructors; the reference acyclicity test
 is a depth-first search for a back edge.  The reference exploration
 mutates every seed in every direction with seed_mutate, without the
-exchange memo or the parent skip.  The reference tree evaluator walks
+exchange memo, the parent skip or explore's per-call labels; its quotient
+key sorts by LaurentPoly.sort_key, or is the brute-force minimum over all
+relabellings.  The reference tree evaluator walks
 every path of an expression tree, re-evaluating shared subtrees.
 """
 
@@ -369,7 +371,7 @@ def rank2_closure_bruteforce(b: int, c: int, max_seeds: int = 200):
 
 
 # ---------------------------------------------------------------------------
-# reference quotient key: minimum over all n! relabellings
+# reference quotient keys: minimum over all n! relabellings, and sort by sort_key
 # ---------------------------------------------------------------------------
 
 
@@ -398,20 +400,36 @@ def permutation_key_bruteforce(seed: Seed):
     return best
 
 
+def permutation_key(seed: Seed):
+    """Canonical representative under simultaneous permutation of mutable indices.
+
+    The mutable indices are sorted by their cluster entries' sort keys, and
+    the rows and columns of the matrix are permuted to match: the seed-level
+    form of explore's quotient key, which sorts by per-call labels instead.
+    """
+    n = seed.profile.n
+    keys = [c.sort_key() for c in seed.cluster]
+    perm = sorted(range(n), key=keys.__getitem__) + list(range(n, seed.profile.m))
+    entries = seed.matrix.entries
+    rows = tuple(tuple(entries[src][perm[j]] for j in range(n)) for src in perm)
+    return rows, tuple(keys[src] for src in perm)
+
+
 # ---------------------------------------------------------------------------
 # reference exploration: every seed mutated in every direction
 # ---------------------------------------------------------------------------
 
 
-def explore_reference(seed: Seed, limits, quotient_permutations: bool = False):
+def explore_reference(seed: Seed, limits, quotient_permutations: bool = False, quotient_key=permutation_key):
     """explore's breadth-first walk with one seed_mutate per seed and direction.
 
-    It shares explore's dedup key and report, so a difference from explore
-    comes from the exchange memo or the parent skip.
+    Seeds are deduplicated as Seed values, or by quotient_key under the
+    quotient, instead of by explore's per-call labels; the report is
+    explore's.
     """
     # the package attribute clusterkit.explore is the function, not the module
     module = sys.modules["clusterkit.explore"]
-    key = module._permutation_key if quotient_permutations else (lambda s: s)
+    key = quotient_key if quotient_permutations else (lambda s: s)
     seen = {key(seed)}
     order = [seed]
     level = [seed]

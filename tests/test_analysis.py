@@ -86,6 +86,23 @@ def test_associate_examples():
         are_associate(LaurentPoly.zero(3), z, COEFF_PROFILE)
 
 
+def test_associates_need_equal_term_counts(monkeypatch):
+    z = var(3) + one()
+    # associates have equal term counts and are still found by division
+    assert are_associate(LaurentPoly.monomial(3, (0, -2, 0), -1) * z, z, COEFF_PROFILE)
+    assert not are_associate(var(1) * z, z, COEFF_PROFILE)  # x1 is not a unit here
+    # unequal term counts give False without a division, even where b divides a
+    def no_division(a, b):
+        raise AssertionError("exact_div called on unequal term counts")
+
+    monkeypatch.setattr(clusterkit.analysis, "exact_div", no_division)
+    assert not are_associate(z * z, z, COEFF_PROFILE)
+    assert not are_associate(z, var(2), COEFF_PROFILE)
+    assert not are_associate(var(2) * (z + var(1)), z, COEFF_PROFILE)
+    with pytest.raises(ValueError):
+        are_associate(z, LaurentPoly.zero(3), COEFF_PROFILE)  # the zero check stays first
+
+
 def test_distinct_cluster_variables_never_associate():
     seed = Seed.initial(a3_matrix())
     report = explore(seed, ExplorationLimits(max_depth=64, max_seeds=100000))

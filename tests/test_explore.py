@@ -113,16 +113,13 @@ def test_quotient_by_permutation(a3_seed):
 
 
 @pytest.mark.parametrize("letter,n", [("A", 3), ("B", 3), ("C", 3), ("A", 4), ("D", 4)])
-def test_quotient_key_matches_bruteforce(monkeypatch, letter, n):
-    # the package attribute clusterkit.explore is the function, not the module
-    module = sys.modules["clusterkit.explore"]
+def test_quotient_key_matches_bruteforce(letter, n):
+    # explore's label-sorted key against the minimum over all n! relabellings
     rng = random.Random(f"{letter}{n}")
     for _ in range(3):
         seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
         fast = explore(seed, WIDE, quotient_permutations=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(module, "_permutation_key", permutation_key_bruteforce)
-            reference = explore(seed, WIDE, quotient_permutations=True)
+        reference = explore_reference(seed, WIDE, True, permutation_key_bruteforce)
         assert fast.finite
         assert fast.to_json() == reference.to_json()
         assert [s.word for s in fast.seeds] == [s.word for s in reference.seeds]
@@ -219,6 +216,39 @@ def test_exchange_memo_on_repeated_entries():
             pool = rng.randint(1, m)
             cluster = [LaurentPoly.variable(m, rng.randint(1, pool)) for _ in range(m)]
             _assert_matches_reference(Seed(B, cluster, ()), WIDE, False)
+
+
+D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+A4_FROZEN4_ROWS = [
+    [0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0],
+    [1, 0, 0, 0], [0, -1, 0, 1], [1, 1, 0, -1], [0, 0, 1, 1],
+]
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+@pytest.mark.parametrize(
+    "rows,seeds_found,solves",
+    [(D4_ROWS, (1200, 50), 52), (A4_FROZEN4_ROWS, (1008, 42), 35)],
+    ids=["D4", "A4-4-frozen"],
+)
+def test_each_exchange_relation_is_solved_once(monkeypatch, rows, seeds_found, solves, quotient):
+    # one seed_mutate per unordered exchange relation: a solve also stores the
+    # reverse relation, so the walk never solves its inverse; without the
+    # reverse entry labelled D4 takes 104 solves and the frozen A4 70
+    module = sys.modules["clusterkit.explore"]
+    calls = []
+    solve = module.seed_mutate
+
+    def counted(s, k):
+        calls.append(k)
+        return solve(s, k)
+
+    monkeypatch.setattr(module, "seed_mutate", counted)
+    B = ExchangeMatrix(rows, SeedProfile(4, 4, len(rows)))
+    report = explore(Seed.initial(B), WIDE, quotient_permutations=quotient)
+    assert report.frontier_exhausted_reason == "closure"
+    assert report.seeds_found == seeds_found[quotient]
+    assert len(calls) == solves
 
 
 def test_root_with_a_word_explores_its_parent_direction(a3_seed):

@@ -275,6 +275,26 @@ def test_seed_randomized_invariants():
         assert apply_word(Seed.initial(B), t.word) == t
 
 
+def test_matrix_mutate_matches_dense_formula_on_any_integer_matrix():
+    # matrix_mutate touches only the entries with sign(b_kj) = sign(b_ik); a
+    # matrix that was never validated is mutated as given, so the sparse rule
+    # must equal the dense formula on every integer matrix, including nonzero
+    # diagonals and pairs with b_ik = 0 != b_ki
+    rng = random.Random(2718)
+    diagonal = one_sided = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, n + 3)
+        rows = [[rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        B = ExchangeMatrix(rows, SeedProfile(n, rng.randint(n, m), m))
+        for k in range(1, n + 1):
+            kk = k - 1
+            diagonal += rows[kk][kk] != 0
+            one_sided += any((rows[i][kk] == 0) != (rows[kk][i] == 0) for i in range(n))
+            assert matrix_mutate(B, k).entries == matrix_mutate_reference(B, k).entries
+    assert diagonal > 100 and one_sided > 100
+
+
 def test_mutation_matches_checking_constructors():
     # matrix_mutate and seed_mutate build their results without the
     # constructors' checks; this walk rebuilds every result through them

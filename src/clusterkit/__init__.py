@@ -27,7 +27,7 @@ from .constructions import (
     type_a_seed,
     verify_polynomial_generators,
 )
-from .explore import ExplorationLimits, ExplorationReport, collect_variables, explore
+from .explore import ExplorationLimits, ExplorationReport, explore
 from .laurent import (
     DimensionMismatch,
     FieldTag,
@@ -44,19 +44,15 @@ from .laurent import (
 from .seeds import (
     ExchangeMatrix,
     InvalidSeed,
-    NotSkewSymmetric,
-    Quiver,
     Seed,
     SeedProfile,
     apply_word,
-    gamma_quiver,
     is_acyclic,
     matrix_mutate,
     matrix_rank,
     parse_matrix,
     render_matrix,
     seed_mutate,
-    sigma_quiver,
     skew_symmetrizer,
     validate,
 )

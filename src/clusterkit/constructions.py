@@ -668,13 +668,6 @@ class LiePreset:
     def final(self) -> Seed:
         return self.stages[-1]
 
-    def variable_table(self) -> dict[str, str]:
-        out = {}
-        for stage, seed in enumerate(self.stages):
-            for j, v in enumerate(seed.cluster, start=1):
-                out[f"x{j}[{stage}]"] = render_poly(v)
-        return out
-
 
 def lie_preset() -> LiePreset:
     """Run the six-stage mutation schedule on the rank-2 Kac-Moody seed.

@@ -225,8 +225,3 @@ def _report(order: list[Seed], reason: str) -> ExplorationReport:
         frontier_exhausted_reason=reason,
         seeds=tuple(order),
     )
-
-
-def collect_variables(report: ExplorationReport) -> list[str]:
-    """Deterministic sorted listing of the found variables in canonical text form."""
-    return [render_poly(v) for v in report.distinct_variables]

@@ -93,6 +93,8 @@ class LaurentPoly:
     __slots__ = ("m", "terms", "_hash")
 
     def __init__(self, m: int, terms: dict[Exps, int] | Iterable[tuple[Exps, int]]):
+        if type(m) is not int:  # the fast test, as for the coefficients below
+            _require_int(m, "ambient dimension")
         items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Exps, int] = {}
         for exps, c in items:
@@ -141,6 +143,8 @@ class LaurentPoly:
     @classmethod
     def variable(cls, m: int, i: int) -> "LaurentPoly":
         """The coordinate monomial x_i (1-indexed)."""
+        if type(i) is not int:  # the fast test, as in __init__
+            _require_int(i, "variable index")
         if not 1 <= i <= m:
             raise DimensionMismatch(f"variable index {i} outside 1..{m}")
         exps = tuple(1 if j == i - 1 else 0 for j in range(m))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .laurent import LaurentPoly, ParseError, _require_int, exact_div, parse_int
@@ -20,10 +19,6 @@ from .laurent import LaurentPoly, ParseError, _require_int, exact_div, parse_int
 
 class InvalidSeed(ValueError):
     """A seed or exchange matrix violates the defining conditions."""
-
-
-class NotSkewSymmetric(ValueError):
-    """Operation requires a skew-symmetric principal part."""
 
 
 @dataclass(frozen=True)
@@ -114,11 +109,14 @@ class ExchangeMatrix:
 
 
 def _delta_connected(B: ExchangeMatrix) -> bool:
-    # graph on 1..m with an edge i-j when b_ij or b_ji is nonzero
+    # graph on 1..m with an edge i-j when b_ij or b_ji is nonzero; columns past m
+    # (a profile with n > m, reported by its own violation) name no variable
     m, n = B.profile.m, B.profile.n
+    if not m:
+        return True  # no variables, nothing to connect
     adj: list[set[int]] = [set() for _ in range(m)]
     for i in range(m):
-        for j in range(n):
+        for j in range(min(n, m)):
             if B.entries[i][j] and i != j:
                 adj[i].add(j)
                 adj[j].add(i)
@@ -136,50 +134,45 @@ def _delta_connected(B: ExchangeMatrix) -> bool:
 def _diagonal_scaler(A: Sequence[Sequence[int]], skew: bool) -> tuple[int, ...] | None:
     """Minimal positive integer d with d_i*A_ij = sign*d_j*A_ji, or None.
 
-    sign is -1 for skew-symmetrizers and +1 for symmetrizers.  The vector
-    is found by ratio propagation along the nonzero pattern and made
-    minimal per connected component.
+    sign is -1 for skew-symmetrizers and +1 for symmetrizers.  d is
+    propagated in integers along the pairs with A_ij and A_ji both nonzero:
+    reaching j from i sets d_j = d_i*|A_ij| / |A_ji|, after scaling the
+    component found so far by f = |A_ji| / g, g = gcd(d_i*|A_ij|, |A_ji|),
+    when the quotient is not an integer.  Each component starts at d = 1 and
+    keeps gcd 1, so it ends minimal: a step without scaling only adds a
+    value, and one with scaling leaves gcd(f, d_i*|A_ij| / g) = 1.  The
+    sweep over every pair is the one check: it rejects a nonzero skew
+    diagonal, a one-sided zero, a sign mismatch and an inconsistent cycle
+    alike.
     """
     n = len(A)
     sign = -1 if skew else 1
-    if skew and any(A[i][i] != 0 for i in range(n)):
-        return None
-    d: list[Fraction | None] = [None] * n
+    d = [0] * n
     for root in range(n):
-        if d[root] is not None:
+        if d[root]:
             continue
-        d[root] = Fraction(1)
+        d[root] = 1
         component = [root]
         stack = [root]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if j == i or (A[i][j] == 0 and A[j][i] == 0):
+                if d[j] or not (A[i][j] and A[j][i]):
                     continue
-                if A[i][j] == 0 or A[j][i] == 0:
-                    return None  # one-sided zero cannot be scaled away
-                ratio = sign * Fraction(A[i][j], A[j][i])
-                if ratio <= 0:
-                    return None
-                val = d[i] * ratio
-                if d[j] is None:
-                    d[j] = val
-                    component.append(j)
-                    stack.append(j)
-                elif d[j] != val:
-                    return None
-        # scale the component to minimal positive integers
-        denom_lcm = math.lcm(*(d[i].denominator for i in component))
-        ints = [int(d[i] * denom_lcm) for i in component]
-        g = math.gcd(*ints)
-        for i, v in zip(component, ints):
-            d[i] = Fraction(v // g)
-    # final consistency sweep over every pair
+                num, den = d[i] * abs(A[i][j]), abs(A[j][i])
+                g = math.gcd(num, den)
+                if g != den:
+                    scale = den // g
+                    for v in component:
+                        d[v] *= scale
+                d[j] = num // g  # = d_i*|A_ij| / |A_ji| after the scaling
+                component.append(j)
+                stack.append(j)
     for i in range(n):
         for j in range(n):
             if d[i] * A[i][j] != sign * d[j] * A[j][i]:
                 return None
-    return tuple(int(v) for v in d)
+    return tuple(d)
 
 
 def skew_symmetrizer(B: ExchangeMatrix) -> tuple[int, ...] | None:
@@ -351,52 +344,8 @@ def apply_word(s: Seed, word: Iterable[int]) -> Seed:
 
 
 # ---------------------------------------------------------------------------
-# quiver encodings and rank
+# acyclicity and rank
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Quiver:
-    """Directed multigraph: arrows as ((source, target), multiplicity)."""
-
-    vertex_count: int
-    arrows: tuple[tuple[tuple[int, int], int], ...]
-
-
-def sigma_quiver(B: ExchangeMatrix) -> Quiver:
-    """Sign-pattern quiver on the mutable indices: an arrow i->j when b_ij > 0."""
-    n = B.profile.n
-    arrows = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if B.entry(i, j) > 0:
-                arrows[(i, j)] = 1
-    return Quiver(n, tuple(sorted(arrows.items())))
-
-
-def gamma_quiver(B: ExchangeMatrix) -> Quiver:
-    """Arrow-multiplicity quiver on all m vertices; requires skew-symmetric principal part.
-
-    Entry b_ij > 0 contributes b_ij arrows i -> j and b_ij < 0 contributes
-    -b_ij arrows j -> i; the two principal entries of a pair describe the
-    same arrows and are counted once.
-    """
-    n, m = B.profile.n, B.profile.m
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if B.entry(i, j) != -B.entry(j, i):
-                raise NotSkewSymmetric("principal part is not skew-symmetric")
-    arrows: dict[tuple[int, int], int] = {}
-    for j in range(1, n + 1):
-        for i in range(1, m + 1):
-            if i <= n and i <= j:
-                continue  # principal pair handled via its lower entry
-            b = B.entry(i, j)
-            if b > 0:
-                arrows[(i, j)] = arrows.get((i, j), 0) + b
-            elif b < 0:
-                arrows[(j, i)] = arrows.get((j, i), 0) - b
-    return Quiver(m, tuple(sorted(arrows.items())))
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:

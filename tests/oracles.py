@@ -10,7 +10,10 @@ each term's value as a product of image powers and adds the terms one by
 one, without the kernel's Horner walk.  The kernel references (general
 multiply, leading-term division, matrix mutation) build every result
 through the checking public constructors; the reference acyclicity test
-is a depth-first search for a back edge.  The reference exploration
+is a depth-first search for a back edge.  The reference symmetrizer
+propagates Fraction ratios and rejects each failure where it meets it,
+instead of the kernel's integer propagation and one final sweep.  The
+reference exploration
 mutates every seed in every direction with seed_mutate, without the
 exchange memo, the parent skip or explore's per-call labels; its quotient
 key sorts by LaurentPoly.sort_key, or is the brute-force minimum over all
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
@@ -180,6 +184,55 @@ def matrix_mutate_reference(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 row.append(old[i][j] + (abs(bik) * bkj + bik * abs(bkj)) // 2)
         rows.append(row)
     return ExchangeMatrix(rows, B.profile)
+
+
+def diagonal_scaler_reference(A: Sequence[Sequence[int]], skew: bool) -> tuple[int, ...] | None:
+    """Minimal positive integer d with d_i*A_ij = sign*d_j*A_ji, or None.
+
+    sign is -1 for skew-symmetrizers and +1 for symmetrizers.  The vector
+    is found by ratio propagation along the nonzero pattern and made
+    minimal per connected component.
+    """
+    n = len(A)
+    sign = -1 if skew else 1
+    if skew and any(A[i][i] != 0 for i in range(n)):
+        return None
+    d: list[Fraction | None] = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        component = [root]
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or (A[i][j] == 0 and A[j][i] == 0):
+                    continue
+                if A[i][j] == 0 or A[j][i] == 0:
+                    return None  # one-sided zero cannot be scaled away
+                ratio = sign * Fraction(A[i][j], A[j][i])
+                if ratio <= 0:
+                    return None
+                val = d[i] * ratio
+                if d[j] is None:
+                    d[j] = val
+                    component.append(j)
+                    stack.append(j)
+                elif d[j] != val:
+                    return None
+        # scale the component to minimal positive integers
+        denom_lcm = math.lcm(*(d[i].denominator for i in component))
+        ints = [int(d[i] * denom_lcm) for i in component]
+        g = math.gcd(*ints)
+        for i, v in zip(component, ints):
+            d[i] = Fraction(v // g)
+    # final consistency sweep over every pair
+    for i in range(n):
+        for j in range(n):
+            if d[i] * A[i][j] != sign * d[j] * A[j][i]:
+                return None
+    return tuple(int(v) for v in d)
 
 
 def is_acyclic_reference(B: ExchangeMatrix) -> bool:
@@ -462,14 +515,21 @@ def explore_reference(seed: Seed, limits, quotient_permutations: bool = False, q
 
 
 def _dynkin_edges(letter: str, n: int) -> list[tuple[int, int, int, int]]:
-    """Edges (i, j, |a_ij|, |a_ji|) of the Dynkin tree of A_n, B_n, C_n or D_n, 0-indexed."""
+    """Edges (i, j, |a_ij|, |a_ji|) of the Dynkin tree of A_n, B_n, C_n, D_n,
+    E_n (n = 6, 7, 8), F_4 or G_2, 0-indexed."""
     if letter == "D":
         return [(i, i + 1, 1, 1) for i in range(n - 2)] + [(n - 3, n - 1, 1, 1)]
+    if letter == "E":
+        return [(i, i + 1, 1, 1) for i in range(n - 2)] + [(2, n - 1, 1, 1)]
     edges = [(i, i + 1, 1, 1) for i in range(n - 1)]
     if letter == "B":
         edges[-1] = (n - 2, n - 1, 2, 1)
     elif letter == "C":
         edges[-1] = (n - 2, n - 1, 1, 2)
+    elif letter == "F":
+        edges[1] = (1, 2, 2, 1)
+    elif letter == "G":
+        edges[0] = (0, 1, 3, 1)
     return edges
 
 

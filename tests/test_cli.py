@@ -354,6 +354,16 @@ def test_factoriality_rejects_invalid_matrix(capsys, tmp_path):
     assert "connect" in err
 
 
+@pytest.mark.parametrize("text", ["0 0 0\n", "3 3 2\n0 1 1; -1 0 1\n"])
+def test_factoriality_reports_profile_without_enough_variables(capsys, tmp_path, text):
+    # m = 0 and n > m used to stop validation with "list index out of range"
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "factoriality", "--matrix", str(path))
+    assert code == 2 and out == ""
+    assert "profile: need m >= p >= n >= 1" in err and err.count("\n") == 1
+
+
 def test_out_of_range_word_is_input_error(capsys, a3_file):
     code, _, err = run(capsys, "mutate", "--matrix", a3_file, "--word", "9")
     assert code == 2

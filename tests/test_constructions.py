@@ -30,7 +30,6 @@ from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import acyclic_n3_cartan
 from clusterkit.seeds import (
     apply_word,
-    gamma_quiver,
     is_acyclic,
     parse_matrix,
     seed_mutate,
@@ -54,8 +53,8 @@ def test_type_a_seed_smallest():
 
 
 def test_type_a_seed_path_quiver():
-    q = gamma_quiver(type_a_seed(4).matrix)
-    assert q.arrows == (((2, 1), 1), ((3, 2), 1), ((4, 3), 1))
+    # the path 4 -> 3 -> 2 -> 1: b_(i+1)i = 1 = -b_i(i+1), and the frozen row 4 points at 3
+    assert type_a_seed(4).matrix.entries == ((0, -1, 0), (1, 0, -1), (0, 1, 0), (0, 0, 1))
 
 
 def test_type_a_seed_validates():
@@ -347,9 +346,8 @@ def test_lie_preset_schedule():
     # coefficients never move
     for stage in lp.stages:
         assert stage.cluster[6:] == lp.initial.cluster[6:]
-    table = lp.variable_table()
-    assert table["x1[0]"] == "x1"
-    assert set(table) == {f"x{j}[{k}]" for j in range(1, 9) for k in range(0, 7)}
+    assert render_poly(lp.stages[0].cluster[0]) == "x1"
+    assert all(len(stage.cluster) == 8 for stage in lp.stages)
 
 
 def test_lie_preset_integer_laurent_entries():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from clusterkit.analysis import laurent_membership
-from clusterkit.explore import ExplorationLimits, collect_variables, explore
+from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import a3_matrix, rank2_matrix
 from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word
@@ -40,7 +40,7 @@ def test_affine_rank2_is_open_at_depth_8():
 def test_depth_zero(a3_seed):
     report = explore(a3_seed, ExplorationLimits(max_depth=0, max_seeds=10))
     assert report.seeds_found == 1
-    assert collect_variables(report) == ["x3", "x2", "x1"]
+    assert report.to_json()["variables"] == ["x3", "x2", "x1"]
 
 
 def test_budget_reason(a3_seed):
@@ -50,9 +50,9 @@ def test_budget_reason(a3_seed):
     assert not report.finite
 
 
-def test_collect_variables_contains_known_formulas(a3_seed):
+def test_report_variables_contain_known_formulas(a3_seed):
     report = explore(a3_seed, WIDE)
-    texts = collect_variables(report)
+    texts = report.to_json()["variables"]
     one = LaurentPoly.const(3, 1)
     x = lambda i: LaurentPoly.variable(3, i)
     for v in ("x1", "x2", "x3"):

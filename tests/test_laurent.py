@@ -93,6 +93,17 @@ def test_shift_rejects_non_integer_offsets(offset):
         LaurentPoly.variable(2, 1).shift((0, offset))
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, Fraction(1), "1"])
+def test_variable_index_and_dimension_are_not_coerced(bad):
+    # variable(3, 1.0) and variable(3, True) returned x1, and zero(1.5) had m = 1.5
+    with pytest.raises(ValueError, match="variable index must be an integer"):
+        LaurentPoly.variable(3, bad)
+    with pytest.raises(ValueError, match="ambient dimension must be an integer"):
+        LaurentPoly.zero(bad)
+    with pytest.raises(ValueError, match="ambient dimension must be an integer"):
+        LaurentPoly(bad, [])
+
+
 # -- addition and multiplication --------------------------------------------
 
 

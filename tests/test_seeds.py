@@ -1,4 +1,4 @@
-"""Seed-core tests: validation, symmetrizers, mutation, quivers, rank."""
+"""Seed-core tests: validation, symmetrizers, mutation, acyclicity, rank."""
 
 from __future__ import annotations
 
@@ -10,14 +10,13 @@ from clusterkit.laurent import LaurentPoly, exact_div
 from clusterkit.seeds import (
     ExchangeMatrix,
     InvalidSeed,
-    NotSkewSymmetric,
     ParseError,
     Seed,
     SeedProfile,
     _bareiss,
+    _diagonal_scaler,
     apply_word,
     exchange_monomials,
-    gamma_quiver,
     is_acyclic,
     matrix_mutate,
     matrix_rank,
@@ -25,11 +24,11 @@ from clusterkit.seeds import (
     parse_matrix,
     render_matrix,
     seed_mutate,
-    sigma_quiver,
     skew_symmetrizer,
     validate,
 )
 from oracles import (
+    diagonal_scaler_reference,
     exact_div_reference,
     is_acyclic_reference,
     matrix_mutate_reference,
@@ -77,6 +76,13 @@ def test_validate_disconnected():
     assert any("connect" in v for v in validate(B))
 
 
+def test_validate_without_variables_reports_the_profile():
+    # m = 0 leaves nothing to connect; n > m leaves columns that name no variable
+    for rows, profile in [([], SeedProfile(0, 0, 0)), ([[0, 1, 1], [-1, 0, 1]], SeedProfile(3, 3, 2))]:
+        violations = validate(ExchangeMatrix(rows, profile))
+        assert violations and all(v.startswith("profile:") for v in violations)
+
+
 def test_validate_not_skew_symmetrizable():
     B = ExchangeMatrix([[0, 1], [1, 0]], SeedProfile(2, 2, 2))
     assert any("skew" in v for v in validate(B))
@@ -108,6 +114,78 @@ def test_symmetrizer_rejects_symmetric():
 def test_symmetrizer_rejects_one_sided_zero():
     B = ExchangeMatrix([[0, 1], [0, 0]], SeedProfile(2, 2, 2))
     assert skew_symmetrizer(B) is None
+
+
+def _planted_failures(rng, n):
+    """Skew-symmetrizable n x n matrices with one defect each: a nonzero diagonal
+    entry, a one-sided zero, a sign mismatch, or (for n >= 3) an inconsistent 3-cycle."""
+    d = [rng.choice((1, 2, 3)) for _ in range(n)]
+    A = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        t = rng.choice((-1, 1)) * rng.randint(1, 2)
+        A[i][i + 1], A[i + 1][i] = d[i + 1] * t, -d[i] * t
+    out = []
+    B = [row[:] for row in A]
+    k = rng.randrange(n)
+    B[k][k] = rng.choice((-1, 1))
+    out.append(B)
+    i = rng.randrange(n - 1)
+    for a, b in ((i, i + 1), (i + 1, i)):
+        B = [row[:] for row in A]
+        B[a][b] = 0
+        out.append(B)
+        B = [row[:] for row in A]
+        B[a][b] = -B[a][b]
+        out.append(B)
+    if n >= 3:
+        B = [row[:] for row in A]
+        B[0][2], B[2][0] = 2 * d[2], -d[0]  # the path fixes d_2 / d_0, this pair asks for twice it
+        out.append(B)
+    return out
+
+
+def _scaler_cases():
+    rng = random.Random(1305)
+    cases = []
+    letters = [("A", 1), ("A", 2), ("A", 5), ("B", 2), ("B", 4), ("C", 3), ("C", 5), ("D", 4), ("D", 6)]
+    letters += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    for letter, n in letters:
+        for _ in range(12):
+            P = random_dynkin_matrix(rng, letter, n).principal()
+            cases.append(P)
+            # the Cartan companion: 2 on the diagonal, -|b_ij| off it
+            cases.append([[2 if i == j else -abs(b) for j, b in enumerate(row)] for i, row in enumerate(P)])
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        d = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
+        A = [[0] * n for _ in range(n)]
+        skew = rng.random() < 0.5
+        for i in range(n):
+            for j in range(i + 1, n):
+                t = rng.choice((0, 0, 1, -1, 2, -3))
+                # d_i*A_ij = sign*d_j*A_ji with A_ij = d_j*t and A_ji = sign*d_i*t
+                A[i][j], A[j][i] = d[j] * t, (-1 if skew else 1) * d[i] * t
+        cases.append(A)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cases.append([[rng.choice((-3, -2, -1, 0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)])
+    cases.append([])
+    planted = [B for _ in range(60) for B in _planted_failures(rng, rng.randint(2, 6))]
+    return cases, planted
+
+
+def test_diagonal_scaler_matches_fraction_reference():
+    cases, planted = _scaler_cases()
+    assert all(diagonal_scaler_reference(A, True) is None for A in planted)
+    found = {True: 0, False: 0}
+    for A in cases + planted:
+        for skew in (True, False):
+            d = _diagonal_scaler(A, skew)
+            assert d == diagonal_scaler_reference(A, skew), (A, skew)
+            found[d is not None] += 1
+            if d:
+                assert all(type(v) is int and v > 0 for v in d)
+    assert min(found.values()) > 500
 
 
 # -- matrix mutation ----------------------------------------------------------
@@ -328,26 +406,16 @@ def test_mutation_matches_checking_constructors():
             s = t
 
 
-# -- quivers ------------------------------------------------------------------
-
-
-def test_gamma_quiver_a3_path(a3):
-    q = gamma_quiver(a3)
-    assert q.vertex_count == 3
-    assert q.arrows == (((2, 1), 1), ((3, 2), 1))
-
-
-def test_gamma_quiver_requires_skew_symmetric(lampe):
-    skewable = ExchangeMatrix([[0, -1], [2, 0]], SeedProfile(2, 2, 2))
-    with pytest.raises(NotSkewSymmetric):
-        gamma_quiver(skewable)
-    assert gamma_quiver(lampe).arrows == (((2, 1), 2),)
+# -- acyclicity ---------------------------------------------------------------
 
 
 def test_sigma_quiver_orientation(b0):
+    # the sign-pattern quiver of b0 has an arrow i -> j exactly when b_ij > 0,
+    # and every arrow points from a lower to a higher index
     assert is_acyclic(b0)
-    for (i, j), _ in sigma_quiver(b0).arrows:
-        assert i < j
+    principal = b0.principal()
+    arrows = [(i, j) for i, row in enumerate(principal) for j, b in enumerate(row) if b > 0]
+    assert arrows == [(0, 1), (1, 2)]
 
 
 def test_three_cycle_not_acyclic():

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import clusterkit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_statements_in_package():
@@ -59,3 +64,20 @@ def test_trusted_constructors_stay_in_their_home_modules():
                 bad.append(f"{path.name}:{lineno} {receiver}._from_canonical in {func}")
     assert bad == []
     assert used == set(TRUSTED_CALL_SITES)
+
+
+def test_readme_layout_table_names_existing_api():
+    # a name deleted from a module must leave the README's library-layout table too
+    section = README.read_text(encoding="utf-8").split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `clusterkit")]
+    assert len(rows) == 7
+    missing = []
+    for row in rows:
+        module_cell, contents = row.strip("|").split("|", 1)
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        for name in re.findall(r"`([^`]+)`", contents):
+            try:
+                functools.reduce(getattr, name.split("."), module)
+            except AttributeError:
+                missing.append(f"{module.__name__}: {name}")
+    assert missing == []

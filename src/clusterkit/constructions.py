@@ -13,18 +13,21 @@ Three families are built and checked identity-by-identity:
   schedule.
 
 Each family emits a GeneratorCertificate: the generator values, a
-triangular-support chain plus a nonzero Jacobian determinant as
-independence evidence, and per-target expression trees whose exact
+triangular-support chain, and per-target expression trees whose exact
 re-evaluation proves that both clusters and all coefficients lie in the
-subalgebra the generators span.  Trees share subtrees (each chain tree
-refers to the two before it), and evaluation computes each shared subtree
-once.  Every identity is checked as structural equality of Laurent
-polynomials; any failure aborts the construction.
+subalgebra the generators span.  The chain is the independence proof:
+generator i involves x_i, which is transcendental over
+Q(x_1, ..., x_{i-1}), a field containing the generators before it.  The
+chain also makes the Jacobian lower-triangular, so the recorded nonzero
+Jacobian determinant at an integer point is the product of its diagonal.
+Trees share subtrees (each chain tree refers to the two before it), and
+evaluation computes each shared subtree once.  Every identity is checked
+as structural equality of Laurent polynomials; any failure aborts the
+construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -36,7 +39,6 @@ from .seeds import (
     ExchangeMatrix,
     Seed,
     SeedProfile,
-    _bareiss,
     _diagonal_scaler,
     _require_int,
     apply_word,
@@ -150,11 +152,14 @@ def _monomial_expr(exps: Sequence[int], names: Sequence[str]) -> tuple:
 class GeneratorCertificate:
     """Evidence that the named generators span and are independent.
 
-    pivot_vars is the triangular-support chain: pivots strictly increase
-    and each generator's support stays within the variables up to its
-    pivot while containing the pivot itself.  The Jacobian determinant at
-    the recorded integer sample point is a second, independent witness.
-    Every expression tree re-evaluates exactly to its target value.
+    pivot_vars is the triangular-support chain: one pivot per generator,
+    as many generators as variables, pivots strictly increasing, and each
+    generator's support within the variables up to its pivot while
+    containing the pivot itself.  The chain proves algebraic independence.
+    jacobian_det is the product of the diagonal partials dg_i/dx_i at the
+    recorded integer sample point, the Jacobian determinant of the chain;
+    verification recomputes it.  Every expression tree re-evaluates
+    exactly to its target value.
     """
 
     generator_names: tuple[str, ...]
@@ -190,18 +195,17 @@ class VerificationResult:
 
 
 def _jacobian_det(gens: Sequence[LaurentPoly], point: Sequence[int]) -> Fraction:
-    """Exact Jacobian determinant: each row is cleared of denominators, then Bareiss."""
-    m = gens[0].m
-    if len(gens) != m:
-        raise ConstructionError("Jacobian requires as many generators as variables")
-    rows = []
-    scale = 1
-    for g in gens:
-        row = [g.derivative(i + 1).evaluate(point) for i in range(m)]
-        lcm = math.lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (lcm // v.denominator) for v in row])
-        scale *= lcm
-    return Fraction(_bareiss(rows)[1], scale)
+    """Exact Jacobian determinant of a complete support chain at an integer point.
+
+    Precondition: _check_support_chain passes, so the m generators have
+    pivots exactly 1..m and generator i involves no variable beyond x_i.
+    Then dg_i/dx_j = 0 for j > i, the Jacobian matrix is lower-triangular,
+    and its determinant is the product of the diagonal entries dg_i/dx_i.
+    """
+    det = Fraction(1)
+    for i, g in enumerate(gens, start=1):
+        det *= g.derivative(i).evaluate(point)
+    return det
 
 
 def _sample_point_with_nonzero_jacobian(gens: Sequence[LaurentPoly]) -> tuple[tuple[int, ...], Fraction]:
@@ -216,7 +220,13 @@ def _sample_point_with_nonzero_jacobian(gens: Sequence[LaurentPoly]) -> tuple[tu
 
 
 def _check_support_chain(gens: Sequence[LaurentPoly], pivots: Sequence[int]) -> list[str]:
+    """Failures of the triangular-support chain; none means pivots are exactly 1..m."""
     failures = []
+    m = gens[0].m
+    if len(gens) != m:
+        failures.append(f"generator count {len(gens)} differs from the variable count {m}")
+    if len(pivots) != len(gens):
+        failures.append(f"pivot count {len(pivots)} differs from the generator count {len(gens)}")
     prev = 0
     for name_idx, (g, pv) in enumerate(zip(gens, pivots), start=1):
         if pv <= prev:
@@ -255,20 +265,24 @@ def verify_polynomial_generators(
 ) -> VerificationResult:
     """Re-check a certificate against a pair of disjoint-cluster seeds.
 
-    Confirms the independence evidence, re-evaluates every expression
-    tree, and checks that both clusters' mutable entries and all
-    coefficients appear among the expressed targets; those are exactly
-    the hypotheses under which the generated subalgebra equals the whole
-    algebra and its two-cluster upper bound.
+    Checks the support chain, which proves independence, and only when
+    it holds recomputes the recorded Jacobian determinant as the chain's
+    diagonal product.  Re-evaluates every expression tree, and checks
+    that both clusters' mutable entries and all coefficients appear among
+    the expressed targets; those are exactly the hypotheses under which
+    the generated subalgebra equals the whole algebra and its two-cluster
+    upper bound.
     """
     failures = []
     s0, s1 = seeds
     if not clusters_disjoint(s0, s1):
         failures.append("the two seeds' clusters are not disjoint")
-    failures.extend(_check_support_chain(cert.generators, cert.pivot_vars))
-    det = _jacobian_det(cert.generators, cert.sample_point)
-    if det != cert.jacobian_det or det == 0:
-        failures.append("Jacobian determinant at the recorded sample point does not match")
+    chain_failures = _check_support_chain(cert.generators, cert.pivot_vars)
+    failures += chain_failures
+    if not chain_failures:
+        det = _jacobian_det(cert.generators, cert.sample_point)
+        if det != cert.jacobian_det or det == 0:
+            failures.append("Jacobian determinant at the recorded sample point does not match")
     bad = _failed_trees(cert.generator_names, cert.generators, cert.expressions)
     failures += [f"expression tree for {label} does not re-evaluate to its target" for label in bad]
     expressed = set(cert.generators) | {target for label, target, _ in cert.expressions if label not in bad}

@@ -93,8 +93,10 @@ class LaurentPoly:
     __slots__ = ("m", "terms", "_hash")
 
     def __init__(self, m: int, terms: dict[Exps, int] | Iterable[tuple[Exps, int]]):
-        if type(m) is not int:  # the fast test, as for the coefficients below
+        if type(m) is not int or m < 0:  # the fast test, as for the coefficients below
             _require_int(m, "ambient dimension")
+            if m < 0:
+                raise ValueError(f"ambient dimension must be nonnegative, got {m}")
         items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Exps, int] = {}
         for exps, c in items:
@@ -138,6 +140,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, m: int, c: int) -> "LaurentPoly":
+        if type(m) is not int:  # (0,) * m would raise TypeError before __init__ could check m
+            _require_int(m, "ambient dimension")
         return cls(m, {(0,) * m: c})
 
     @classmethod
@@ -621,15 +625,19 @@ def xd_plus_one_reducible(d: int, field: FieldTag) -> bool:
 
 
 def odd_divisor(d: int) -> int | None:
-    """Smallest odd divisor > 1 of d, or None when d is a power of two."""
+    """Smallest odd divisor > 1 of d, or None when d is a power of two.
+
+    Trial division stops at the square root of the odd part: an odd part
+    with no factor up to there is prime and is its own smallest divisor.
+    That is about sqrt(d)/2 steps, still slow for a prime far above 10^16.
+    """
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     while d % 2 == 0:
         d //= 2
     if d == 1:
         return None
-    for q in range(3, d + 1, 2):
-        if d % q == 0:
-            return q
-    return d
+    return next((q for q in range(3, math.isqrt(d) + 1, 2) if d % q == 0), d)
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,6 @@ def lampe_matrix() -> ExchangeMatrix:
     return ExchangeMatrix([[0, -2], [2, 0]], SeedProfile(2, 2, 2))
 
 
-def rank2_matrix(b: int, c: int) -> ExchangeMatrix:
-    """The 2 x 2 seed matrix with exchange relations x1*x1' = x2^c + 1, x2*x2' = x1^b + 1."""
-    return ExchangeMatrix([[0, b], [-c, 0]], SeedProfile(2, 2, 2))
-
-
 def acyclic_n3_cartan() -> CartanMatrix:
     return CartanMatrix([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
 

@@ -368,37 +368,33 @@ def is_acyclic(B: ExchangeMatrix) -> bool:
     return removed == n
 
 
-def _bareiss(entries: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Rank and determinant (0 unless square and regular) of an integer matrix.
+def _bareiss(entries: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss, Math. Comp. 1968).
 
-    Fraction-free elimination (Bareiss, Math. Comp. 1968): every entry is
-    a minor, so each division by the previous pivot is exact, and the last
-    pivot of a regular square matrix is its determinant up to row swaps.
+    Every entry still read is a minor, so each division by the previous
+    pivot is exact.  The entries under a pivot are never read again and
+    keep their stale values.
     """
     M = [list(row) for row in entries]
     rows, cols = len(M), len(M[0]) if M else 0
     r = 0
     prev = 1
-    sign = 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            sign = -sign
+        M[r], M[piv] = M[piv], M[r]
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 M[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
         prev = M[r][c]
         r += 1
-    return r, sign * prev if r == rows == cols else 0
+    return r
 
 
 def matrix_rank(B: ExchangeMatrix) -> int:
     """Exact integer rank via fraction-free (Bareiss) elimination."""
-    return _bareiss(B.entries)[0]
+    return _bareiss(B.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ exchange memo, the parent skip or explore's per-call labels; its quotient
 key sorts by LaurentPoly.sort_key, or is the brute-force minimum over all
 relabellings.  The reference tree evaluator walks
 every path of an expression tree, re-evaluating shared subtrees.
+rank2_matrix builds the 2 x 2 test seeds, which the package never needs.
 """
 
 from __future__ import annotations
@@ -358,6 +359,11 @@ def eval_expr_reference(expr: tuple, env: dict[str, LaurentPoly], m: int) -> Lau
 # ---------------------------------------------------------------------------
 # naive rational-function closure oracle for rank-2 seeds
 # ---------------------------------------------------------------------------
+
+
+def rank2_matrix(b: int, c: int) -> ExchangeMatrix:
+    """The 2 x 2 seed matrix with exchange relations x1*x1' = x2^c + 1, x2*x2' = x1^b + 1."""
+    return ExchangeMatrix([[0, b], [-c, 0]], SeedProfile(2, 2, 2))
 
 
 def rank2_closure_bruteforce(b: int, c: int, max_seeds: int = 200):

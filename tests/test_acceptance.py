@@ -29,7 +29,7 @@ from clusterkit.constructions import (
 )
 from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import LaurentPoly, exact_div, poly_gcd
-from clusterkit.presets import a3_matrix, lampe_matrix, rank2_matrix
+from clusterkit.presets import a3_matrix, lampe_matrix
 from clusterkit.seeds import (
     ExchangeMatrix,
     Seed,
@@ -39,7 +39,7 @@ from clusterkit.seeds import (
     seed_mutate,
     skew_symmetrizer,
 )
-from oracles import catalan, random_cartan, random_valid_matrix, rank2_closure_bruteforce
+from oracles import catalan, random_cartan, random_valid_matrix, rank2_closure_bruteforce, rank2_matrix
 
 
 @contextmanager

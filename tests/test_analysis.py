@@ -24,8 +24,9 @@ from clusterkit.analysis import (
 from clusterkit.constructions import acyclic_seed_from_cartan, CartanMatrix
 from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import FieldTag, LaurentPoly, RationalFn, exact_div
-from clusterkit.presets import a3_matrix, lampe_matrix, rank2_matrix
+from clusterkit.presets import a3_matrix, lampe_matrix
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, apply_word
+from oracles import rank2_matrix
 
 COEFF_PROFILE = SeedProfile(1, 2, 3)  # one mutable, one invertible coefficient, one frozen
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +79,19 @@ def test_staircase_golden(capsys, a3_file):
 
 
 # -- verdicts are data, exit 0 ---------------------------------------------------
+
+
+def test_factoriality_with_a_large_prime_column_gcd_finishes(capsys, tmp_path):
+    # trial division up to d itself took about 5 * 10^8 steps for this prime
+    path = tmp_path / "prime.txt"
+    path.write_text("2 2 2\n0 1000000007; -1000000007 0\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "factoriality", "--matrix", str(path), "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "not_factorial"
+    assert data["witness"]["d"] == 1000000007 and data["witness"]["odd_factor"] == 1000000007
 
 
 def test_factoriality_inconclusive_still_exit_zero(capsys, lampe_file):

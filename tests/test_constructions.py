@@ -109,6 +109,62 @@ def test_tampered_jacobian_detected():
     assert not out.ok
 
 
+# The support chain alone proves independence and fixes the Jacobian as its
+# diagonal product; each tampering below breaks the chain, so verification
+# must reject it without the full Jacobian matrix.
+
+
+def test_swapped_generators_rejected():
+    res = type_a_chain(4)
+    cert = res.certificate
+    gens = list(cert.generators)
+    gens[1], gens[2] = gens[2], gens[1]
+    swapped = dataclasses.replace(cert, generators=tuple(gens))
+    out = verify_polynomial_generators(swapped, res.disjoint_pair)
+    assert not out.ok
+    assert "generator 2 involves variables beyond its pivot x2" in out.failures
+
+
+def test_truncated_pivots_rejected():
+    # zip() used to stop at the short pivot list, leaving the last generator unchecked
+    res = type_a_chain(4)
+    cert = res.certificate
+    truncated = dataclasses.replace(cert, pivot_vars=cert.pivot_vars[:-1])
+    out = verify_polynomial_generators(truncated, res.disjoint_pair)
+    assert not out.ok
+    assert out.failures == ("pivot count 3 differs from the generator count 4",)
+
+
+def test_dependent_generators_with_forged_pivots_rejected():
+    res = type_a_chain(3)
+    x = [var(i, 3) for i in (1, 2, 3)]
+    forged = dataclasses.replace(
+        res.certificate,
+        generators=(x[0] + x[1], x[0] + x[1], x[2]),
+        pivot_vars=(2,),
+        jacobian_det=Fraction(1),
+    )
+    out = verify_polynomial_generators(forged, res.disjoint_pair)
+    assert not out.ok
+    assert "pivot count 1 differs from the generator count 3" in out.failures
+    assert not any("Jacobian" in f for f in out.failures)  # the chain failures stand on their own
+
+
+def test_wrong_generator_count_is_a_failure_line():
+    # the full-matrix Jacobian raised ConstructionError on a non-square matrix
+    res = type_a_chain(4)
+    cert = res.certificate
+    tampered = dataclasses.replace(
+        cert,
+        generator_names=cert.generator_names + ("y",),
+        generators=cert.generators + (var(1, 4),),
+        pivot_vars=cert.pivot_vars + (5,),
+    )
+    out = verify_polynomial_generators(tampered, res.disjoint_pair)
+    assert not out.ok
+    assert "generator count 5 differs from the variable count 4" in out.failures
+
+
 def test_jacobian_det_matches_sympy():
     import sympy
 

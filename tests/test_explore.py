@@ -10,9 +10,9 @@ import pytest
 from clusterkit.analysis import laurent_membership
 from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
-from clusterkit.presets import a3_matrix, rank2_matrix
+from clusterkit.presets import a3_matrix
 from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word
-from oracles import explore_reference, permutation_key_bruteforce, random_dynkin_matrix
+from oracles import explore_reference, permutation_key_bruteforce, random_dynkin_matrix, rank2_matrix
 
 WIDE = ExplorationLimits(max_depth=64, max_seeds=100000)
 

@@ -20,6 +20,7 @@ from clusterkit.laurent import (
     _compose,
     _poly_gcd_prs,
     exact_div,
+    odd_divisor,
     parse_poly,
     poly_gcd,
     render_poly,
@@ -93,13 +94,29 @@ def test_shift_rejects_non_integer_offsets(offset):
         LaurentPoly.variable(2, 1).shift((0, offset))
 
 
+def test_ambient_dimension_is_nonnegative():
+    # zero(-2) built a polynomial with m = -2
+    for build in (
+        lambda: LaurentPoly.zero(-2),
+        lambda: LaurentPoly.const(-1, 1),
+        lambda: LaurentPoly.monomial(-1, ()),
+        lambda: LaurentPoly(-1, []),
+    ):
+        with pytest.raises(ValueError, match="ambient dimension must be nonnegative"):
+            build()
+    assert LaurentPoly.zero(0).is_zero and LaurentPoly.const(0, 3).terms == (((), 3),)
+
+
 @pytest.mark.parametrize("bad", [1.0, 1.5, True, Fraction(1), "1"])
 def test_variable_index_and_dimension_are_not_coerced(bad):
-    # variable(3, 1.0) and variable(3, True) returned x1, and zero(1.5) had m = 1.5
+    # variable(3, 1.0) and variable(3, True) returned x1, zero(1.5) had m = 1.5,
+    # and const(1.5, 1) failed with a TypeError from (0,) * 1.5
     with pytest.raises(ValueError, match="variable index must be an integer"):
         LaurentPoly.variable(3, bad)
     with pytest.raises(ValueError, match="ambient dimension must be an integer"):
         LaurentPoly.zero(bad)
+    with pytest.raises(ValueError, match="ambient dimension must be an integer"):
+        LaurentPoly.const(bad, 1)
     with pytest.raises(ValueError, match="ambient dimension must be an integer"):
         LaurentPoly(bad, [])
 
@@ -556,6 +573,21 @@ def test_xd_plus_one_examples():
 def test_xd_plus_one_agrees_with_bruteforce():
     for d in range(1, 13):
         assert xd_plus_one_reducible(d, FieldTag.RATIONALS) == xd_plus_one_reducible_bruteforce(d)
+
+
+def test_odd_divisor_agrees_with_bruteforce():
+    for d in range(1, 2001):
+        expected = next((q for q in range(3, d + 1, 2) if d % q == 0), None)
+        assert odd_divisor(d) == expected, d
+    assert odd_divisor(1000000007) == 1000000007  # prime: trial division stops at its square root
+    assert odd_divisor(3 * 1000000007) == 3
+
+
+@pytest.mark.parametrize("d", [0, -4])
+def test_odd_divisor_rejects_nonpositive(d):
+    # 0 looped forever and -4 returned -1
+    with pytest.raises(ValueError):
+        odd_divisor(d)
 
 
 def test_xd_plus_one_agrees_with_sympy():

@@ -451,7 +451,7 @@ def test_is_acyclic_matches_depth_first_reference():
 # -- rank ---------------------------------------------------------------------
 
 
-def test_bareiss_rank_and_det_match_sympy():
+def test_bareiss_rank_matches_sympy():
     import sympy
 
     rng = random.Random(1968)
@@ -469,9 +469,8 @@ def test_bareiss_rank_and_det_match_sympy():
             for row in M:
                 row[j] = 0
         S = sympy.Matrix(M)
-        rank, det = _bareiss(M)
+        rank = _bareiss(M)
         assert rank == S.rank()
-        assert det == (S.det() if rows == cols else 0)
         deficient += rank < min(rows, cols)
     assert deficient > 50
 

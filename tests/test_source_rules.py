@@ -81,3 +81,41 @@ def test_readme_layout_table_names_existing_api():
             except AttributeError:
                 missing.append(f"{module.__name__}: {name}")
     assert missing == []
+
+
+# names the package defines for its users without calling them itself
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def test_every_package_name_has_a_caller():
+    # a top-level def or class that only tests use belongs in tests/
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(clusterkit.__file__).parent.glob("*.py"))
+    }
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    # the names each top-level statement uses; a definition's own body does not count
+    uses = {}
+    for fname, tree in trees.items():
+        for stmt in tree.body:
+            uses[fname, id(stmt)] = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    orphans = []
+    for fname, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if name in exported or (fname, name) in ENTRY_POINTS:
+                continue
+            if not any(name in used for key, used in uses.items() if key != (fname, id(stmt))):
+                orphans.append(f"{fname}: {name}")
+    assert orphans == []

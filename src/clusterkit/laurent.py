@@ -44,7 +44,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from operator import add, sub
+from operator import add, lt, sub
 from typing import Iterable, Sequence
 
 Exps = tuple  # exponent vector: one signed int per ambient variable
@@ -341,13 +341,18 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient a / b in the Laurent ring; NotDivisible if none exists.
 
     A monomial divisor c * x^e divides exactly when c divides every
-    coefficient; the quotient is a shift and a scale.  Otherwise both
-    operands are shifted by monomials into the ordinary polynomial ring,
-    where single-divisor leading-term reduction under descending lex order
+    coefficient; the quotient is a shift and a scale.  Otherwise
+    single-divisor leading-term reduction under descending lex order
     either terminates with zero remainder or proves that no exact quotient
-    exists.  Each reduction step leaves a remainder whose terms all lie
-    below the one just cancelled, so the quotient terms come out strictly
-    descending, which is their canonical order.
+    exists.  It runs on the terms as they are.  The lowest x_i-degree of a
+    product is the sum of its factors' lowest x_i-degrees, so a quotient
+    has exponents at least low = min(a) - min(b), per variable, and a
+    quotient term below low proves that none exists.  This is reduction
+    in the ordinary ring after shifting a by x^-min(a) and b by x^-min(b),
+    because monomial shifts keep the lex order.  Each reduction step
+    leaves a remainder whose terms all lie below the one just cancelled,
+    so the quotient terms come out strictly descending, which is their
+    canonical order.
     """
     a._check(b)
     if b.is_zero:
@@ -361,31 +366,26 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly._from_canonical(
             a.m, tuple((tuple(map(sub, exps, eb)), c // cb) for exps, c in a.terms)
         )
-    sa = a.min_exponents()
-    sb = b.min_exponents()
-    rem = {tuple(map(sub, exps, sa)): c for exps, c in a.terms}
-    bterms = [(tuple(map(sub, exps, sb)), c) for exps, c in b.terms]
-    bl_exps, bl_c = bterms[0]
+    low = tuple(map(sub, a.min_exponents(), b.min_exponents()))
+    rem = dict(a.terms)
+    bl_exps, bl_c = b.terms[0]
     quot: list[tuple[Exps, int]] = []
     while rem:
         r_exps = max(rem)
         r_c = rem[r_exps]
         t_exps = tuple(map(sub, r_exps, bl_exps))
-        if min(t_exps) < 0 or r_c % bl_c:
+        if any(map(lt, t_exps, low)) or r_c % bl_c:
             raise NotDivisible("leading term not divisible; quotient does not exist")
         t_c = r_c // bl_c
         quot.append((t_exps, t_c))
-        for exps, c in bterms:
+        for exps, c in b.terms:
             key = tuple(map(add, t_exps, exps))
             nc = rem.get(key, 0) - t_c * c
             if nc:
                 rem[key] = nc
             else:
                 rem.pop(key, None)
-    shift = tuple(map(sub, sa, sb))
-    return LaurentPoly._from_canonical(
-        a.m, tuple((tuple(map(add, exps, shift)), c) for exps, c in quot)
-    )
+    return LaurentPoly._from_canonical(a.m, tuple(quot))
 
 
 # ---------------------------------------------------------------------------
@@ -720,11 +720,21 @@ class RationalFn:
         return RationalFn(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int) -> "RationalFn":
+        """self ** k without a gcd: powers of coprime num and den stay coprime.
+
+        In a UFD gcd(a^k, b^k) = gcd(a, b)^k = 1, and den^k keeps a positive
+        leading coefficient.  A negative power inverts first: swapping the
+        coprime pair needs only the sign moved onto the new numerator.
+        """
+        num, den = self.num, self.den
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RationalFn(self.den, self.num) ** (-k)
-        return _power(self, k) if k else RationalFn.const(self.m, 1)
+            num, den = (-den, -num) if num.terms[0][1] < 0 else (den, num)
+            k = -k
+        if not k:
+            return RationalFn.const(self.m, 1)
+        return RationalFn(num**k, den**k, _reduced=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):

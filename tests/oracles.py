@@ -28,6 +28,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import permutations, product
+from operator import add, sub
 from typing import Sequence
 
 from clusterkit.constructions import CartanMatrix
@@ -128,7 +129,13 @@ def mul_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def exact_div_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a / b by leading-term reduction in the ordinary ring, for every divisor."""
+    """a / b by leading-term reduction in the ordinary ring, for every divisor.
+
+    Both operands are shifted by monomials into the ordinary ring and
+    reduced there, and the quotient is shifted back, where the kernel
+    reduces the unshifted terms under a lower bound on the quotient's
+    exponents.  The result goes through the checking constructor.
+    """
     if a.m != b.m:
         raise DimensionMismatch(f"ambient dimensions differ: {a.m} vs {b.m}")
     if b.is_zero:
@@ -137,28 +144,27 @@ def exact_div_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(a.m)
     sa = a.min_exponents()
     sb = b.min_exponents()
-    rem = {tuple(e - s for e, s in zip(exps, sa)): c for exps, c in a.terms}
-    bterms = [(tuple(e - s for e, s in zip(exps, sb)), c) for exps, c in b.terms]
-    bl_exps = max(t[0] for t in bterms)
-    bl_c = dict(bterms)[bl_exps]
-    quot: dict[tuple, int] = {}
+    rem = {tuple(map(sub, exps, sa)): c for exps, c in a.terms}
+    bterms = [(tuple(map(sub, exps, sb)), c) for exps, c in b.terms]
+    bl_exps, bl_c = bterms[0]
+    quot: list[tuple[tuple, int]] = []
     while rem:
         r_exps = max(rem)
         r_c = rem[r_exps]
-        t_exps = tuple(x - y for x, y in zip(r_exps, bl_exps))
-        if any(e < 0 for e in t_exps) or r_c % bl_c:
+        t_exps = tuple(map(sub, r_exps, bl_exps))
+        if min(t_exps) < 0 or r_c % bl_c:
             raise NotDivisible("leading term not divisible; quotient does not exist")
         t_c = r_c // bl_c
-        quot[t_exps] = quot.get(t_exps, 0) + t_c
+        quot.append((t_exps, t_c))
         for exps, c in bterms:
-            key = tuple(x + y for x, y in zip(t_exps, exps))
+            key = tuple(map(add, t_exps, exps))
             nc = rem.get(key, 0) - t_c * c
             if nc:
                 rem[key] = nc
             else:
                 rem.pop(key, None)
-    shift = tuple(x - y for x, y in zip(sa, sb))
-    return LaurentPoly(a.m, {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in quot.items()})
+    shift = tuple(map(sub, sa, sb))
+    return LaurentPoly(a.m, [(tuple(map(add, exps, shift)), c) for exps, c in quot])
 
 
 def power_reference(p: LaurentPoly, k: int) -> LaurentPoly:

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import clusterkit.constructions as constructions
 from clusterkit.constructions import (
     CartanMatrix,
+    ConstructionError,
     _jacobian_det,
     acyclic_seed_from_cartan,
     acyclic_staircase,
@@ -29,6 +31,7 @@ from clusterkit.constructions import (
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import acyclic_n3_cartan
 from clusterkit.seeds import (
+    Seed,
     apply_word,
     is_acyclic,
     parse_matrix,
@@ -165,6 +168,60 @@ def test_wrong_generator_count_is_a_failure_line():
     assert "generator count 5 differs from the variable count 4" in out.failures
 
 
+def test_dropped_generator_named_by_a_tree_is_a_failure_line():
+    # the trees name x1[3], the dropped generator: they fail, and nothing raises KeyError
+    res = type_a_chain(4)
+    cert = res.certificate
+    dropped = dataclasses.replace(
+        cert,
+        generator_names=cert.generator_names[:-1],
+        generators=cert.generators[:-1],
+        pivot_vars=cert.pivot_vars[:-1],
+    )
+    out = verify_polynomial_generators(dropped, res.disjoint_pair)
+    assert not out.ok
+    assert "generator count 3 differs from the variable count 4" in out.failures
+    assert "expression tree for x4 does not re-evaluate to its target" in out.failures
+
+
+# Each construction decides each of its identities by one check; tampering
+# with the data that check reads must abort the construction.
+
+
+def _negate_variable(p: LaurentPoly, i: int) -> LaurentPoly:
+    """p under x_i -> -x_i."""
+    return LaurentPoly(p.m, {e: -c if e[i - 1] % 2 else c for e, c in p.terms})
+
+
+def test_chain_rejects_a_stage_that_breaks_only_the_shifted_identities(monkeypatch):
+    real = type_a_chain(6).stages[2]
+    tampered = Seed(real.matrix, [_negate_variable(v, 6) for v in real.cluster], real.word)
+
+    def apply_word_tampered(seed, word):
+        out = apply_word(seed, word)
+        return tampered if out == real else out
+
+    # x6 -> -x6 is a ring automorphism, so stage 2 and every stage mutated
+    # from it keep all three-term identities; only the shifts see it
+    monkeypatch.setattr(constructions, "apply_word", apply_word_tampered)
+    with pytest.raises(ConstructionError, match="shifted"):
+        type_a_chain(6)
+
+
+def test_chain_rejects_a_wrong_recurrence_tree(monkeypatch):
+    real = constructions._recurrence_trees
+
+    def swapped(heads):
+        trees = real(heads)
+        tag, a, b = trees[-1]
+        trees[-1] = (tag, b, a)
+        return trees
+
+    monkeypatch.setattr(constructions, "_recurrence_trees", swapped)
+    with pytest.raises(ConstructionError):
+        type_a_chain(5)
+
+
 def test_jacobian_det_matches_sympy():
     import sympy
 
@@ -256,6 +313,20 @@ def test_staircase_intermediate_blocks_match_mutation():
         assert staircase_intermediate_matrix(seed.matrix, i) == expected
     # principal part returns to the original after the full staircase
     assert cur.matrix.principal() == seed.matrix.principal()
+
+
+def test_staircase_rejects_a_wrong_last_entry(monkeypatch):
+    def negate_last(seed, k):
+        out = seed_mutate(seed, k)
+        if k < seed.profile.n:
+            return out
+        cluster = list(out.cluster)
+        cluster[k - 1] = -cluster[k - 1]
+        return Seed(out.matrix, cluster, out.word)
+
+    monkeypatch.setattr(constructions, "seed_mutate", negate_last)
+    with pytest.raises(ConstructionError):
+        acyclic_staircase(N3_CARTAN)
 
 
 def test_staircase_certificates_on_random_cartans():

@@ -457,6 +457,31 @@ def test_rationalfn_zero_denominator():
         RationalFn(one(), LaurentPoly.zero(M))
 
 
+def test_rationalfn_power_matches_reducing_products():
+    # powers skip the gcd: they must equal repeated reducing products, and a
+    # negative power the reduced inverse RationalFn(den, num) multiplied up
+    rng = random.Random(31)
+    fractions = [RationalFn(-x(1, 3) - 2 * one(3), x(2, 3) + one(3)), RationalFn.const(3, -3)]
+    while len(fractions) < 40:
+        den = random_poly(rng, laurent=False)
+        if not den.is_zero:
+            fractions.append(RationalFn(random_poly(rng, laurent=False), den))
+    assert any(r.is_zero for r in fractions) and any(r.num.terms[0][1] < 0 for r in fractions if r.num.terms)
+    for r in fractions:
+        for k in range(-3, 5):
+            if k < 0 and r.is_zero:
+                with pytest.raises(ZeroDivisionError):
+                    r**k
+                continue
+            base = RationalFn(r.den, r.num) if k < 0 else r
+            expected = RationalFn.const(3, 1)
+            for _ in range(abs(k)):
+                expected = expected * base
+            got = r**k
+            assert got == expected
+            assert got.den.terms[0][1] > 0
+
+
 def test_rationalfn_arithmetic_via_evaluation():
     rng = random.Random(29)
     for _ in range(100):

@@ -21,9 +21,9 @@ Q(x_1, ..., x_{i-1}), a field containing the generators before it.  The
 chain also makes the Jacobian lower-triangular, so the recorded nonzero
 Jacobian determinant at an integer point is the product of its diagonal.
 Trees share subtrees (each chain tree refers to the two before it), and
-evaluation computes each shared subtree once.  Every identity is checked
-as structural equality of Laurent polynomials; any failure aborts the
-construction.
+evaluation computes each shared subtree once per evaluation pass over
+the certificate.  Every identity is checked as structural equality of
+Laurent polynomials; any failure aborts the construction.
 
 Each identity is checked once.  Where a construction's identity is the
 equation a certificate tree evaluates (the chain's recurrences, the
@@ -101,37 +101,42 @@ class CartanMatrix:
 # ("gen", name) | ("int", c) | ("add", *ts) | ("sub", a, b) | ("mul", *ts) | ("pow", t, k)
 
 
-def eval_expr(expr: tuple, env: dict[str, LaurentPoly], m: int) -> LaurentPoly:
-    """Value of an expression tree; a subtree shared by several parents is evaluated once."""
-    memo: dict[int, LaurentPoly] = {}  # keyed on id(node): expr keeps every node alive for the call
+def eval_expr(trees: Sequence[tuple], env: dict[str, LaurentPoly], m: int) -> list[LaurentPoly | None]:
+    """Values of expression trees evaluated in one pass: each distinct node is evaluated once.
 
-    def value(node: tuple) -> LaurentPoly:
-        out = memo.get(id(node))
-        if out is not None:
-            return out
+    A node that names a generator missing from env has no value (None), and
+    neither has any node above it; the other trees are unaffected.
+    """
+    # keyed on id(node): trees keeps every node alive for the whole call, so no id is reused
+    memo: dict[int, LaurentPoly | None] = {}
+
+    def value(node: tuple) -> LaurentPoly | None:
+        key = id(node)
+        if key in memo:
+            return memo[key]
         tag = node[0]
         if tag == "gen":
-            out = env[node[1]]
+            out = env[node[1]] if node[1] in env else None
         elif tag == "int":
             out = LaurentPoly.const(m, node[1])
-        elif tag == "add":
-            out = LaurentPoly.zero(m)
-            for t in node[1:]:
-                out = out + value(t)
-        elif tag == "sub":
-            out = value(node[1]) - value(node[2])
-        elif tag == "mul":
-            out = LaurentPoly.const(m, 1)
-            for t in node[1:]:
-                out = out * value(t)
-        elif tag == "pow":
-            out = value(node[1]) ** node[2]
-        else:
+        elif tag not in ("add", "sub", "mul", "pow"):
             raise ValueError(f"unknown expression node {tag!r}")
-        memo[id(node)] = out
+        else:
+            args = [value(node[1])] if tag == "pow" else [value(t) for t in node[1:]]
+            if any(a is None for a in args):
+                out = None
+            elif tag == "add":
+                out = sum(args, LaurentPoly.zero(m))
+            elif tag == "sub":
+                out = args[0] - args[1]
+            elif tag == "mul":
+                out = math.prod(args, start=LaurentPoly.const(m, 1))
+            else:
+                out = args[0] ** node[2]
+        memo[key] = out
         return out
 
-    return value(expr)
+    return [value(tree) for tree in trees]
 
 
 def expr_to_json(expr: tuple) -> list:
@@ -253,18 +258,12 @@ def _check_support_chain(gens: Sequence[LaurentPoly], pivots: Sequence[int]) -> 
 def _failed_trees(names, gens, expressions) -> list[str]:
     """Labels of the expression trees that do not evaluate to their targets.
 
-    A tree that names a generator missing from names fails too.
+    One eval_expr pass covers every tree, so a subtree they share is
+    evaluated once.  A tree that names a generator missing from names has
+    no value and fails too.
     """
-    env = dict(zip(names, gens))
-    m = gens[0].m
-
-    def holds(tree, target) -> bool:
-        try:
-            return eval_expr(tree, env, m) == target
-        except KeyError:
-            return False
-
-    return [label for label, target, tree in expressions if not holds(tree, target)]
+    values = eval_expr([tree for _, _, tree in expressions], dict(zip(names, gens)), gens[0].m)
+    return [label for (label, target, _), value in zip(expressions, values) if value != target]
 
 
 def _make_certificate(names, gens, pivots, expressions) -> GeneratorCertificate:
@@ -620,6 +619,10 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
     generator needs no check of its value either: composing at the
     generators is a ring map, so rhs(gens) = x_k * quotient(gens), and the
     checked rhs(gens) = x_k * x_k' with x_k != 0 forces quotient(gens) = x_k'.
+
+    Each set of images is composed at in one _compose call (the tails at
+    x and E, the combination polynomials at the generators, the table's
+    monomials at x, E and the formal x'), so its power table is built once.
     """
     seed0 = acyclic_seed_from_cartan(C)
     n = seed0.profile.n
@@ -634,14 +637,13 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
     E = [g(n + k) * g(k) - tails[k - 1] for k in range(1, n + 1)]
     x_and_E = [g(k) for k in range(1, n + 1)] + E
 
+    # x_k * x_k' = x_{n+k} prod_{i<k} x_i^{b_ik} + prod_{i>k} x_i^{-b_ik} prod_{i<k} x_{n+i}^{b_ik},
+    # with every coefficient x_{n+i} written as its recovery polynomial E_i
+    heads = [E[k] * LaurentPoly.monomial(2 * n, tails[k].terms[0][0][n:] + (0,) * n) for k in range(n)]
+    rhss = [head + composed for head, composed in zip(heads, _compose(tails, x_and_E))]
     primed_formal = []
-    for k in range(1, n + 1):
-        # x_k * x_k' = x_{n+k} prod_{i<k} x_i^{b_ik} + prod_{i>k} x_i^{-b_ik} prod_{i<k} x_{n+i}^{b_ik},
-        # with every coefficient x_{n+i} written as its recovery polynomial E_i
-        exps = tails[k - 1].terms[0][0]
-        head = E[k - 1] * LaurentPoly.monomial(2 * n, exps[n:] + (0,) * n)
-        rhs = head + _compose([tails[k - 1]], x_and_E)[0]
-        if _compose([rhs], gens)[0] != gens[k - 1] * primed[k - 1]:
+    for k, (rhs, value) in enumerate(zip(rhss, _compose(rhss, gens)), start=1):
+        if value != gens[k - 1] * primed[k - 1]:
             raise ConstructionError(f"combination identity for the one-step mutation at {k} failed")
         quotient = exact_div(rhs, g(k))
         if not quotient.is_ordinary():
@@ -651,8 +653,6 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
         primed_formal.append(quotient)
 
     # enumerate the constrained monomials up to total degree
-    rows = []
-
     def vectors(total: int, length: int):
         if length == 1:
             yield (total,)
@@ -661,14 +661,15 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
             for rest in vectors(total - head, length - 1):
                 yield (head, *rest)
 
-    for total in range(degree_bound + 1):
-        for vec in vectors(total, 3 * n):
-            if any(vec[k] and vec[2 * n + k] for k in range(n)):
-                continue
-            prod = _compose([LaurentPoly.monomial(3 * n, vec)], x_and_E + primed_formal)[0]
-            rows.append(BfzExpansion(vec, prod.terms))
-
-    return BfzTable(primed, tuple(primed_formal), tuple(E), tuple(rows), degree_bound)
+    vecs = [
+        vec
+        for total in range(degree_bound + 1)
+        for vec in vectors(total, 3 * n)
+        if not any(vec[k] and vec[2 * n + k] for k in range(n))
+    ]
+    prods = _compose([LaurentPoly.monomial(3 * n, vec) for vec in vecs], x_and_E + primed_formal)
+    rows = tuple(BfzExpansion(vec, prod.terms) for vec, prod in zip(vecs, prods))
+    return BfzTable(primed, tuple(primed_formal), tuple(E), rows, degree_bound)
 
 
 # ---------------------------------------------------------------------------

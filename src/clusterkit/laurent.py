@@ -17,6 +17,8 @@ Kernel arithmetic on canonical operands yields canonical data by
 construction, so products, sums, negation, shifts, exact quotients and
 divisions by a common coefficient divisor are built through the private
 LaurentPoly._from_canonical, which trusts its input and checks nothing.
+RationalFn._from_canonical does the same for fractions that are reduced
+by construction: constants, Laurent splits, negations and powers.
 A product or quotient with a monomial factor is a shift and a scale of the
 other operand's terms, which keeps their order, so it needs no dictionary
 and no sort.
@@ -284,6 +286,9 @@ class LaurentPoly:
 
     def derivative(self, i: int) -> "LaurentPoly":
         """Formal partial derivative with respect to x_i (1-indexed)."""
+        _require_int(i, "variable index")
+        if not 1 <= i <= self.m:
+            raise DimensionMismatch(f"variable index {i} outside 1..{self.m}")
         acc: dict[Exps, int] = {}
         j = i - 1
         for exps, c in self.terms:
@@ -656,13 +661,12 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, _reduced: bool = False):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not (num.is_ordinary() and den.is_ordinary()):
             raise ValueError("RationalFn components must be ordinary polynomials")
-        if not _reduced:
-            num, den = _reduce_fraction(num, den)
+        num, den = _reduce_fraction(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -670,8 +674,16 @@ class RationalFn:
         raise AttributeError("RationalFn is immutable")
 
     @classmethod
+    def _from_canonical(cls, num: LaurentPoly, den: LaurentPoly) -> "RationalFn":
+        """Trusted constructor: num and den must already satisfy the class invariants."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
     def const(cls, m: int, c: int) -> "RationalFn":
-        return cls(LaurentPoly.const(m, c), LaurentPoly.const(m, 1), _reduced=True)
+        return RationalFn._from_canonical(LaurentPoly.const(m, c), LaurentPoly.const(m, 1))
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "RationalFn":
@@ -680,7 +692,7 @@ class RationalFn:
         den_exps = tuple(max(0, -e) for e in mins)
         num = p.shift(den_exps)
         den = LaurentPoly.monomial(p.m, den_exps)
-        return cls(num, den, _reduced=True)
+        return RationalFn._from_canonical(num, den)
 
     @property
     def m(self) -> int:
@@ -702,7 +714,7 @@ class RationalFn:
         )
 
     def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den, _reduced=True)
+        return RationalFn._from_canonical(-self.num, self.den)
 
     def __sub__(self, other: "RationalFn") -> "RationalFn":
         return self + (-other)
@@ -734,7 +746,7 @@ class RationalFn:
             k = -k
         if not k:
             return RationalFn.const(self.m, 1)
-        return RationalFn(num**k, den**k, _reduced=True)
+        return RationalFn._from_canonical(num**k, den**k)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFn):

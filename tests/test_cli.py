@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -387,3 +388,34 @@ def test_usage_error_exits_two(a3_file):
     with pytest.raises(SystemExit) as exc:
         main(["mutate"])  # missing --matrix
     assert exc.value.code == 2
+
+
+# -- the README's command-line examples -----------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_example() -> tuple[dict[str, str], list[list[str]]]:
+    """The heredoc files and the clusterkit argument lists of README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    files, commands = {}, []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("cat > "):
+            name = shlex.split(line, comments=True)[2]
+            files[name] = "".join(f"{body}\n" for body in iter(lines.__next__, "EOF"))
+        elif line.startswith("clusterkit "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return files, commands
+
+
+def test_readme_command_line_examples_exit_zero(capsys, monkeypatch, tmp_path):
+    files, commands = readme_cli_example()
+    assert sorted(files) == ["a3.txt", "lampe.txt"]
+    assert len(commands) == 9
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    failed = [argv for argv in commands if run(capsys, *argv)[0] != 0]
+    assert failed == []

@@ -350,7 +350,7 @@ def test_certificate_json_shape():
 def test_expression_tree_round_trip():
     tree = ("sub", ("mul", ("gen", "a"), ("pow", ("gen", "b"), 2)), ("int", 3))
     env = {"a": var(1, 2), "b": var(2, 2)}
-    value = eval_expr(tree, env, 2)
+    [value] = eval_expr([tree], env, 2)
     assert value == var(1, 2) * var(2, 2) ** 2 - LaurentPoly.const(2, 3)
     assert expr_to_json(tree) == ["sub", ["mul", ["gen", "a"], ["pow", ["gen", "b"], 2]], ["int", 3]]
 
@@ -362,10 +362,53 @@ def test_expression_trees_match_the_reference_evaluator():
     for cert in certs:
         env = dict(zip(cert.generator_names, cert.generators))
         m = cert.generators[0].m
-        for _, target, tree in cert.expressions:
-            value = eval_expr(tree, env, m)
+        values = eval_expr([tree for _, _, tree in cert.expressions], env, m)
+        for (_, target, tree), value in zip(cert.expressions, values, strict=True):
             assert value == eval_expr_reference(tree, env, m)
             assert value == target
+
+
+class CountingEnv(dict):
+    """A generator environment that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, name):
+        self.lookups += 1
+        return super().__getitem__(name)
+
+
+def _gen_node_ids(tree, ids: set) -> None:
+    """Add the ids of the ("gen", ...) node objects of tree to ids."""
+    if tree[0] == "gen":
+        ids.add(id(tree))
+    elif tree[0] == "pow":
+        _gen_node_ids(tree[1], ids)
+    elif tree[0] != "int":
+        for t in tree[1:]:
+            _gen_node_ids(t, ids)
+
+
+def test_one_pass_looks_up_each_generator_node_once():
+    # the chain's trees share subtrees across trees: t_s refers to t_(s-1) and
+    # t_(s-2), the trees of earlier targets, so one pass over the certificate
+    # reaches each ("gen", ...) node object exactly once
+    cert = type_a_chain(12).certificate
+    trees = [tree for _, _, tree in cert.expressions]
+    gen_ids: set = set()
+    for tree in trees:
+        _gen_node_ids(tree, gen_ids)
+    env = CountingEnv(zip(cert.generator_names, cert.generators))
+    values = eval_expr(trees, env, cert.generators[0].m)
+    assert values == [target for _, target, _ in cert.expressions]
+    assert env.lookups == len(gen_ids)
+
+
+def test_missing_generator_leaves_only_its_trees_without_value():
+    shared = ("mul", ("gen", "a"), ("gen", "b"))
+    trees = [shared, ("add", shared, ("int", 1)), ("pow", ("gen", "a"), 2)]
+    values = eval_expr(trees, {"a": var(1, 1)}, 1)
+    assert values == [None, None, var(1, 1) ** 2]
 
 
 def test_shared_subtrees_are_evaluated_once():
@@ -376,7 +419,7 @@ def test_shared_subtrees_are_evaluated_once():
     for _ in range(depth):
         tree = ("add", tree, tree)
     start = time.perf_counter()
-    value = eval_expr(tree, {"x1": var(1, 1)}, 1)
+    [value] = eval_expr([tree], {"x1": var(1, 1)}, 1)
     assert time.perf_counter() - start < 1.0
     assert value == LaurentPoly.monomial(1, (1,), 2**depth)
 
@@ -450,6 +493,21 @@ def test_bfz_divisibility_on_random_cartans():
     rng = random.Random(1618)
     for _ in range(5):
         bfz_basis_change(random_cartan(rng, max_n=3), degree_bound=1)
+
+
+def test_bfz_names_the_first_wrong_one_step_mutation(monkeypatch):
+    # the one-step mutations at 2 and 3 are negated: the check at 2 is the first to fail
+    def negate_at_2_and_3(seed, k):
+        out = seed_mutate(seed, k)
+        if k < 2:
+            return out
+        cluster = list(out.cluster)
+        cluster[k - 1] = -cluster[k - 1]
+        return Seed(out.matrix, cluster, out.word)
+
+    monkeypatch.setattr(constructions, "seed_mutate", negate_at_2_and_3)
+    with pytest.raises(ConstructionError, match="^combination identity for the one-step mutation at 2 failed$"):
+        bfz_basis_change(N3_CARTAN)
 
 
 # -- the rank-2 Kac-Moody preset ----------------------------------------------------

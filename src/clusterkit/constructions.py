@@ -10,9 +10,10 @@ Three families are built and checked identity-by-identity:
   monomials (the table builds its generators from the seed and the word
   alone, without a second staircase certificate);
 * a hard-coded rank-2 Kac-Moody seed with its six-stage mutation
-  schedule.
+  schedule; only the schedule, the disjointness of its end clusters and
+  the integer coefficients of its entries are checked, with no certificate.
 
-Each family emits a GeneratorCertificate: the generator values, a
+Chain and staircase emit a GeneratorCertificate: the generator values, a
 triangular-support chain, and per-target expression trees whose exact
 re-evaluation proves that both clusters and all coefficients lie in the
 subalgebra the generators span.  The chain is the independence proof:
@@ -701,14 +702,6 @@ class LiePreset:
     stage_words: tuple[tuple[int, ...], ...]
     full_word: tuple[int, ...]
     disjoint: bool
-
-    @property
-    def initial(self) -> Seed:
-        return self.stages[0]
-
-    @property
-    def final(self) -> Seed:
-        return self.stages[-1]
 
 
 def lie_preset() -> LiePreset:

@@ -25,8 +25,9 @@ and no sort.
 
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd on
-LaurentPoly values (heuristic gcd GCDHEU first, verified by ordinary exact
-division; subresultant remainder sequences as fallback), the composition
+LaurentPoly values, computed with the cofactors RationalFn reduces by
+(heuristic gcd GCDHEU first, accepted by the ordinary exact divisions
+that yield them; subresultant remainder sequences as fallback), the composition
 of ordinary polynomials at Laurent-polynomial images (a Laurent value is
 composed as the numerator and monomial denominator RationalFn.from_laurent
 splits it into), and the reducibility decision for X^d + 1 over the
@@ -362,8 +363,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero(a.m)
     if len(b.terms) == 1:
         eb, cb = b.terms[0]
         if any(c % cb for _, c in a.terms):
@@ -473,10 +472,8 @@ def _poly_gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     remainder sequence.  This is the fallback of poly_gcd and, in the
     tests, its reference.
     """
-    if a.is_zero:
-        return _normalize_sign(b)
-    if b.is_zero:
-        return _normalize_sign(a)
+    if a.is_zero or b.is_zero:
+        return _normalize_sign(a + b)  # gcd(0, p) = p up to sign
     va, vb = a.support_vars(), b.support_vars()
     if not va and not vb:
         return LaurentPoly.const(a.m, math.gcd(a.terms[0][1], b.terms[0][1]))
@@ -500,21 +497,22 @@ def _poly_gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 _HEU_GCD_ATTEMPTS = 6
 
 
-def _heu_gcd(f: LaurentPoly, g: LaurentPoly, active: tuple) -> LaurentPoly | None:
+def _heu_gcd(f: LaurentPoly, g: LaurentPoly, active: tuple) -> tuple | None:
     """GCDHEU on nonzero ordinary polynomials whose variables lie in active.
 
     active holds the 0-based slots still free, in ascending order.  Evaluates
     the first of them at an integer xi, recurses on the images over the rest
-    down to math.gcd, rebuilds a candidate from the symmetric xi-adic digits
+    down to math.gcd, rebuilds a candidate h from the symmetric xi-adic digits
     of the image gcd and accepts its primitive part only if it divides both
-    inputs in Z[x].  Returns None when it gives up, at this level or below.
+    inputs in Z[x].  Returns (h, f/h, g/h), the quotients being the ones that
+    acceptance computed, or None when it gives up, at this level or below.
     """
     content = math.gcd(_integer_content(f), _integer_content(g))
-    if not active:
-        return LaurentPoly.const(f.m, content)  # no variables left: integer gcd
     if content > 1:
         f = _divide_coefficients(f, content)
         g = _divide_coefficients(g, content)
+    if not active:
+        return LaurentPoly.const(f.m, content), f, g  # no variables left: integer gcd
     # xi >= 2 * min(|f|, |g|) + 2 is the provable bound; +29 skips tiny xi
     xi = 2 * min(max(abs(c) for _, c in f.terms), max(abs(c) for _, c in g.terms)) + 29
     v = active[0]
@@ -525,9 +523,11 @@ def _heu_gcd(f: LaurentPoly, g: LaurentPoly, active: tuple) -> LaurentPoly | Non
             gamma = _heu_gcd(fe, ge, active[1:])
             if gamma is None:
                 return None
-            h = _interpolate_at(gamma, v, xi)
-            if _divides(h, f) and _divides(h, g):
-                return h * content
+            h = _interpolate_at(gamma[0], v, xi)
+            cf = _ordinary_quotient(f, h)
+            cg = None if cf is None else _ordinary_quotient(g, h)
+            if cg is not None:
+                return h * content, cf, cg
         # grow by about 2.73 * xi^(1/4), the schedule of sympy's heugcd
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
@@ -566,12 +566,25 @@ def _interpolate_at(gamma: LaurentPoly, v: int, xi: int) -> LaurentPoly:
     return _divide_coefficients(h, _integer_content(h))
 
 
-def _divides(h: LaurentPoly, f: LaurentPoly) -> bool:
-    """Whether h divides f in Z[x]: a Laurent quotient with no negative exponent."""
+def _ordinary_quotient(f: LaurentPoly, h: LaurentPoly) -> LaurentPoly | None:
+    """f / h when h divides f in Z[x] (a Laurent quotient with no negative exponent), else None."""
+    if h.is_one:
+        return f
     try:
-        return h.is_one or exact_div(f, h).is_ordinary()
+        q = exact_div(f, h)
     except NotDivisible:
-        return False
+        return None
+    return q if q.is_ordinary() else None
+
+
+def _gcd_cofactors(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    """(g, a/g, b/g) for nonzero ordinary a and b, g their gcd up to sign: the quotients
+    GCDHEU accepted g by, or one exact division per operand after the fallback."""
+    found = _heu_gcd(a, b, tuple(v - 1 for v in sorted(a.support_vars() | b.support_vars())))
+    if found is not None:
+        return found
+    g = _poly_gcd_prs(a, b)
+    return g, exact_div(a, g), exact_div(b, g)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -597,7 +610,9 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     implementations falls below that bound once coefficients exceed about
     4,900.  When the heuristic gives up after a fixed number of
     evaluation points, the content/primitive-part subresultant remainder
-    sequence computes the gcd instead.
+    sequence computes the gcd instead.  The gcd comes with its cofactors:
+    _gcd_cofactors returns the two quotients that accepted it (after the
+    fallback, it divides once each), and RationalFn reduces by them.
 
     The result is normalized to a positive leading coefficient under lex
     order and divides both inputs exactly.
@@ -605,14 +620,9 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     a._check(b)
     if not (a.is_ordinary() and b.is_ordinary()):
         raise ValueError("poly_gcd expects ordinary polynomials (no negative exponents)")
-    if a.is_zero:
-        return _normalize_sign(b)
-    if b.is_zero:
-        return _normalize_sign(a)
-    g = _heu_gcd(a, b, tuple(v - 1 for v in sorted(a.support_vars() | b.support_vars())))
-    if g is None:
-        return _poly_gcd_prs(a, b)
-    return _normalize_sign(g)
+    if a.is_zero or b.is_zero:
+        return _normalize_sign(a + b)  # gcd(0, p) = p up to sign
+    return _normalize_sign(_gcd_cofactors(a, b)[0])
 
 
 def xd_plus_one_reducible(d: int, field: FieldTag) -> bool:
@@ -783,19 +793,14 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
     if den.is_monomial:
         # fast path: cancel the common monomial factor and integer content
         dexps, dc = den.terms[0]
-        mins = num.min_exponents()
-        common = tuple(min(a, b) for a, b in zip(mins, dexps))
+        common = tuple(map(min, num.min_exponents(), dexps))
         num = num.shift(tuple(-e for e in common))
-        den = LaurentPoly.monomial(num.m, tuple(a - b for a, b in zip(dexps, common)), dc)
         g = math.gcd(_integer_content(num), dc)
         if g > 1:
             num = _divide_coefficients(num, g)
-            den = LaurentPoly.monomial(num.m, den.terms[0][0], dc // g)
+        den = LaurentPoly.monomial(num.m, tuple(map(sub, dexps, common)), dc // g)
     else:
-        g = poly_gcd(num, den)
-        if not g.is_one:
-            num = exact_div(num, g)
-            den = exact_div(den, g)
+        _, num, den = _gcd_cofactors(num, den)
     if den.terms[0][1] < 0:
         num, den = -num, -den
     return num, den

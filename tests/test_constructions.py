@@ -527,10 +527,10 @@ def test_lie_preset_schedule():
     assert lp.disjoint
     assert lp.full_word == (1, 3, 5, 2, 4, 6, 1, 3, 2, 4, 1, 2)
     assert len(lp.stages) == 7
-    assert apply_word(lp.initial, lp.full_word) == lp.final
+    assert apply_word(lp.stages[0], lp.full_word) == lp.stages[-1]
     # coefficients never move
     for stage in lp.stages:
-        assert stage.cluster[6:] == lp.initial.cluster[6:]
+        assert stage.cluster[6:] == lp.stages[0].cluster[6:]
     assert render_poly(lp.stages[0].cluster[0]) == "x1"
     assert all(len(stage.cluster) == 8 for stage in lp.stages)
 

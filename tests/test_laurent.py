@@ -18,6 +18,7 @@ from clusterkit.laurent import (
     RationalFn,
     _coefficients_in,
     _compose,
+    _gcd_cofactors,
     _poly_gcd_prs,
     exact_div,
     odd_divisor,
@@ -439,6 +440,46 @@ def test_poly_gcd_falls_back_to_prs(monkeypatch):
     # every pair the heuristic would see (nonzero, not both constant) went to the fallback
     seen = [(a, b) for a, b in cases if not (a.is_zero or b.is_zero) and a.support_vars() | b.support_vars()]
     assert seen and all(pair in fallbacks for pair in seen)
+
+
+@pytest.mark.parametrize("heuristic", [True, False], ids=["heuristic", "fallback"])
+@pytest.mark.parametrize("kind", [kind for kind in GCD_KINDS if kind != "zero"])
+def test_gcd_cofactors_multiply_back(monkeypatch, kind, heuristic):
+    # the cofactors are what RationalFn keeps, so they must be exact whichever
+    # algorithm found the gcd; _gcd_cofactors takes nonzero operands only
+    # (poly_gcd and _reduce_fraction answer a zero one before calling it)
+    if not heuristic:
+        monkeypatch.setattr(clusterkit.laurent, "_HEU_GCD_ATTEMPTS", 0)
+    rng = random.Random(f"cofactors {kind}")
+    checked = 0
+    while checked < 30:
+        a, b = gcd_case(rng, kind)
+        if a.is_zero or b.is_zero:
+            continue
+        g, ca, cb = _gcd_cofactors(a, b)
+        assert g * ca == a and g * cb == b, (a, b)
+        assert ca.is_ordinary() and cb.is_ordinary()
+        assert g in (_poly_gcd_prs(a, b), -_poly_gcd_prs(a, b)), (a, b)
+        checked += 1
+
+
+def test_rationalfn_reduction_divides_each_pair_once(monkeypatch):
+    # GCDHEU accepts its gcd by dividing both operands by it, and those
+    # quotients are the reduced fraction: dividing by the gcd again would
+    # repeat a (dividend, divisor) pair
+    divide = clusterkit.laurent.exact_div
+    divisions = []
+
+    def counted(a, b):
+        divisions.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(clusterkit.laurent, "exact_div", counted)
+    g = x(1) * x(2) + 3 * x(2) + one()  # content 1, positive leading coefficient
+    num, den = g * (x(1) + 2 * x(3)), g * (x(1) * x(3) - 5 * one())
+    r = RationalFn(num, den)
+    assert (r.num, r.den) == (x(1) + 2 * x(3), x(1) * x(3) - 5 * one())
+    assert divisions and len(set(divisions)) == len(divisions)
 
 
 # -- rational functions ------------------------------------------------------

@@ -1,0 +1,84 @@
+"""Metamorphic relations: how a verdict must change when its input changes.
+
+Negation, B -> -B.  Negating column k swaps the two monomials of the
+exchange relation at k and leaves their sum alone, and mu_k(-B) = -mu_k(B),
+so every mutation word reaches the same cluster from both matrices.  Every
+verdict that reads only the clusters, or the columns up to sign, must
+therefore be the same for B and -B.  The draws are seeded, so the suite
+is deterministic.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import partial
+
+import pytest
+
+from clusterkit.analysis import column_criterion, gcd_criterion, laurent_membership, upper_bound_member
+from clusterkit.explore import ExplorationLimits, explore
+from clusterkit.laurent import FieldTag, RationalFn
+from clusterkit.presets import a3_matrix, lampe_matrix
+from clusterkit.seeds import ExchangeMatrix, Seed, apply_word
+from oracles import random_dynkin_matrix, rank2_matrix
+
+WIDE = ExplorationLimits(max_depth=64, max_seeds=100000)
+CRITERIA = (column_criterion, partial(gcd_criterion, field=FieldTag.RATIONALS), partial(gcd_criterion, field=FieldTag.COMPLEXES))
+
+
+def negated(B: ExchangeMatrix) -> ExchangeMatrix:
+    return ExchangeMatrix([[-v for v in row] for row in B.entries], B.profile)
+
+
+def dynkin_draws():
+    rng = random.Random("negation")
+    return [random_dynkin_matrix(rng, letter, n) for letter, n in (("A", 3), ("B", 3), ("C", 3), ("G", 2))]
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+def test_negation_keeps_the_explore_report(quotient):
+    for B in dynkin_draws():
+        reports = [explore(Seed.initial(M), WIDE, quotient_permutations=quotient) for M in (B, negated(B))]
+        assert reports[0].finite
+        assert reports[0].to_json() == reports[1].to_json(), B
+
+
+def test_negation_keeps_the_factoriality_verdicts():
+    matrices = dynkin_draws() + [a3_matrix(), lampe_matrix()]
+    verdicts = []
+    for B in matrices:
+        for criterion in CRITERIA:
+            verdict = criterion(B)
+            assert criterion(negated(B)) == verdict, B
+            verdicts.append(verdict)
+    # the presets carry witnesses, so both verdicts are compared
+    assert any(v.is_not_factorial for v in verdicts) and not all(v.is_not_factorial for v in verdicts)
+
+
+def alternating_word(length: int) -> list[int]:
+    return [1 if i % 2 == 0 else 2 for i in range(length)]
+
+
+@pytest.mark.parametrize("b,c", [(2, 2), (1, 4)])
+def test_negation_keeps_laurent_and_upper_bound_membership(b, c):
+    # x_1, x_2, ... with x_{k-1} x_{k+1} = x_k^{e_k} + 1, e_k = c for even k and
+    # b for odd k; t_j is the seed after the alternating word of length j
+    B = rank2_matrix(b, c)
+    s0 = Seed.initial(B)
+    x = [None] + [apply_word(s0, alternating_word(i - 1)).cluster[(i - 1) % 2] for i in range(1, 6)]
+    targets = {M: [apply_word(Seed.initial(M), alternating_word(j)) for j in range(3)] for M in (B, negated(B))}
+    t, u = targets.values()
+    assert [s.cluster for s in t] == [s.cluster for s in u]
+    one = RationalFn.const(2, 1)
+    answers = []
+    for k in range(2, 5):
+        xk = RationalFn.from_laurent(x[k])
+        e = c if k % 2 == 0 else b
+        for value in (x[k], one / xk, (xk**e + one) / RationalFn.from_laurent(x[k - 1])):
+            member = [laurent_membership(value, s) for s in t]
+            assert [laurent_membership(value, s) for s in u] == member, (b, c, k, value)
+            bound = upper_bound_member(value, t[0], t[2])
+            assert upper_bound_member(value, u[0], u[2]) == bound, (b, c, k, value)
+            answers += member + [bound]
+    # 1/x_k is a member only against a cluster that holds x_k
+    assert True in answers and False in answers

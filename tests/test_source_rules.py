@@ -120,3 +120,37 @@ def test_every_package_name_has_a_caller():
             if not any(name in used for key, used in uses.items() if key != (fname, id(stmt))):
                 orphans.append(f"{fname}: {name}")
     assert orphans == []
+
+
+def _referrers(tree, name):
+    """Names of the top-level functions in tree whose bodies mention name."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == name) or (
+                    isinstance(node, ast.Attribute) and node.attr == name
+                ):
+                    out.add(stmt.name)
+    return out
+
+
+def test_one_gcd_path_and_one_division_per_reduction():
+    # GCDHEU's quotients are the cofactors a fraction reduces by: a second
+    # route to the heuristic, or a division inside the reduction, would
+    # divide by the gcd a second time
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(clusterkit.__file__).parent.glob("*.py"))
+    }
+    heu = {(fname, func) for fname, tree in trees.items() for func in _referrers(tree, "_heu_gcd")}
+    assert heu == {("laurent.py", "_gcd_cofactors"), ("laurent.py", "_heu_gcd")}
+    (reduce_fraction,) = [
+        stmt for stmt in trees["laurent.py"].body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_reduce_fraction"
+    ]
+    called = {
+        node.func.id for node in ast.walk(reduce_fraction)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "_gcd_cofactors" in called and "exact_div" not in called

@@ -698,9 +698,7 @@ def lie_matrix() -> ExchangeMatrix:
 
 @dataclass(frozen=True)
 class LiePreset:
-    stages: tuple[Seed, ...]  # stage 0 (initial) through stage 6
-    stage_words: tuple[tuple[int, ...], ...]
-    full_word: tuple[int, ...]
+    stages: tuple[Seed, ...]  # stage 0 (initial) through stage 6; stages[-1].word is the full word
     disjoint: bool
 
 
@@ -711,18 +709,17 @@ def lie_preset() -> LiePreset:
     matrix is the constant _LIE_ROWS, whose principal part is
     skew-symmetric (test_lie_matrix_shape pins it), so no run can find it
     otherwise; Seed.initial still validates it as an exchange matrix.
-    full_word is the concatenation of the stage words; applying it to the
-    initial seed repeats the staged mutations in the same order, so it is
-    not run again.  Every intermediate entry is an integer Laurent
-    polynomial by construction; a failed exact division would abort the
-    schedule.
+    The final stage's word is the concatenation of the stage words;
+    applying it to the initial seed repeats the staged mutations in the
+    same order, so it is not run again.  Every intermediate entry is an
+    integer Laurent polynomial by construction; a failed exact division
+    would abort the schedule.
     """
     seed = Seed.initial(lie_matrix())
     stages = [seed]
     for word in LIE_STAGE_WORDS:
         stages.append(apply_word(stages[-1], word))
-    full_word = tuple(k for word in LIE_STAGE_WORDS for k in word)
     disjoint = clusters_disjoint(stages[0], stages[-1])
     if not disjoint:
         raise ConstructionError("initial and final clusters of the schedule are not disjoint")
-    return LiePreset(tuple(stages), LIE_STAGE_WORDS, full_word, disjoint)
+    return LiePreset(tuple(stages), disjoint)

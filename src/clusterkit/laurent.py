@@ -270,6 +270,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        if type(k) is not int:  # the fast test; _power's k & 1 needs an int, and True is no exponent
+            _require_int(k, "exponent")
         if k < 0:
             raise ValueError("negative powers are only defined for RationalFn values")
         return _power(self, k) if k else LaurentPoly.const(self.m, 1)
@@ -748,6 +750,8 @@ class RationalFn:
         leading coefficient.  A negative power inverts first: swapping the
         coprime pair needs only the sign moved onto the new numerator.
         """
+        if type(k) is not int:
+            _require_int(k, "exponent")
         num, den = self.num, self.den
         if k < 0:
             if self.is_zero:
@@ -900,94 +904,60 @@ def render_poly(p: LaurentPoly) -> str:
     return "".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^−]))")
+_SIGN = re.compile(r"\s*([-+−])")
+_FACTOR = re.compile(r"\s*(?:([0-9]+)|x([0-9]+)(?:\s*\^\s*([-−]?)\s*([0-9]+)?)?)")
+_STAR = re.compile(r"\s*\*")
 
 
-def _tokenize_poly(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        mobj = _TOKEN.match(text, pos)
-        if mobj is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if mobj.group("int") is not None:
-            tokens.append(("int", int(mobj.group("int")), mobj.start("int")))
-        elif mobj.group("var") is not None:
-            tokens.append(("var", int(mobj.group("var")[1:]), mobj.start("var")))
-        else:
-            op = mobj.group("op")
-            tokens.append(("op", "-" if op == "−" else op, mobj.start("op")))
-        pos = mobj.end()
-    return tokens
+def _expected(what: str, text: str, pos: int) -> ParseError:
+    rest = text[pos:].lstrip()
+    found = repr(rest[0]) if rest else "the end of the text"
+    return ParseError(f"expected {what}, found {found}", len(text) - len(rest))
 
 
 def parse_poly(text: str, m: int | None = None) -> LaurentPoly:
     """Parse the canonical text form back into a Laurent polynomial.
 
-    Variables are 1-indexed (x1, x2, ...); when m is omitted it is
-    inferred as the largest index seen.
+    A polynomial is a sequence of terms, each with a sign ('+', '-' or '−')
+    that only the first may omit; a term is factors joined by '*'; a factor
+    is an ASCII integer, or x<digits> with an optional '^', '-' or '−' and
+    digits.  Whitespace may separate any two of these pieces.  Variables
+    are 1-indexed (x1, x2, ...); when m is omitted it is inferred as the
+    largest index seen.
     """
-    tokens = _tokenize_poly(text)
-    if not tokens:
+    end = len(text.rstrip())
+    if not end:
         raise ParseError("empty polynomial", 0)
     raw_terms: list[tuple[int, dict[int, int]]] = []
-    i = 0
-    sign = 1
-    if tokens[0][0] == "op" and tokens[0][1] in "+-":
-        sign = -1 if tokens[0][1] == "-" else 1
-        i = 1
-
-    def parse_factor(i, coeff, exps):
-        kind, val, pos = tokens[i]
-        if kind == "int":
-            return i + 1, coeff * val
-        if kind == "var":
-            if val < 1:
-                raise ParseError("variable indices are 1-based", pos)
-            e = 1
-            j = i + 1
-            if j < len(tokens) and tokens[j] == ("op", "^", tokens[j][2]):
-                j += 1
-                esign = 1
-                if j < len(tokens) and tokens[j][0] == "op" and tokens[j][1] == "-":
-                    esign = -1
-                    j += 1
-                if j >= len(tokens) or tokens[j][0] != "int":
-                    raise ParseError("expected integer exponent after '^'", pos)
-                e = esign * tokens[j][1]
-                j += 1
-            exps[val] = exps.get(val, 0) + e
-            return j, coeff
-        raise ParseError(f"expected a coefficient or variable, got {val!r}", pos)
-
-    while i < len(tokens):
-        coeff = sign
-        exps: dict[int, int] = {}
-        i, coeff = parse_factor(i, coeff, exps)
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
-            if i + 1 >= len(tokens):
-                raise ParseError("dangling '*'", tokens[i][2])
-            i, coeff = parse_factor(i + 1, coeff, exps)
+    pos = 0
+    while pos < end:
+        sign = _SIGN.match(text, pos)
+        if sign:
+            pos = sign.end()
+        elif raw_terms:
+            raise _expected("'*', '+' or '-'", text, pos)
+        coeff, exps = (-1 if sign and sign[1] != "+" else 1), {}
+        star = True
+        while star:
+            factor = _FACTOR.match(text, pos)
+            if factor is None:
+                raise _expected("a coefficient or variable", text, pos)
+            if factor[1]:
+                coeff *= int(factor[1])
+            elif int(factor[2]) < 1:
+                raise ParseError("variable indices are 1-based", factor.start(2) - 1)
+            elif factor[3] is not None and factor[4] is None:  # a '^' without its digits
+                raise _expected("an integer exponent", text, factor.end())
+            else:
+                i, e = int(factor[2]), int(factor[4] or 1)
+                exps[i] = exps.get(i, 0) + (-e if factor[3] else e)
+            star = _STAR.match(text, factor.end())
+            pos = star.end() if star else factor.end()
         raw_terms.append((coeff, exps))
-        if i < len(tokens):
-            kind, val, pos = tokens[i]
-            if kind != "op" or val not in "+-":
-                raise ParseError(f"expected '+' or '-', got {val!r}", pos)
-            sign = -1 if val == "-" else 1
-            i += 1
-            if i >= len(tokens):
-                raise ParseError("trailing sign", pos)
 
     max_var = max((max(exps) for _, exps in raw_terms if exps), default=0)
     if m is None:
         m = max_var
     elif max_var > m:
         raise ParseError(f"variable x{max_var} outside ambient dimension {m}", 0)
-    acc: dict[Exps, int] = {}
-    for coeff, exps in raw_terms:
-        key = tuple(exps.get(i + 1, 0) for i in range(m))
-        acc[key] = acc.get(key, 0) + coeff
-    return LaurentPoly(m, acc)
+    return LaurentPoly(m, [(tuple(exps.get(i, 0) for i in range(1, m + 1)), c) for c, exps in raw_terms])

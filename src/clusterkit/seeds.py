@@ -439,8 +439,7 @@ def parse_matrix(text: str) -> ExchangeMatrix:
         n, p, m = (parse_int(v) for v in header)
     except ValueError:
         raise ParseError("header must contain three integers", 0) from None
-    body = " ".join(lines[1:])
-    row_texts = [r.strip() for r in body.split(";") if r.strip()]
+    row_texts = [r.strip() for line in lines[1:] for r in line.split(";") if r.strip()]
     rows = []
     for r in row_texts:
         try:

@@ -18,13 +18,16 @@ mutates every seed in every direction with seed_mutate, without the
 exchange memo, the parent skip or explore's per-call labels; its quotient
 key sorts by LaurentPoly.sort_key, or is the brute-force minimum over all
 relabellings.  The reference tree evaluator walks
-every path of an expression tree, re-evaluating shared subtrees.
+every path of an expression tree, re-evaluating shared subtrees.  The
+reference polynomial parser is the earlier one: a tokenizer, a token list
+and a factor parser over it; it read a lone sign as the zero polynomial.
 rank2_matrix builds the 2 x 2 test seeds, which the package never needs.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations, product
@@ -32,7 +35,7 @@ from operator import add, sub
 from typing import Sequence
 
 from clusterkit.constructions import CartanMatrix
-from clusterkit.laurent import DimensionMismatch, LaurentPoly, NotDivisible, RationalFn
+from clusterkit.laurent import DimensionMismatch, LaurentPoly, NotDivisible, ParseError, RationalFn
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, seed_mutate, validate
 
 
@@ -360,6 +363,100 @@ def eval_expr_reference(expr: tuple, env: dict[str, LaurentPoly], m: int) -> Lau
     if tag == "pow":
         return eval_expr_reference(expr[1], env, m) ** expr[2]
     raise ValueError(f"unknown expression node {tag!r}")
+
+
+# ---------------------------------------------------------------------------
+# reference polynomial parser: a token list and a factor parser over it
+# ---------------------------------------------------------------------------
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^−]))")
+
+
+def _tokenize_poly(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        mobj = _TOKEN.match(text, pos)
+        if mobj is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+        if mobj.group("int") is not None:
+            tokens.append(("int", int(mobj.group("int")), mobj.start("int")))
+        elif mobj.group("var") is not None:
+            tokens.append(("var", int(mobj.group("var")[1:]), mobj.start("var")))
+        else:
+            op = mobj.group("op")
+            tokens.append(("op", "-" if op == "−" else op, mobj.start("op")))
+        pos = mobj.end()
+    return tokens
+
+
+def parse_poly_reference(text: str, m: int | None = None) -> LaurentPoly:
+    """The token-list parser; it returns the zero polynomial for a lone sign."""
+    tokens = _tokenize_poly(text)
+    if not tokens:
+        raise ParseError("empty polynomial", 0)
+    raw_terms: list[tuple[int, dict[int, int]]] = []
+    i = 0
+    sign = 1
+    if tokens[0][0] == "op" and tokens[0][1] in "+-":
+        sign = -1 if tokens[0][1] == "-" else 1
+        i = 1
+
+    def parse_factor(i, coeff, exps):
+        kind, val, pos = tokens[i]
+        if kind == "int":
+            return i + 1, coeff * val
+        if kind == "var":
+            if val < 1:
+                raise ParseError("variable indices are 1-based", pos)
+            e = 1
+            j = i + 1
+            if j < len(tokens) and tokens[j] == ("op", "^", tokens[j][2]):
+                j += 1
+                esign = 1
+                if j < len(tokens) and tokens[j][0] == "op" and tokens[j][1] == "-":
+                    esign = -1
+                    j += 1
+                if j >= len(tokens) or tokens[j][0] != "int":
+                    raise ParseError("expected integer exponent after '^'", pos)
+                e = esign * tokens[j][1]
+                j += 1
+            exps[val] = exps.get(val, 0) + e
+            return j, coeff
+        raise ParseError(f"expected a coefficient or variable, got {val!r}", pos)
+
+    while i < len(tokens):
+        coeff = sign
+        exps: dict[int, int] = {}
+        i, coeff = parse_factor(i, coeff, exps)
+        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
+            if i + 1 >= len(tokens):
+                raise ParseError("dangling '*'", tokens[i][2])
+            i, coeff = parse_factor(i + 1, coeff, exps)
+        raw_terms.append((coeff, exps))
+        if i < len(tokens):
+            kind, val, pos = tokens[i]
+            if kind != "op" or val not in "+-":
+                raise ParseError(f"expected '+' or '-', got {val!r}", pos)
+            sign = -1 if val == "-" else 1
+            i += 1
+            if i >= len(tokens):
+                raise ParseError("trailing sign", pos)
+
+    max_var = max((max(exps) for _, exps in raw_terms if exps), default=0)
+    if m is None:
+        m = max_var
+    elif max_var > m:
+        raise ParseError(f"variable x{max_var} outside ambient dimension {m}", 0)
+    acc: dict[tuple, int] = {}
+    for coeff, exps in raw_terms:
+        key = tuple(exps.get(i + 1, 0) for i in range(m))
+        acc[key] = acc.get(key, 0) + coeff
+    return LaurentPoly(m, acc)
 
 
 # ---------------------------------------------------------------------------

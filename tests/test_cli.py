@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import shlex
 import time
 from fractions import Fraction
@@ -16,8 +17,9 @@ import clusterkit.presets
 from clusterkit.analysis import InternalInvariantError
 from clusterkit.cli import main
 from clusterkit.constructions import ConstructionError
-from clusterkit.laurent import LaurentPoly, NotDivisible
-from clusterkit.seeds import Seed
+from clusterkit.laurent import LaurentPoly, NotDivisible, parse_poly, render_poly
+from clusterkit.presets import a3_matrix
+from clusterkit.seeds import Seed, parse_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -283,6 +285,15 @@ def test_bad_poly_is_input_error(capsys, a3_file):
     assert "error" in err
 
 
+@pytest.mark.parametrize("option", ["--expr=-", "--den=-", "--den=\u2212"])
+def test_lone_sign_is_input_error(capsys, a3_file, option):
+    # a lone sign was read as the zero polynomial: a member, or a zero denominator
+    args = [option] if option.startswith("--expr") else ["--expr", "x1", option]
+    code, out, err = run(capsys, "check-laurent", "--matrix", a3_file, *args)
+    assert code == 2 and out == ""
+    assert "found the end of the text" in err and "zero polynomial" not in err
+
+
 @pytest.mark.parametrize("command", ["check-laurent", "upper-bound"])
 @pytest.mark.parametrize("den", ["0", "x1 - x1"])
 def test_zero_denominator_is_input_error(capsys, a3_file, command, den):
@@ -419,3 +430,14 @@ def test_readme_command_line_examples_exit_zero(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     failed = [argv for argv in commands if run(capsys, *argv)[0] != 0]
     assert failed == []
+
+
+def test_readme_wire_format_examples_parse():
+    section = README.read_text(encoding="utf-8").split("## Wire formats", 1)[1].split("\n## ", 1)[0]
+    matrix_text = section.split("```\n", 1)[1].split("```", 1)[0]
+    matrix_json = re.search(r"or JSON: `([^`]+)`", section)[1]
+    assert parse_matrix(matrix_text) == parse_matrix(matrix_json) == a3_matrix()
+    examples = re.findall(r"`([^`]+)`", section.split("Examples:", 1)[1].split(".", 1)[0])
+    assert examples == ["x1^-1*x2 + x1^-1", "2*x1*x2^2", "-x1 + 3", "0"]
+    for text in examples:
+        assert render_poly(parse_poly(text)) == text

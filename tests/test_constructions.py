@@ -525,9 +525,9 @@ def test_lie_matrix_shape():
 def test_lie_preset_schedule():
     lp = lie_preset()
     assert lp.disjoint
-    assert lp.full_word == (1, 3, 5, 2, 4, 6, 1, 3, 2, 4, 1, 2)
+    assert lp.stages[-1].word == (1, 3, 5, 2, 4, 6, 1, 3, 2, 4, 1, 2)
     assert len(lp.stages) == 7
-    assert apply_word(lp.stages[0], lp.full_word) == lp.stages[-1]
+    assert apply_word(lp.stages[0], lp.stages[-1].word) == lp.stages[-1]
     # coefficients never move
     for stage in lp.stages:
         assert stage.cluster[6:] == lp.stages[0].cluster[6:]

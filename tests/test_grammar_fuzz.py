@@ -1,7 +1,8 @@
 """Property and fuzz tests of the text grammars: polynomials, matrices, words.
 
 Round trips: render_poly/parse_poly and render_matrix/parse_matrix on
-generated values.  Fuzz: text drawn from each grammar's alphabet, plus
+generated values.  Differential: parse_poly against the earlier
+token-list parser on text over the grammar's alphabet.  Fuzz: text drawn from each grammar's alphabet, plus
 digits of other scripts, '_' and stray symbols, fed to the command line,
 which must answer with exit 0 or 2, never raise, and write at most one
 line on stderr; text with a digit of another script or an '_' must exit
@@ -22,8 +23,9 @@ from pathlib import Path
 import pytest
 
 from clusterkit.cli import main
-from clusterkit.laurent import LaurentPoly, parse_poly, render_poly
+from clusterkit.laurent import LaurentPoly, ParseError, parse_poly, render_poly
 from clusterkit.seeds import ExchangeMatrix, SeedProfile, matrix_to_json, parse_matrix, render_matrix
+from oracles import parse_poly_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -68,6 +70,58 @@ def test_poly_text_round_trips(p):
 def test_matrix_text_and_json_round_trip(B):
     assert parse_matrix(render_matrix(B)) == B
     assert parse_matrix(json.dumps(matrix_to_json(B))) == B
+
+
+# the grammar's pieces, and pieces that break it: a zero index and characters outside it
+SIGNS = ["+", "-", "\u2212"]
+INTEGERS = ["0", "2", "13"]
+FACTORS = ["x1", "x2", "x01"] + INTEGERS
+EXPONENTS = ["", "", "^", "^-", "^\u2212"]
+BREAKERS = ["x0", "x", "&", "_", "\u0661", "^", "*", "-", ""]
+SPACES = ["", "", " ", "\t"]
+
+
+@st.composite
+def poly_texts(draw):
+    """Text by the grammar, perhaps with one piece replaced by a breaker, or any
+    pieces in any order."""
+
+    def pick(pool):
+        return draw(st.sampled_from(pool))
+
+    if pick([False, False, False, True]):
+        anything = st.sampled_from(SIGNS + FACTORS + EXPONENTS + BREAKERS + SPACES)
+        return "".join(draw(st.lists(anything, max_size=10)))
+    pieces = []
+    for t in range(draw(st.integers(1, 3))):
+        if t or pick([False, True]):
+            pieces.append(pick(SIGNS))
+        for f in range(draw(st.integers(1, 3))):
+            pieces += ["*"] if f else []
+            factor = pick(FACTORS)
+            exponent = pick(EXPONENTS) if factor.startswith("x") else ""
+            pieces += [factor, exponent, pick(INTEGERS)] if exponent else [factor]
+    if pick([False, True]):
+        pieces[draw(st.integers(0, len(pieces) - 1))] = pick(BREAKERS)
+    return "".join(pick(SPACES) + piece for piece in pieces)
+
+
+def parsed(parser, text, m):
+    """The parser's value, or ParseError."""
+    try:
+        return parser(text, m)
+    except ParseError:
+        return ParseError
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    poly_texts().filter(lambda t: t.strip() not in ("+", "-", "\u2212")),
+    st.sampled_from([None, None, 0, 2, 3]),
+)
+def test_parse_poly_agrees_with_the_token_list_parser(text, m):
+    # the earlier parser read a lone sign as 0 (see test_parse_rejects_a_lone_sign)
+    assert parsed(parse_poly, text, m) == parsed(parse_poly_reference, text, m)
 
 
 def run_cli(argv, stdin_text):

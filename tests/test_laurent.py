@@ -512,6 +512,14 @@ def test_rationalfn_zero_denominator():
         RationalFn(one(), LaurentPoly.zero(M))
 
 
+@pytest.mark.parametrize("k", [True, 1.5, "2", 2.0])
+def test_power_rejects_an_exponent_that_is_not_an_int(k):
+    # x ** True returned x, and x ** 1.5 raised TypeError from inside the square-and-multiply
+    for base in (x(1), RationalFn.from_laurent(x(1))):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            base**k
+
+
 def test_rationalfn_power_matches_reducing_products():
     # powers skip the gcd: they must equal repeated reducing products, and a
     # negative power the reduced inverse RationalFn(den, num) multiplied up
@@ -705,6 +713,24 @@ def test_parse_rejects_garbage():
     for bad in ("", "x1 +", "* x1", "x1^", "x1 & x2", "2 2"):
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text", ["-", "+", "\u2212", " - ", "\t+ "])
+def test_parse_rejects_a_lone_sign(text):
+    # a sign starts a term, and a term needs a factor: this was read as 0
+    with pytest.raises(ParseError, match="found the end of the text"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize(
+    "text, pos, found",
+    [("x1 +", 4, "the end of the text"), ("x1*", 3, "the end of the text"), ("x1^", 3, "the end of the text"),
+     ("x1^+2", 3, "'+'"), ("x1 & x2", 3, "'&'"), ("2 2", 2, "'2'"), ("* x1", 0, "'*'"), ("x1 x2", 3, "'x'")],
+)
+def test_parse_error_names_its_position_and_what_it_found(text, pos, found):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert f"found {found} (at position {pos})" in str(exc.value) and exc.value.pos == pos
 
 
 def test_parse_render_random_round_trip():

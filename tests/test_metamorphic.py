@@ -4,8 +4,15 @@ Negation, B -> -B.  Negating column k swaps the two monomials of the
 exchange relation at k and leaves their sum alone, and mu_k(-B) = -mu_k(B),
 so every mutation word reaches the same cluster from both matrices.  Every
 verdict that reads only the clusters, or the columns up to sign, must
-therefore be the same for B and -B.  The draws are seeded, so the suite
-is deterministic.
+therefore be the same for B and -B.
+
+Relabelling.  Permuting the mutable indices of B by sigma, rows and columns
+together, with the frozen rows left in place, gives a matrix whose
+mutation at sigma(k) is the relabelled mutation at k.  So its exchange
+graph is B's with x_i renamed x_sigma(i): the same number of seeds, the
+renamed variables and clusters, and the same factoriality status.
+
+The draws are seeded, so the suite is deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import pytest
 
 from clusterkit.analysis import column_criterion, gcd_criterion, laurent_membership, upper_bound_member
 from clusterkit.explore import ExplorationLimits, explore
-from clusterkit.laurent import FieldTag, RationalFn
+from clusterkit.laurent import FieldTag, LaurentPoly, RationalFn
 from clusterkit.presets import a3_matrix, lampe_matrix
 from clusterkit.seeds import ExchangeMatrix, Seed, apply_word
 from oracles import random_dynkin_matrix, rank2_matrix
@@ -82,3 +89,61 @@ def test_negation_keeps_laurent_and_upper_bound_membership(b, c):
             answers += member + [bound]
     # 1/x_k is a member only against a cluster that holds x_k
     assert True in answers and False in answers
+
+
+def relabelling_draws():
+    """(B, index map) for seeded finite-type draws; the map sends i to sigma(i) on the
+    mutable indices, 0-based, and fixes the frozen ones."""
+    rng = random.Random("relabelling")
+    draws = []
+    for letter, n in (("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)):
+        B = random_dynkin_matrix(rng, letter, n)
+        sigma = list(range(n))
+        while sigma == sorted(sigma):
+            sigma = rng.sample(range(n), n)
+        draws.append((B, sigma + list(range(n, B.profile.m))))
+    assert any(B.profile.m > B.profile.n for B, _ in draws)  # frozen rows are kept in place
+    return draws
+
+
+def relabelled(B: ExchangeMatrix, index: list[int]) -> ExchangeMatrix:
+    rows = [[0] * B.profile.n for _ in range(B.profile.m)]
+    for i, row in enumerate(B.entries):
+        for j, v in enumerate(row):
+            rows[index[i]][index[j]] = v
+    return ExchangeMatrix(rows, B.profile)
+
+
+def renamed(p: LaurentPoly, index: list[int]) -> LaurentPoly:
+    """p with x_i renamed x_index(i)."""
+    terms = []
+    for exps, c in p.terms:
+        moved = [0] * p.m
+        for i, e in enumerate(exps):
+            moved[index[i]] = e
+        terms.append((tuple(moved), c))
+    return LaurentPoly(p.m, terms)
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+def test_relabelling_renames_the_explore_report(quotient):
+    for B, index in relabelling_draws():
+        report, image = (
+            explore(Seed.initial(M), WIDE, quotient_permutations=quotient) for M in (B, relabelled(B, index))
+        )
+        assert report.finite
+        assert (image.seeds_found, image.frontier_exhausted_reason) == (report.seeds_found, "closure"), B
+        assert set(image.distinct_variables) == {renamed(v, index) for v in report.distinct_variables}, B
+        assert set(image.distinct_clusters) == {
+            frozenset(renamed(v, index) for v in cl) for cl in report.distinct_clusters
+        }, B
+
+
+def test_relabelling_keeps_the_factoriality_status():
+    statuses = set()
+    for B, index in relabelling_draws() + [(a3_matrix(), [2, 0, 1]), (lampe_matrix(), [1, 0])]:
+        for criterion in CRITERIA:
+            status = criterion(B).status
+            assert criterion(relabelled(B, index)).status == status, B
+            statuses.add(status)
+    assert statuses == {"not_factorial", "inconclusive"}

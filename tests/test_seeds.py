@@ -495,6 +495,19 @@ def test_matrix_json_round_trip(a3):
     assert parse_matrix(json.dumps(matrix_to_json(a3))) == a3
 
 
+def test_matrix_rows_may_be_separated_by_newlines(a3):
+    # the body lines were joined with spaces: newline-separated rows ran into one row
+    assert parse_matrix("3 3 3\n0 -1 0\n1 0 -1\n0 1 0\n") == a3
+    assert parse_matrix("3 3 3\n0 -1 0; 1 0 -1\n0 1 0") == a3
+    assert parse_matrix("3 3 3\r\n0 -1 0;\r\n1 0 -1;\r\n\r\n0 1 0") == a3
+
+
+def test_matrix_row_may_not_span_lines():
+    # and a row split across two lines was read as one
+    with pytest.raises(ParseError, match="3 rows for profile m=2"):
+        parse_matrix("2 2 2\n0\n1; -1 0")
+
+
 def test_matrix_parse_errors():
     with pytest.raises(ParseError):
         parse_matrix("")

@@ -32,7 +32,7 @@ from .laurent import (
     odd_divisor,
     xd_plus_one_reducible,
 )
-from .seeds import ExchangeMatrix, Seed, SeedProfile, apply_word
+from .seeds import ExchangeMatrix, Seed, SeedProfile, _initial_at, apply_word
 
 
 class DegenerateColumn(ValueError):
@@ -229,15 +229,8 @@ def coordinate_images(target: Seed) -> list[LaurentPoly]:
     Replays the reversed mutation word from a fresh formal seed placed at
     the target's matrix, so entry i of the result is the initial variable
     x_i written in the target cluster's coordinates.
-
-    Precondition: the target's matrix is valid, as it is for every seed
-    reached by mutation from Seed.initial (see matrix_mutate), so it is not
-    validated again.  A seed built by hand around an invalid matrix is
-    replayed as given, without a check.
     """
-    m = target.profile.m
-    fresh = Seed(target.matrix, [LaurentPoly.variable(m, i + 1) for i in range(m)], ())
-    back = apply_word(fresh, reversed(target.word))
+    back = apply_word(_initial_at(target), reversed(target.word))
     return list(back.cluster)
 
 

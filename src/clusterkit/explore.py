@@ -23,8 +23,8 @@ ints and tuples of ints instead of on LaurentPoly terms:
   set because a hand-built seed may repeat an entry, which then counts
   twice in M1 or M2.  A miss runs seed_mutate with all its checks; a hit
   reuses the entry it found.
-* The reverse relation.  Mutation negates column k, and b_kk = 0 in every
-  validated matrix, so the child's relation at k is x_k' against
+* The reverse relation.  Mutation negates column k, and b_kk = 0 in the
+  (valid) matrix of every Seed, so the child's relation at k is x_k' against
   {(x_i, -b_ik)}: M1 and M2 swap, and it solves to x_k.  A miss stores
   that relation too, and the walk never solves an exchange twice.
 * Parent skip.  mu_k is an involution, so mutating a seed found by this
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .laurent import LaurentPoly, render_poly
-from .seeds import InvalidSeed, Seed, _exchanged, _require_int, matrix_mutate, seed_mutate, validate
+from .seeds import Seed, _exchanged, _require_int, matrix_mutate, seed_mutate
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,6 @@ def explore(
     seed in every direction gives.
     """
     limits = limits or ExplorationLimits()
-    bad = validate(seed.matrix)
-    if bad:
-        raise InvalidSeed("; ".join(bad))
     key = _quotient_key if quotient_permutations else _labelled_key
     n = seed.profile.n
 
@@ -148,12 +145,11 @@ def explore(
     order = [seed]
     level = [(seed, root_labels)]
     depth = 0
-    budget_hit = False
-    depth_hit = False
+    reason = "closure"
 
     while level:
         if depth == limits.max_depth:
-            depth_hit = True
+            reason = "depth"
             break
         next_level = []
         for s, labels in level:
@@ -183,26 +179,15 @@ def explore(
                 if ck in seen:
                     continue
                 if len(seen) >= limits.max_seeds:
-                    budget_hit = True
-                    break
+                    return _report(order, "budget")
                 seen.add(ck)
                 if child is None:
                     child = _exchanged(s, k, entry, matrix)
                 order.append(child)
                 next_level.append((child, child_labels))
-            if budget_hit:
-                break
-        if budget_hit:
-            break
         level = next_level
         depth += 1
 
-    if budget_hit:
-        reason = "budget"
-    elif depth_hit:
-        reason = "depth"
-    else:
-        reason = "closure"
     return _report(order, reason)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -193,8 +194,8 @@ def validate(B: ExchangeMatrix) -> tuple[str, ...]:
 def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutate the exchange matrix in direction k (1-based mutable index).
 
-    Precondition: validate(B) is empty, as it is for every matrix that
-    entered through Seed.initial or explore.  The result is then valid too,
+    Precondition: validate(B) is empty, as it is for the matrix of every
+    Seed, which Seed(...) validates.  The result is then valid too,
     so it is not checked again: mutation keeps the skew-symmetrizer D
     (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5); a direct-sum split
     of mu_k(B) is also one of B, so connectivity is kept; and mu_k is an
@@ -230,11 +231,16 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
 
 class Seed:
-    """Cluster (m Laurent polynomials in the initial variables), matrix, word."""
+    """Cluster (m Laurent polynomials in the initial variables), matrix, word.
 
-    __slots__ = ("matrix", "cluster", "word", "_hash")
+    Seed(...) validates the matrix, and mutation keeps it valid (see matrix_mutate)."""
+
+    __slots__ = ("matrix", "cluster", "word")
 
     def __init__(self, matrix: ExchangeMatrix, cluster: Sequence[LaurentPoly], word: Sequence[int]):
+        bad = validate(matrix)
+        if bad:
+            raise InvalidSeed("; ".join(bad))
         cluster = tuple(cluster)
         m = matrix.profile.m
         if len(cluster) != m:
@@ -250,28 +256,23 @@ class Seed:
         for w in word:
             _require_int(w, "word entry")
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Seed is immutable")
 
     @classmethod
     def _from_canonical(cls, matrix: ExchangeMatrix, cluster: tuple, word: tuple) -> "Seed":
-        """Trusted constructor: cluster must be a tuple of m nonzero LaurentPoly values
-        in m variables and word a tuple of int letters, as Seed(...) checks."""
+        """Trusted constructor for what Seed(...) checks: a valid matrix, a tuple of m
+        nonzero LaurentPoly values in m variables and a tuple of int letters."""
         self = object.__new__(cls)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "cluster", cluster)
         object.__setattr__(self, "word", word)
-        object.__setattr__(self, "_hash", None)
         return self
 
     @classmethod
     def initial(cls, matrix: ExchangeMatrix) -> "Seed":
         """The seed whose cluster is the m coordinate monomials."""
-        bad = validate(matrix)
-        if bad:
-            raise InvalidSeed("; ".join(bad))
         m = matrix.profile.m
         return cls(matrix, [LaurentPoly.variable(m, i + 1) for i in range(m)], ())
 
@@ -289,11 +290,7 @@ class Seed:
         return self.matrix == other.matrix and self.cluster == other.cluster
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.matrix, self.cluster))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.matrix, self.cluster))
 
     def __repr__(self) -> str:
         word = ",".join(map(str, self.word)) or "()"
@@ -314,17 +311,14 @@ def exchange_monomials(s: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 def seed_mutate(s: Seed, k: int) -> Seed:
     """Mutate the seed in direction k: exchange relation plus matrix mutation."""
-    n = s.profile.n
-    _require_int(k, "mutation index")
-    if not 1 <= k <= n:
-        raise IndexError(f"mutation index {k} outside 1..{n}")
+    matrix = matrix_mutate(s.matrix, k)  # checks k before exchange_monomials reads column k
     m1, m2 = exchange_monomials(s, k)
     if m1 == m2:
         raise InvalidSeed(f"degenerate exchange at {k}: both exchange monomials equal")
     new_entry = exact_div(m1 + m2, s.cluster[k - 1])  # NotDivisible propagates
     if new_entry.is_zero:
         raise InvalidSeed("cluster entries must be nonzero")
-    return _exchanged(s, k, new_entry, matrix_mutate(s.matrix, k))
+    return _exchanged(s, k, new_entry, matrix)
 
 
 def _exchanged(s: Seed, k: int, entry: LaurentPoly, matrix: ExchangeMatrix) -> Seed:
@@ -334,6 +328,12 @@ def _exchanged(s: Seed, k: int, entry: LaurentPoly, matrix: ExchangeMatrix) -> S
     cluster = s.cluster[: k - 1] + (entry,) + s.cluster[k:]
     # the rest of the cluster and the word were checked when s was built
     return Seed._from_canonical(matrix, cluster, s.word + (k,))
+
+
+def _initial_at(s: Seed) -> Seed:
+    """Seed.initial(s.matrix) without its check: s's matrix passed it when s was built."""
+    m = s.profile.m
+    return Seed._from_canonical(s.matrix, tuple(LaurentPoly.variable(m, i + 1) for i in range(m)), ())
 
 
 def apply_word(s: Seed, word: Iterable[int]) -> Seed:
@@ -431,7 +431,7 @@ def parse_matrix(text: str) -> ExchangeMatrix:
             return ExchangeMatrix(data["rows"], SeedProfile(data["n"], data["p"], data["m"]))
         except (ValueError, TypeError) as exc:
             raise ParseError(str(exc), 0) from None
-    lines = stripped.splitlines()
+    lines = stripped.splitlines(keepends=True)
     header = lines[0].split()
     if len(header) != 3:
         raise ParseError("header must be 'n p m'", 0)
@@ -439,13 +439,15 @@ def parse_matrix(text: str) -> ExchangeMatrix:
         n, p, m = (parse_int(v) for v in header)
     except ValueError:
         raise ParseError("header must contain three integers", 0) from None
-    row_texts = [r.strip() for line in lines[1:] for r in line.split(";") if r.strip()]
     rows = []
-    for r in row_texts:
-        try:
-            rows.append([parse_int(v) for v in r.split()])
-        except ValueError:
-            raise ParseError(f"non-integer matrix entry in row {r!r}", text.find(r)) from None
+    start = len(text) - len(text.lstrip()) + len(lines[0])  # offset of lines[1] in text
+    for line in lines[1:]:
+        for r in re.finditer(r"[^;\s][^;]*", line):  # each row from its first non-space
+            try:
+                rows.append([parse_int(v) for v in r.group().split()])
+            except ValueError:
+                raise ParseError(f"non-integer matrix entry in row {r.group().rstrip()!r}", start + r.start()) from None
+        start += len(line)
     try:
         return ExchangeMatrix(rows, SeedProfile(n, p, m))
     except ValueError as exc:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from clusterkit.analysis import laurent_membership
-from clusterkit.explore import ExplorationLimits, explore
+from clusterkit.explore import ExplorationLimits, _quotient_key, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import a3_matrix
 from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word
@@ -125,6 +125,14 @@ def test_quotient_key_matches_bruteforce(letter, n):
         assert [s.word for s in fast.seeds] == [s.word for s in reference.seeds]
 
 
+def test_quotient_key_keeps_the_frozen_rows():
+    # the key is a relabelling of the whole seed; the closures above never meet
+    # two seeds that differ only in a frozen row, so the key is checked directly
+    rows = ((0, 1), (-1, 0), (1, 0))
+    for labels in ((0, 1, 2), (1, 0, 2)):
+        assert _quotient_key(rows, labels, 2) != _quotient_key(rows[:2] + ((0, 1),), labels, 2)
+
+
 def test_a5_quotient_closure():
     B = ExchangeMatrix(
         [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1], [0, 0, 0, -1, 0]],
@@ -137,14 +145,12 @@ def test_a5_quotient_closure():
 
 
 def test_explore_rejects_invalid_matrix():
+    # Seed(...) validates its matrix, so no seed explore is given can carry this one
     B = ExchangeMatrix([[0, 0], [0, 0], [1, 0], [0, 1]], SeedProfile(2, 2, 4))
-    seed = Seed.__new__(Seed)  # bypass initial() validation to hit explore()'s check
-    object.__setattr__(seed, "matrix", B)
-    object.__setattr__(seed, "cluster", tuple(LaurentPoly.variable(4, i + 1) for i in range(4)))
-    object.__setattr__(seed, "word", ())
-    object.__setattr__(seed, "_hash", None)
-    with pytest.raises(InvalidSeed):
-        explore(seed)
+    with pytest.raises(InvalidSeed, match="connectivity"):
+        Seed(B, [LaurentPoly.variable(4, i + 1) for i in range(4)], ())
+    with pytest.raises(InvalidSeed, match="connectivity"):
+        Seed.initial(B)
 
 
 def test_report_json_schema(a3_seed):

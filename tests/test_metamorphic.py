@@ -10,7 +10,18 @@ Relabelling.  Permuting the mutable indices of B by sigma, rows and columns
 together, with the frozen rows left in place, gives a matrix whose
 mutation at sigma(k) is the relabelled mutation at k.  So its exchange
 graph is B's with x_i renamed x_sigma(i): the same number of seeds, the
-renamed variables and clusters, and the same factoriality status.
+renamed variables and clusters, and the same factoriality status.  The
+same holds for a permutation of the frozen rows alone, with the frozen
+variables renamed to match.
+
+Base point.  The exchange graph is connected, so exploring to closure from
+any seed of it, mutated root included, finds the same seeds, variables and
+clusters.
+
+The Laurent phenomenon (Fomin-Zelevinsky, Cluster algebras I, 2002): every
+cluster variable is a Laurent polynomial in the entries of every cluster,
+polynomial in the frozen ones, so every (variable, seed) pair of a closure
+is a member.
 
 The draws are seeded, so the suite is deterministic.
 """
@@ -137,6 +148,68 @@ def test_relabelling_renames_the_explore_report(quotient):
         assert set(image.distinct_clusters) == {
             frozenset(renamed(v, index) for v in cl) for cl in report.distinct_clusters
         }, B
+
+
+def frozen_permutation_draws():
+    """(B, index map) for seeded finite-type draws with two distinct frozen rows or
+    more; the map fixes the mutable indices and moves the frozen rows."""
+    rng = random.Random("frozen")
+    draws = []
+    for letter, n in (("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)):
+        B = random_dynkin_matrix(rng, letter, n)
+        while len(set(B.entries[n:])) < 2:
+            B = random_dynkin_matrix(rng, letter, n)
+        index = list(range(B.profile.m))
+        while relabelled(B, index) == B:
+            index = list(range(n)) + rng.sample(range(n, B.profile.m), B.profile.m - n)
+        draws.append((B, index))
+    return draws
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+def test_frozen_permutation_renames_the_explore_report(quotient):
+    for B, index in frozen_permutation_draws():
+        report, image = (
+            explore(Seed.initial(M), WIDE, quotient_permutations=quotient) for M in (B, relabelled(B, index))
+        )
+        assert report.finite
+        assert (image.seeds_found, image.frontier_exhausted_reason) == (report.seeds_found, "closure"), B
+        assert set(image.distinct_variables) == {renamed(v, index) for v in report.distinct_variables}, B
+        assert set(image.distinct_clusters) == {
+            frozenset(renamed(v, index) for v in cl) for cl in report.distinct_clusters
+        }, B
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+def test_mutated_root_closes_on_the_same_graph(quotient):
+    rng = random.Random("base point")
+    for B in dynkin_draws():
+        n = B.profile.n
+        root = Seed.initial(B)
+        word = [rng.randint(1, n) for _ in range(rng.randint(2, 5))]
+        start = apply_word(root, word)
+        report, moved = (explore(s, WIDE, quotient_permutations=quotient) for s in (root, start))
+        assert report.finite and moved.finite
+        assert moved.seeds_found == report.seeds_found, (B, word)
+        assert set(moved.distinct_variables) == set(report.distinct_variables), (B, word)
+        assert set(moved.distinct_clusters) == set(report.distinct_clusters), (B, word)
+
+
+def test_laurent_phenomenon_on_sampled_pairs():
+    rng = random.Random("laurent")
+    pairs = 0
+    for letter, n in (("A", 3), ("B", 3), ("G", 2)):
+        B = random_dynkin_matrix(rng, letter, n)
+        while B.profile.m != n + 1:
+            B = random_dynkin_matrix(rng, letter, n)
+        report = explore(Seed.initial(B), WIDE)
+        assert report.finite
+        for _ in range(12):
+            variable = rng.choice(report.distinct_variables)
+            seed = rng.choice(report.seeds)
+            assert laurent_membership(variable, seed), (B, variable, seed.word)
+            pairs += 1
+    assert pairs == 36
 
 
 def test_relabelling_keeps_the_factoriality_status():

@@ -94,6 +94,41 @@ def test_initial_seed_requires_valid_matrix():
         Seed.initial(B)
 
 
+INVALID = [
+    (ExchangeMatrix([[0]], SeedProfile(1, 1, 1)), "profile: need m > 1, got m=1"),
+    (
+        ExchangeMatrix([[0, 0], [0, 0], [1, 0], [0, 1]], SeedProfile(2, 2, 4)),
+        "connectivity: the nonzero pattern does not connect all variables",
+    ),
+    (ExchangeMatrix([[0, 1], [1, 0]], SeedProfile(2, 2, 2)), "skew: the principal part is not skew-symmetrizable"),
+]
+
+
+@pytest.mark.parametrize("B,message", INVALID, ids=["profile", "connectivity", "skew"])
+def test_seed_constructor_validates_the_matrix(B, message):
+    # every door into Seed runs the same check, with the same text
+    m = B.profile.m
+    for build in (lambda: Seed.initial(B), lambda: Seed(B, [LaurentPoly.variable(m, i + 1) for i in range(m)], ())):
+        with pytest.raises(InvalidSeed) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_seed_mutate_index_errors(a3):
+    # matrix_mutate's check is the only one seed_mutate runs
+    seed = Seed.initial(a3)
+    cases = [
+        (0, IndexError, "mutation index 0 outside 1..3"),
+        (4, IndexError, "mutation index 4 outside 1..3"),
+        (True, ValueError, "mutation index must be an integer, got True"),
+        (1.5, ValueError, "mutation index must be an integer, got 1.5"),
+    ]
+    for k, kind, message in cases:
+        with pytest.raises(kind) as info:
+            seed_mutate(seed, k)
+        assert type(info.value) is kind and str(info.value) == message
+
+
 # -- skew symmetrizer ---------------------------------------------------------
 
 
@@ -321,15 +356,13 @@ def test_word_is_provenance_not_identity(a3):
     assert hash(looped) == hash(s)
 
 
-def test_degenerate_exchange_guard():
-    # a zero column would give the exchange 1 + 1; construction bypasses
-    # validation to confirm seed_mutate itself refuses it
-    B = ExchangeMatrix.__new__(ExchangeMatrix)
-    object.__setattr__(B, "entries", ((0,), (0,)))
-    object.__setattr__(B, "profile", SeedProfile(1, 1, 2))
-    s = Seed(B, [LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)], ())
-    with pytest.raises(InvalidSeed):
-        seed_mutate(s, 1)
+def test_degenerate_exchange_guard(a3):
+    # a valid matrix with a repeated cluster entry: column 2 of a3 pairs
+    # x1 with x3 = x1, so M1 = M2 = x1 and the exchange would be 2 x1
+    x1, x2 = LaurentPoly.variable(3, 1), LaurentPoly.variable(3, 2)
+    s = Seed(a3, [x1, x2, x1], ())
+    with pytest.raises(InvalidSeed, match="degenerate exchange at 2"):
+        seed_mutate(s, 2)
 
 
 def test_seed_randomized_invariants():
@@ -519,3 +552,17 @@ def test_matrix_parse_errors():
         parse_matrix("2 2 2\n0 1; -1 0; 0 0")  # too many rows
     with pytest.raises(ParseError):
         parse_matrix('{"n": 2, "p": 2, "rows": [[0, 1], [-1, 0]]}')  # missing m
+
+
+def test_matrix_parse_error_points_at_the_bad_row():
+    # the position is the bad row's own offset, even where its text also occurs in an earlier row
+    cases = [
+        ("2 2 2\n0 1 -1; 1 -", 14, "'1 -'"),
+        ("  2 2 2\r\n0 1 -1 ;\r\n  1 x  ; 0 0", 21, "'1 x'"),
+        ("2 2 2\n0 1\n0 1; 0 1;; 0 1x", 21, "'0 1x'"),
+    ]
+    for text, pos, row in cases:
+        with pytest.raises(ParseError) as info:
+            parse_matrix(text)
+        assert info.value.pos == pos and str(info.value) == f"non-integer matrix entry in row {row} (at position {pos})"
+        assert text[pos:].startswith(row.strip("'"))

@@ -67,6 +67,28 @@ def test_trusted_constructors_stay_in_their_home_modules():
     assert used == set(TRUSTED_CALL_SITES)
 
 
+def test_seeds_are_validated_only_at_the_door():
+    # Seed(...) validates its matrix and mutation keeps it valid, so no other
+    # package code has a reason to call validate
+    callers = []
+
+    def visit(node, fname, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "validate") or (
+                isinstance(func, ast.Attribute) and func.attr == "validate"
+            ):
+                callers.append((fname, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fname, scope)
+
+    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, None)
+    assert callers == [("seeds.py", "Seed.__init__")]
+
+
 def test_readme_layout_table_names_existing_api():
     # a name deleted from a module must leave the README's library-layout table too
     section = README.read_text(encoding="utf-8").split("## Library layout", 1)[1].split("\n## ", 1)[0]

@@ -30,6 +30,7 @@ from .constructions import (
 from .explore import ExplorationLimits, ExplorationReport, explore
 from .laurent import (
     DimensionMismatch,
+    ExponentRangeError,
     FieldTag,
     LaurentPoly,
     NotDivisible,
@@ -47,6 +48,7 @@ from .seeds import (
     Seed,
     SeedProfile,
     apply_word,
+    exchange_monomials,
     is_acyclic,
     matrix_mutate,
     matrix_rank,

@@ -200,8 +200,9 @@ def _report(order: list[Seed], reason: str) -> ExplorationReport:
         if cl not in cluster_seen:
             cluster_seen.add(cl)
             clusters.append(cl)
-    variables = sorted({v for cl in clusters for v in cl}, key=LaurentPoly.sort_key)
-    clusters.sort(key=lambda cl: tuple(sorted(v.sort_key() for v in cl)))
+    keys = {v: v.sort_key() for cl in clusters for v in cl}  # one sort key per variable
+    variables = sorted(keys, key=keys.__getitem__)
+    clusters.sort(key=lambda cl: tuple(sorted(map(keys.__getitem__, cl))))
     return ExplorationReport(
         seeds_found=len(order),
         distinct_variables=tuple(variables),

@@ -2,26 +2,38 @@
 
 A Laurent polynomial in m ambient variables is a finite sum of terms
 c * x1^a1 * ... * xm^am with arbitrary-precision integer coefficients c and
-signed integer exponents a_i.  Terms are kept as a tuple of
-(exponent-vector, coefficient) pairs, sorted in descending lexicographic
-order on the exponent vectors, with no zero coefficients.  Structural
-equality of this canonical form therefore coincides with mathematical
-equality, and values are hashable and immutable.
+signed integer exponents a_i in EXPONENT_MIN..EXPONENT_MAX, that is
+-2^30..2^30 - 1.  Each exponent vector is stored as one int, its packed
+key: m slots of 32 bits, slot 0 (x1) the most significant, each holding
+a_i + 2^30.  An exponent in range fills its slot below the slot's top
+bit, the guard bit, so integer order on keys is descending lexicographic
+order on exponent vectors, and the key of a product term is the sum of
+its factors' keys minus the key of the zero vector.  A slot leaves the
+range only by setting its guard bit (a carry stays inside the slot, and a
+borrow wraps the slot it leaves past the guard bit), so one test of
+key & guard on every computed key refuses a wrapped result; an exponent
+out of range, given or computed, raises ExponentRangeError.
 
-Canonical terms are sorted strictly descending, carry nonzero int
-coefficients and exponent tuples of length m.  The public constructors
-(LaurentPoly(...), zero, const, variable, monomial) check the exponent
-lengths, refuse any coefficient or exponent that is not an int (bool
-included), merge repeated exponents, drop zero coefficients and sort.
-Kernel arithmetic on canonical operands yields canonical data by
-construction, so products, sums, negation, shifts, exact quotients and
-divisions by a common coefficient divisor are built through the private
+A value holds its keys (strictly descending) and their nonzero
+coefficients as two parallel tuples.  Structural equality of this
+canonical form therefore coincides with mathematical equality, and values
+are hashable and immutable.  The public view terms, the tuple of
+(exponent tuple, coefficient) pairs in the same order, is unpacked on
+first use and cached.
+
+The public constructors (LaurentPoly(...), zero, const, variable,
+monomial) check the exponent lengths, refuse any coefficient or exponent
+that is not an int (bool included) or an exponent out of range, merge
+repeated exponents, drop zero coefficients and sort.  Kernel arithmetic
+on canonical operands yields canonical data by construction, so products,
+sums, negation, shifts, exact quotients and divisions by a common
+coefficient divisor are built through the private
 LaurentPoly._from_canonical, which trusts its input and checks nothing.
 RationalFn._from_canonical does the same for fractions that are reduced
 by construction: constants, Laurent splits, negations and powers.
-A product or quotient with a monomial factor is a shift and a scale of the
-other operand's terms, which keeps their order, so it needs no dictionary
-and no sort.
+A product or quotient with a monomial factor is one addition to every
+key of the other operand, which keeps their order, so it needs no
+dictionary and no sort.
 
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd on
@@ -47,14 +59,49 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from operator import add, lt, sub
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_, rshift, sub
 from typing import Iterable, Sequence
 
 Exps = tuple  # exponent vector: one signed int per ambient variable
 
+# the packed key layout (see the module docstring)
+_SLOT_BITS = 32
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_GUARD_BIT = 1 << (_SLOT_BITS - 1)
+_EXP_BIAS = 1 << (_SLOT_BITS - 2)  # a slot holds exponent + _EXP_BIAS
+EXPONENT_MIN = -_EXP_BIAS
+EXPONENT_MAX = _EXP_BIAS - 1
+
+
+class _Layouts(dict):
+    """m -> (bias, guard): the key of the zero exponent vector and the mask of the m guard bits."""
+
+    def __missing__(self, m: int) -> tuple[int, int]:
+        ones = sum(1 << (_SLOT_BITS * i) for i in range(m))
+        layout = self[m] = (ones * _EXP_BIAS, ones * _GUARD_BIT)
+        return layout
+
+
+_LAYOUT = _Layouts()
+
+
+def _shifts(m: int) -> range:
+    """Bit offsets of slots 0..m-1 of a key."""
+    return range(_SLOT_BITS * (m - 1), -1, -_SLOT_BITS)
+
 
 class DimensionMismatch(ValueError):
     """Operands live in Laurent rings with different ambient variable counts."""
+
+
+class ExponentRangeError(ValueError):
+    """An exponent, given or computed, lies outside EXPONENT_MIN..EXPONENT_MAX."""
+
+
+def _range_error(what: str) -> ExponentRangeError:
+    return ExponentRangeError(f"{what} outside the exponent range {EXPONENT_MIN}..{EXPONENT_MAX}")
 
 
 class NotDivisible(ArithmeticError):
@@ -90,72 +137,125 @@ def _require_int(value, what: str) -> None:
         raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial with integer coefficients."""
+def _require_dimension(m) -> None:
+    if type(m) is not int or m < 0:  # the fast test, as for the coefficients in __init__
+        _require_int(m, "ambient dimension")
+        if m < 0:
+            raise ValueError(f"ambient dimension must be nonnegative, got {m}")
 
-    __slots__ = ("m", "terms", "_hash")
+
+def _pack(exps: Iterable[int], what: str) -> int:
+    """The key of an exponent vector; ValueError for an exponent that is no int or out of range."""
+    key = 0
+    for e in exps:
+        # type() is the fast test; _require_int also admits int subclasses but bool
+        if type(e) is not int:
+            _require_int(e, what)
+        if not EXPONENT_MIN <= e <= EXPONENT_MAX:
+            raise _range_error(f"{what} {e}")
+        key = key << _SLOT_BITS | (e + _EXP_BIAS)
+    return key
+
+
+def _sorted_parts(acc: dict[int, int]) -> tuple[tuple, tuple]:
+    """(keys, coefficients) of a key -> coefficient dictionary: zeros dropped, keys descending."""
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    keys = sorted(acc, reverse=True)
+    return tuple(keys), tuple([acc[k] for k in keys])
+
+
+def _slot_min(keys: tuple, guard: int) -> int:
+    """The key whose every slot holds the minimum of that slot over the keys (at least one)."""
+    low_bits = guard - (guard >> (_SLOT_BITS - 1))  # the bits below each guard bit
+    out = keys[0]
+    for k in keys[1:]:
+        # ge holds a slot's guard bit where k >= out in that slot; keep spans those slots
+        ge = ((k | guard) - out) & guard
+        keep = ge - (ge >> (_SLOT_BITS - 1))
+        out = (out & keep) | (k & (low_bits ^ keep))
+    return out
+
+
+class LaurentPoly:
+    """Immutable sparse Laurent polynomial with integer coefficients.
+
+    Stored as packed exponent keys and coefficients (see the module
+    docstring); terms is the unpacked view.
+    """
+
+    __slots__ = ("m", "_keys", "_coeffs", "_view", "_hash")
 
     def __init__(self, m: int, terms: dict[Exps, int] | Iterable[tuple[Exps, int]]):
-        if type(m) is not int or m < 0:  # the fast test, as for the coefficients below
-            _require_int(m, "ambient dimension")
-            if m < 0:
-                raise ValueError(f"ambient dimension must be nonnegative, got {m}")
+        _require_dimension(m)
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[Exps, int] = {}
+        acc: dict[int, int] = {}
         for exps, c in items:
             if len(exps) != m:
                 raise DimensionMismatch(
                     f"exponent vector of length {len(exps)} in ambient dimension {m}"
                 )
-            # type() is the fast test; _require_int also admits int subclasses but bool
-            if type(c) is not int:
+            if type(c) is not int:  # the fast test, as in _pack
                 _require_int(c, "Laurent polynomial coefficient")
-            for e in exps:
-                if type(e) is not int:
-                    _require_int(e, "Laurent polynomial exponent")
+            key = _pack(exps, "Laurent polynomial exponent")
             if c:
-                nc = acc.get(exps, 0) + c
-                if nc:
-                    acc[exps] = nc
-                else:
-                    del acc[exps]
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", tuple(sorted(acc.items(), reverse=True)))
-        object.__setattr__(self, "_hash", None)
+                acc[key] = acc.get(key, 0) + c
+        keys, coeffs = _sorted_parts(acc)
+        _set_m(self, m)
+        _set_keys(self, keys)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def _from_canonical(cls, m: int, terms: tuple) -> "LaurentPoly":
-        """Trusted constructor: terms must already be canonical (see the module docstring)."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
+    def _from_canonical(cls, m: int, keys: tuple, coeffs: tuple) -> "LaurentPoly":
+        """Trusted constructor: keys and coeffs must already be canonical (see the module docstring)."""
+        self = _new(cls)
+        _set_m(self, m)
+        _set_keys(self, keys)
+        _set_coeffs(self, coeffs)
         return self
+
+    @property
+    def terms(self) -> tuple:
+        """(exponent tuple, coefficient) pairs in descending lex order, unpacked once."""
+        try:
+            return self._view  # set on first use
+        except AttributeError:
+            shifts = _shifts(self.m)
+            view = tuple([
+                (tuple([(k >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts]), c)
+                for k, c in zip(self._keys, self._coeffs)
+            ])
+            _set_view(self, view)
+            return view
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, m: int) -> "LaurentPoly":
-        return cls(m, {})
+        _require_dimension(m)
+        return LaurentPoly._from_canonical(m, (), ())
 
     @classmethod
     def const(cls, m: int, c: int) -> "LaurentPoly":
-        if type(m) is not int:  # (0,) * m would raise TypeError before __init__ could check m
-            _require_int(m, "ambient dimension")
-        return cls(m, {(0,) * m: c})
+        _require_dimension(m)
+        if type(c) is not int:
+            _require_int(c, "Laurent polynomial coefficient")
+        if not c:
+            return LaurentPoly._from_canonical(m, (), ())
+        return LaurentPoly._from_canonical(m, (_LAYOUT[m][0],), (c,))
 
     @classmethod
     def variable(cls, m: int, i: int) -> "LaurentPoly":
         """The coordinate monomial x_i (1-indexed)."""
         if type(i) is not int:  # the fast test, as in __init__
             _require_int(i, "variable index")
+        _require_dimension(m)
         if not 1 <= i <= m:
             raise DimensionMismatch(f"variable index {i} outside 1..{m}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(m))
-        return cls(m, {exps: 1})
+        return LaurentPoly._from_canonical(m, (_LAYOUT[m][0] + (1 << _SLOT_BITS * (m - i)),), (1,))
 
     @classmethod
     def monomial(cls, m: int, exps: Sequence[int], coeff: int = 1) -> "LaurentPoly":
@@ -165,15 +265,15 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     @property
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][1] == 1 and not any(self.terms[0][0])
+        return self._coeffs == (1,) and self._keys[0] == _LAYOUT[self.m][0]
 
     @property
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._keys) == 1
 
     def support_vars(self) -> frozenset[int]:
         """1-indexed set of variables occurring with nonzero exponent."""
@@ -186,21 +286,19 @@ class LaurentPoly:
 
     def min_exponents(self) -> Exps:
         """Per-variable minimum exponent over all terms (zeros if empty)."""
-        if not self.terms:
+        if not self._keys:
             return (0,) * self.m
-        mins = list(self.terms[0][0])
-        for exps, _ in self.terms[1:]:
-            for i, e in enumerate(exps):
-                if e < mins[i]:
-                    mins[i] = e
-        return tuple(mins)
+        low = _slot_min(self._keys, _LAYOUT[self.m][1])
+        return tuple([(low >> s & _SLOT_MASK) - _EXP_BIAS for s in _shifts(self.m)])
 
     def is_ordinary(self) -> bool:
         """True when no term carries a negative exponent."""
-        return all(e >= 0 for exps, _ in self.terms for e in exps)
+        bias, guard = _LAYOUT[self.m]
+        # (k | guard) - bias keeps a slot's guard bit exactly when the slot holds >= bias
+        return all(((k | guard) - bias) & guard == guard for k in self._keys)
 
     def sort_key(self):
-        return self.terms
+        return tuple(zip(self._keys, self._coeffs))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -212,21 +310,18 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        if not other.terms:
+        if not other._keys:
             return self
-        if not self.terms:
+        if not self._keys:
             return other
-        acc = dict(self.terms)
-        for exps, c in other.terms:
-            nc = acc.get(exps, 0) + c
-            if nc:
-                acc[exps] = nc
-            else:
-                del acc[exps]
-        return LaurentPoly._from_canonical(self.m, tuple(sorted(acc.items(), reverse=True)))
+        acc = dict(zip(self._keys, self._coeffs))
+        get = acc.get
+        for k, c in zip(other._keys, other._coeffs):
+            acc[k] = get(k, 0) + c
+        return LaurentPoly._from_canonical(self.m, *_sorted_parts(acc))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._from_canonical(self.m, tuple((exps, -c) for exps, c in self.terms))
+        return LaurentPoly._from_canonical(self.m, self._keys, tuple([-c for c in self._coeffs]))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -234,38 +329,51 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly.zero(self.m)
-            return LaurentPoly._from_canonical(self.m, tuple((exps, c * other) for exps, c in self.terms))
+        m = self.m
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b, other = b, a, self
-        if len(a) == 1:
-            # a monomial factor shifts and scales the other's terms, keeping their order
-            ea, ca = a[0]
-            if any(ea):
-                return LaurentPoly._from_canonical(
-                    self.m, tuple((tuple(map(add, eb, ea)), cb * ca) for eb, cb in b)
-                )
-            if ca == 1:
-                return other
-            return LaurentPoly._from_canonical(self.m, tuple((eb, cb * ca) for eb, cb in b))
-        if not a:
-            return LaurentPoly.zero(self.m)
-        acc: dict[Exps, int] = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                key = tuple(map(add, ea, eb))
-                nc = acc.get(key, 0) + ca * cb
-                if nc:
-                    acc[key] = nc
-                else:
-                    del acc[key]
-        return LaurentPoly._from_canonical(self.m, tuple(sorted(acc.items(), reverse=True)))
+            if not isinstance(other, int):
+                return NotImplemented
+            if not other:
+                return LaurentPoly.zero(m)
+            return LaurentPoly._from_canonical(m, self._keys, tuple([c * other for c in self._coeffs]))
+        if other.m != m:
+            self._check(other)
+        a, b = (self, other) if len(self._keys) <= len(other._keys) else (other, self)
+        akeys, bkeys, bcoeffs = a._keys, b._keys, b._coeffs
+        bias, guard = _LAYOUT[m]
+        if len(akeys) == 1:
+            # a monomial factor adds one offset to every key and scales, keeping the order
+            off, ca = akeys[0] - bias, a._coeffs[0]
+            if len(bkeys) == 1:
+                key = bkeys[0] + off
+                if key & guard:
+                    raise _range_error("a product exponent")
+                return LaurentPoly._from_canonical(m, (key,), (ca * bcoeffs[0],))
+            if ca != 1:
+                bcoeffs = tuple([c * ca for c in bcoeffs])
+            elif not off:
+                return b
+            if off:
+                bkeys = tuple([k + off for k in bkeys])
+                if reduce(or_, bkeys) & guard:
+                    raise _range_error("a product exponent")
+            return LaurentPoly._from_canonical(m, bkeys, bcoeffs)
+        if not akeys:
+            return a
+        bterms = list(zip(bkeys, bcoeffs))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in zip(akeys, a._coeffs):
+            off = ka - bias
+            for kb, cb in bterms:
+                k = kb + off
+                acc[k] = get(k, 0) + ca * cb
+        # the extreme exponent of each slot never cancels (it comes from one
+        # pair of terms), so the surviving keys show every overflow
+        keys, coeffs = _sorted_parts(acc)
+        if keys and reduce(or_, keys) & guard:
+            raise _range_error("a product exponent")
+        return LaurentPoly._from_canonical(m, keys, coeffs)
 
     __rmul__ = __mul__
 
@@ -280,26 +388,32 @@ class LaurentPoly:
         """Multiply by the monomial with the given exponent vector."""
         if len(offsets) != self.m:
             raise DimensionMismatch(f"offsets of length {len(offsets)} in dimension {self.m}")
-        for e in offsets:
-            if type(e) is not int:
-                _require_int(e, "shift offset")
-        return LaurentPoly._from_canonical(
-            self.m, tuple((tuple(map(add, exps, offsets)), c) for exps, c in self.terms)
-        )
+        bias, guard = _LAYOUT[self.m]
+        off = _pack(offsets, "shift offset") - bias
+        if not (off and self._keys):
+            return self
+        keys = tuple([k + off for k in self._keys])
+        if reduce(or_, keys) & guard:
+            raise _range_error("a shifted exponent")
+        return LaurentPoly._from_canonical(self.m, keys, self._coeffs)
 
     def derivative(self, i: int) -> "LaurentPoly":
         """Formal partial derivative with respect to x_i (1-indexed)."""
         _require_int(i, "variable index")
         if not 1 <= i <= self.m:
             raise DimensionMismatch(f"variable index {i} outside 1..{self.m}")
-        acc: dict[Exps, int] = {}
-        j = i - 1
-        for exps, c in self.terms:
-            e = exps[j]
+        s = _SLOT_BITS * (self.m - i)
+        one = 1 << s
+        keys, coeffs = [], []
+        # lowering one slot by 1 keeps the order of the terms it leaves nonzero
+        for k, c in zip(self._keys, self._coeffs):
+            e = (k >> s & _SLOT_MASK) - _EXP_BIAS
             if e:
-                key = exps[:j] + (e - 1,) + exps[j + 1 :]
-                acc[key] = acc.get(key, 0) + c * e
-        return LaurentPoly(self.m, acc)
+                keys.append(k - one)
+                coeffs.append(c * e)
+        if keys and reduce(or_, keys) & _LAYOUT[self.m][1]:
+            raise _range_error("a derivative exponent")
+        return LaurentPoly._from_canonical(self.m, tuple(keys), tuple(coeffs))
 
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         """Exact evaluation; coordinates hit by a negative exponent must be nonzero."""
@@ -320,17 +434,28 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return self.m == other.m and self._keys == other._keys and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.m, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash  # set on first use
+        except AttributeError:
+            h = hash((self.m, self._keys, self._coeffs))
+            _set_hash(self, h)
+            return h
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.m}, {render_poly(self)!r})"
+
+
+# __setattr__ refuses every assignment, so the constructors set the slots
+# through their own descriptors
+_new = object.__new__
+_set_m = LaurentPoly.m.__set__
+_set_keys = LaurentPoly._keys.__set__
+_set_coeffs = LaurentPoly._coeffs.__set__
+_set_view = LaurentPoly._view.__set__
+_set_hash = LaurentPoly._hash.__set__
 
 
 def _power(base, k: int):
@@ -355,7 +480,8 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     exists.  It runs on the terms as they are.  The lowest x_i-degree of a
     product is the sum of its factors' lowest x_i-degrees, so a quotient
     has exponents at least low = min(a) - min(b), per variable, and a
-    quotient term below low proves that none exists.  This is reduction
+    quotient term below low proves that none exists; packed, that is one
+    test of every slot at once.  This is reduction
     in the ordinary ring after shifting a by x^-min(a) and b by x^-min(b),
     because monomial shifts keep the lex order.  Each reduction step
     leaves a remainder whose terms all lie below the one just cancelled,
@@ -365,33 +491,57 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     a._check(b)
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if len(b.terms) == 1:
-        eb, cb = b.terms[0]
-        if any(c % cb for _, c in a.terms):
-            raise NotDivisible("coefficient not divisible by the monomial divisor's coefficient")
-        return LaurentPoly._from_canonical(
-            a.m, tuple((tuple(map(sub, exps, eb)), c // cb) for exps, c in a.terms)
-        )
-    low = tuple(map(sub, a.min_exponents(), b.min_exponents()))
-    rem = dict(a.terms)
-    bl_exps, bl_c = b.terms[0]
-    quot: list[tuple[Exps, int]] = []
+    m = a.m
+    bias, guard = _LAYOUT[m]
+    bkeys, bcoeffs = b._keys, b._coeffs
+    if len(bkeys) == 1:
+        off, cb = bkeys[0] - bias, bcoeffs[0]
+        keys, coeffs = a._keys, a._coeffs
+        if cb != 1:
+            if any(c % cb for c in coeffs):
+                raise NotDivisible("coefficient not divisible by the monomial divisor's coefficient")
+            coeffs = tuple([c // cb for c in coeffs])
+        if off and keys:
+            keys = tuple([k - off for k in keys])
+            if reduce(or_, keys) & guard:
+                raise _range_error("a quotient exponent")
+        return LaurentPoly._from_canonical(m, keys, coeffs)
+    if a.is_zero:
+        return a
+    # low, slot by slot, clamped to 0..guard bit: below the range every
+    # quotient term passes, and above it none does
+    min_a, min_b = _slot_min(a._keys, guard), _slot_min(bkeys, guard)
+    low = 0
+    for s in _shifts(m):
+        v = (min_a >> s & _SLOT_MASK) - (min_b >> s & _SLOT_MASK) + _EXP_BIAS
+        low = low << _SLOT_BITS | min(max(v, 0), _GUARD_BIT)
+    lead, bl_c = bkeys[0] - bias, bcoeffs[0]
+    tail = list(zip(bkeys[1:], bcoeffs[1:]))
+    rem = dict(zip(a._keys, a._coeffs))
+    get = rem.get
+    qkeys, qcoeffs = [], []
+    # a remainder key out of range is still exact and in lex order (every
+    # slot is off by less than 2^31), so only the quotient terms are tested
     while rem:
-        r_exps = max(rem)
-        r_c = rem[r_exps]
-        t_exps = tuple(map(sub, r_exps, bl_exps))
-        if any(map(lt, t_exps, low)) or r_c % bl_c:
+        r = max(rem)
+        r_c = rem.pop(r)
+        t = r - lead
+        if t & guard:
+            raise _range_error("a quotient exponent")
+        if ((t | guard) - low) & guard != guard or r_c % bl_c:
             raise NotDivisible("leading term not divisible; quotient does not exist")
         t_c = r_c // bl_c
-        quot.append((t_exps, t_c))
-        for exps, c in b.terms:
-            key = tuple(map(add, t_exps, exps))
-            nc = rem.get(key, 0) - t_c * c
+        qkeys.append(t)
+        qcoeffs.append(t_c)
+        off = t - bias
+        for k, c in tail:
+            k += off
+            nc = get(k, 0) - t_c * c
             if nc:
-                rem[key] = nc
+                rem[k] = nc
             else:
-                rem.pop(key, None)
-    return LaurentPoly._from_canonical(a.m, tuple(quot))
+                del rem[k]
+    return LaurentPoly._from_canonical(m, tuple(qkeys), tuple(qcoeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +550,8 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def _deg_in(p: LaurentPoly, v: int) -> int:
-    return max(exps[v] for exps, _ in p.terms)
+    s = _SLOT_BITS * (p.m - 1 - v)
+    return max(map(and_, map(rshift, p._keys, repeat(s)), repeat(_SLOT_MASK))) - _EXP_BIAS
 
 
 def _coefficients_in(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
@@ -409,10 +560,14 @@ def _coefficients_in(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
     One pass over p.  Zeroing one slot keeps the order of terms that agree
     in that slot, so every coefficient is canonical as collected.
     """
-    acc: dict[int, list] = {}
-    for exps, c in p.terms:
-        acc.setdefault(exps[v], []).append((exps[:v] + (0,) + exps[v + 1 :], c))
-    return {d: LaurentPoly._from_canonical(p.m, tuple(terms)) for d, terms in acc.items()}
+    s = _SLOT_BITS * (p.m - 1 - v)
+    acc: dict[int, tuple[list, list]] = {}
+    for k, c in zip(p._keys, p._coeffs):
+        e = (k >> s & _SLOT_MASK) - _EXP_BIAS
+        keys, coeffs = acc.setdefault(e, ([], []))
+        keys.append(k - (e << s))
+        coeffs.append(c)
+    return {d: LaurentPoly._from_canonical(p.m, tuple(ks), tuple(cs)) for d, (ks, cs) in acc.items()}
 
 
 def _prem(f: LaurentPoly, g: LaurentPoly, v: int) -> LaurentPoly:
@@ -441,7 +596,7 @@ def _content_in(p: LaurentPoly, v: int) -> LaurentPoly:
 
 
 def _normalize_sign(p: LaurentPoly) -> LaurentPoly:
-    if p.terms and p.terms[0][1] < 0:
+    if p._coeffs and p._coeffs[0] < 0:
         return -p
     return p
 
@@ -478,7 +633,7 @@ def _poly_gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return _normalize_sign(a + b)  # gcd(0, p) = p up to sign
     va, vb = a.support_vars(), b.support_vars()
     if not va and not vb:
-        return LaurentPoly.const(a.m, math.gcd(a.terms[0][1], b.terms[0][1]))
+        return LaurentPoly.const(a.m, math.gcd(a._coeffs[0], b._coeffs[0]))
     v = max(va | vb) - 1
     if v + 1 not in va:
         return _poly_gcd_prs(a, _content_in(b, v))
@@ -516,7 +671,7 @@ def _heu_gcd(f: LaurentPoly, g: LaurentPoly, active: tuple) -> tuple | None:
     if not active:
         return LaurentPoly.const(f.m, content), f, g  # no variables left: integer gcd
     # xi >= 2 * min(|f|, |g|) + 2 is the provable bound; +29 skips tiny xi
-    xi = 2 * min(max(abs(c) for _, c in f.terms), max(abs(c) for _, c in g.terms)) + 29
+    xi = 2 * min(max(map(abs, f._coeffs)), max(map(abs, g._coeffs))) + 29
     v = active[0]
     for _ in range(_HEU_GCD_ATTEMPTS):
         fe = _evaluate_at(f, v, xi)
@@ -537,34 +692,34 @@ def _heu_gcd(f: LaurentPoly, g: LaurentPoly, active: tuple) -> tuple | None:
 
 def _evaluate_at(p: LaurentPoly, v: int, xi: int) -> LaurentPoly:
     """Substitute xi for x_{v+1}; the v-slot of the result is zero."""
+    s = _SLOT_BITS * (p.m - 1 - v)
     powers = [1]
-    acc: dict[Exps, int] = {}
-    for exps, c in p.terms:
-        e = exps[v]
+    acc: dict[int, int] = {}
+    for k, c in zip(p._keys, p._coeffs):
+        e = (k >> s & _SLOT_MASK) - _EXP_BIAS
         while len(powers) <= e:
             powers.append(powers[-1] * xi)
-        key = exps[:v] + (0,) + exps[v + 1 :]
-        acc[key] = acc.get(key, 0) + c * powers[e]
-    terms = sorted(((key, c) for key, c in acc.items() if c), reverse=True)
-    return LaurentPoly._from_canonical(p.m, tuple(terms))
+        k -= e << s
+        acc[k] = acc.get(k, 0) + c * powers[e]
+    return LaurentPoly._from_canonical(p.m, *_sorted_parts(acc))
 
 
 def _interpolate_at(gamma: LaurentPoly, v: int, xi: int) -> LaurentPoly:
     """Primitive part of the polynomial whose x_{v+1}-coefficients are the
     symmetric xi-adic digits of gamma's coefficients (gamma's v-slot is zero)."""
+    s = _SLOT_BITS * (gamma.m - 1 - v)
     half = xi // 2
-    out = []
-    for exps, c in gamma.terms:
-        i = 0
+    out: dict[int, int] = {}
+    for k, c in zip(gamma._keys, gamma._coeffs):
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                out.append((exps[:v] + (i,) + exps[v + 1 :], d))
+                out[k] = d
             c = (c - d) // xi
-            i += 1
-    h = LaurentPoly._from_canonical(gamma.m, tuple(sorted(out, reverse=True)))
+            k += 1 << s
+    h = LaurentPoly._from_canonical(gamma.m, *_sorted_parts(out))
     return _divide_coefficients(h, _integer_content(h))
 
 
@@ -669,6 +824,11 @@ class RationalFn:
     integer content) with the numerator, and carries a positive leading
     coefficient under lex order.  The denominator is 1 exactly when the
     value is a polynomial.
+
+    The field operations +, -, *, / and ** are kept public API: the
+    package itself only divides (the CLI's --den) and splits Laurent
+    values with from_laurent, but library users build fractions with the
+    others, and the test suite's formal substitution uses them.
     """
 
     __slots__ = ("num", "den")
@@ -756,7 +916,7 @@ class RationalFn:
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            num, den = (-den, -num) if num.terms[0][1] < 0 else (den, num)
+            num, den = (-den, -num) if num._coeffs[0] < 0 else (den, num)
             k = -k
         if not k:
             return RationalFn.const(self.m, 1)
@@ -778,17 +938,12 @@ class RationalFn:
 
 def _integer_content(p: LaurentPoly) -> int:
     """gcd of the coefficients of p (0 for the zero polynomial)."""
-    out = 0
-    for _, c in p.terms:
-        out = math.gcd(out, c)
-        if out == 1:
-            break
-    return out
+    return math.gcd(*p._coeffs)
 
 
 def _divide_coefficients(p: LaurentPoly, d: int) -> LaurentPoly:
     """p with every coefficient divided by d, a nonzero divisor of all of them."""
-    return LaurentPoly._from_canonical(p.m, tuple((e, c // d) for e, c in p.terms))
+    return LaurentPoly._from_canonical(p.m, p._keys, tuple([c // d for c in p._coeffs]))
 
 
 def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -805,7 +960,7 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         den = LaurentPoly.monomial(num.m, tuple(map(sub, dexps, common)), dc // g)
     else:
         _, num, den = _gcd_cofactors(num, den)
-    if den.terms[0][1] < 0:
+    if den._coeffs[0] < 0:
         num, den = -num, -den
     return num, den
 
@@ -825,29 +980,38 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
     costs one multiply by a power of one image, where term-by-term
     composition multiplies full image powers for every term.  All the
     values share one table of these powers, so each is computed once per
-    call.  The sums and products are exact and the canonical form makes
-    equal values identical, so the result is the term-by-term one.
+    call, up from the largest lower power already in the table.  The sums
+    and products are exact and the canonical form makes equal values
+    identical, so the result is the term-by-term one.
 
     A negative exponent raises ValueError: RationalFn.from_laurent splits
     a Laurent value into the ordinary numerator and denominator that are
     composed instead.
     """
     m = images[0].m
-    powers: list[dict[int, LaurentPoly]] = [{} for _ in images]
+    powers: list[dict[int, LaurentPoly]] = [{1: image} for image in images]
 
     def times_power(value: LaurentPoly, i: int, k: int) -> LaurentPoly:
         if not k:
             return value
-        power = powers[i].get(k)
+        table = powers[i]
+        power = table.get(k)
         if power is None:
-            power = powers[i][k] = images[i] ** k
+            # up from the largest lower power in the table, each step by the
+            # largest power in the table that still fits; every step is kept
+            have = max(d for d in table if d < k)
+            power = table[have]
+            while have < k:
+                step = max(d for d in table if d <= k - have)
+                power = power * table[step]
+                have += step
+                table[have] = power
         return value * power
 
     values = []
     for p in polys:
-        for exps, _ in p.terms:
-            if min(exps) < 0:
-                raise ValueError("composition expects ordinary polynomials (no negative exponents)")
+        if not p.is_ordinary():
+            raise ValueError("composition expects ordinary polynomials (no negative exponents)")
         n, zero = p.m, LaurentPoly.zero(m)
         if not p.terms:
             values.append(zero)

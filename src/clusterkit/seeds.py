@@ -299,8 +299,13 @@ class Seed:
 
 def exchange_monomials(s: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The two products M1, M2 of the exchange relation x_k * x_k' = M1 + M2."""
+    return _exchange_monomials(s, s.matrix.column(k))
+
+
+def _exchange_monomials(s: Seed, column: Sequence[int]) -> tuple[LaurentPoly, LaurentPoly]:
+    """M1, M2 for a column of s's matrix that the caller has read, its index checked."""
     products: list[LaurentPoly | None] = [None, None]
-    for x, b in zip(s.cluster, s.matrix.column(k)):
+    for x, b in zip(s.cluster, column):
         if b:
             side = 0 if b > 0 else 1
             power = x ** abs(b)
@@ -311,8 +316,8 @@ def exchange_monomials(s: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
 
 def seed_mutate(s: Seed, k: int) -> Seed:
     """Mutate the seed in direction k: exchange relation plus matrix mutation."""
-    matrix = matrix_mutate(s.matrix, k)  # checks k before exchange_monomials reads column k
-    m1, m2 = exchange_monomials(s, k)
+    matrix = matrix_mutate(s.matrix, k)  # the one check of k
+    m1, m2 = _exchange_monomials(s, [row[k - 1] for row in s.matrix.entries])
     if m1 == m2:
         raise InvalidSeed(f"degenerate exchange at {k}: both exchange monomials equal")
     new_entry = exact_div(m1 + m2, s.cluster[k - 1])  # NotDivisible propagates

@@ -8,7 +8,8 @@ the kernel's composition routine, and the generators only call back into
 the package to reject invalid samples.  The reference composition builds
 each term's value as a product of image powers and adds the terms one by
 one, without the kernel's Horner walk.  The kernel references (general
-multiply, leading-term division, matrix mutation) build every result
+multiply, leading-term division with the minimum exponents read off the
+terms, powers, shifts, derivatives, matrix mutation) build every result
 through the checking public constructors; the reference acyclicity test
 is a depth-first search for a back edge.  The reference symmetrizer
 propagates Fraction ratios and rejects each failure where it meets it,
@@ -145,8 +146,8 @@ def exact_div_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero:
         return LaurentPoly.zero(a.m)
-    sa = a.min_exponents()
-    sb = b.min_exponents()
+    sa = _min_exponents_reference(a)
+    sb = _min_exponents_reference(b)
     rem = {tuple(map(sub, exps, sa)): c for exps, c in a.terms}
     bterms = [(tuple(map(sub, exps, sb)), c) for exps, c in b.terms]
     bl_exps, bl_c = bterms[0]
@@ -176,6 +177,22 @@ def power_reference(p: LaurentPoly, k: int) -> LaurentPoly:
     for _ in range(k):
         out = mul_reference(out, p)
     return out
+
+
+def _min_exponents_reference(p: LaurentPoly) -> tuple:
+    """Per-variable minimum exponent of a nonzero p, read off its terms."""
+    return tuple(min(column) for column in zip(*(exps for exps, _ in p.terms)))
+
+
+def shift_reference(p: LaurentPoly, offsets: Sequence[int]) -> LaurentPoly:
+    """p times the monomial x^offsets, term by term through the checking constructor."""
+    return LaurentPoly(p.m, [(tuple(map(add, exps, offsets)), c) for exps, c in p.terms])
+
+
+def derivative_reference(p: LaurentPoly, i: int) -> LaurentPoly:
+    """The partial derivative in x_i (1-indexed), term by term through the checking constructor."""
+    j = i - 1
+    return LaurentPoly(p.m, [(exps[:j] + (exps[j] - 1,) + exps[j + 1 :], c * exps[j]) for exps, c in p.terms if exps[j]])
 
 
 def matrix_mutate_reference(B: ExchangeMatrix, k: int) -> ExchangeMatrix:

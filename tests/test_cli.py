@@ -212,7 +212,7 @@ def _lie_with_half_coefficient(real):
         lp = real()
         last = lp.stages[-1]
         # the public constructor refuses a Fraction, so forge it on the trusted path
-        half = LaurentPoly._from_canonical(8, (((0,) * 8, Fraction(1, 2)),))
+        half = LaurentPoly._from_canonical(8, LaurentPoly.const(8, 1)._keys, (Fraction(1, 2),))
         bad = Seed(last.matrix, (half,) + last.cluster[1:], last.word)
         return dataclasses.replace(lp, stages=lp.stages[:-1] + (bad,))
 
@@ -283,6 +283,14 @@ def test_bad_poly_is_input_error(capsys, a3_file):
     code, _, err = run(capsys, "check-laurent", "--matrix", a3_file, "--expr", "x0")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("expr", ["x1^4000000000", "x2^-1073741825", "x1^1073741824*x3"])
+def test_exponent_out_of_range_is_input_error(capsys, a3_file, expr):
+    # exponents are stored in 32-bit slots: the text is refused, never wrapped
+    code, out, err = run(capsys, "check-laurent", "--matrix", a3_file, "--word", "1,3", "--expr", expr)
+    assert code == 2 and out == ""
+    assert "outside the exponent range -1073741824..1073741823" in err
 
 
 @pytest.mark.parametrize("option", ["--expr=-", "--den=-", "--den=\u2212"])

@@ -638,6 +638,24 @@ def test_compose_depth_does_not_follow_the_variable_count():
     assert compose_reference([p], images) == [expected]
 
 
+def test_compose_builds_powers_from_cached_lower_ones(monkeypatch):
+    # x1^9 + x1^7 asks the power table for image^2 (the gap) and then image^7
+    # (the last degree); image^7 is built up from the cached image^2 in three
+    # multiplies (2 -> 4 -> 6 -> 7), where image ** 7 from scratch takes four
+    image = LaurentPoly(2, {(1, 0): 1, (0, -1): 2, (0, 0): -1})
+    images = [image, x(2, 2)]
+    p = LaurentPoly(2, {(9, 0): 1, (7, 0): 1})
+    expected = compose_reference([p], images)
+    products = []
+    real = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: products.append(b) or real(a, b))
+    assert _compose([p], images) == expected
+    monkeypatch.undo()
+    # image^2, the gap step, image^4, image^6, image^7 and the last step
+    assert len(products) == 6
+    assert expected == [image**9 + image**7]
+
+
 @pytest.mark.parametrize("text", ["x1^\u0661\u0660", "\uff12*x1", "x\u0663", "x1^1_0", "1_0*x1"])
 def test_parse_poly_reads_only_ascii_digits(text):
     # int() and \d would read these as x1^10, 2*x1, x3 and so on

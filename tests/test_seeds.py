@@ -129,6 +129,23 @@ def test_seed_mutate_index_errors(a3):
         assert type(info.value) is kind and str(info.value) == message
 
 
+def test_seed_mutate_checks_its_index_once(a3, monkeypatch):
+    # matrix_mutate checks k; reading column k through ExchangeMatrix.column
+    # would check it a second time on every mutation
+    calls = []
+    real = ExchangeMatrix.column
+    monkeypatch.setattr(ExchangeMatrix, "column", lambda self, k: calls.append(k) or real(self, k))
+    seed = Seed.initial(a3)
+    for k in (1, 2, 3):
+        child = seed_mutate(seed, k)
+        assert seed.cluster[k - 1] * child.cluster[k - 1] == sum(exchange_monomials(seed, k), LaurentPoly.zero(3))
+    assert calls == [1, 2, 3]  # exchange_monomials' own reads, none from seed_mutate
+    # exchange_monomials reads the column itself, so it still refuses a bad index
+    for k in (0, 4):
+        with pytest.raises(IndexError, match=f"column index {k} outside 1..3"):
+            exchange_monomials(seed, k)
+
+
 # -- skew symmetrizer ---------------------------------------------------------
 
 

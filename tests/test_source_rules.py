@@ -67,6 +67,22 @@ def test_trusted_constructors_stay_in_their_home_modules():
     assert used == set(TRUSTED_CALL_SITES)
 
 
+# LaurentPoly's stored form: packed exponent keys and their coefficients
+PACKED_FIELDS = {"_keys", "_coeffs"}
+
+
+def test_only_the_kernel_reads_the_packed_keys():
+    # the key layout is laurent.py's own; every other module reads the terms view
+    readers = set()
+    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS) or (
+                isinstance(node, ast.Constant) and node.value in PACKED_FIELDS
+            ):
+                readers.add(path.name)
+    assert readers == {"laurent.py"}
+
+
 def test_seeds_are_validated_only_at_the_door():
     # Seed(...) validates its matrix and mutation keeps it valid, so no other
     # package code has a reason to call validate

@@ -27,13 +27,26 @@ ints and tuples of ints instead of on LaurentPoly terms:
   (valid) matrix of every Seed, so the child's relation at k is x_k' against
   {(x_i, -b_ik)}: M1 and M2 swap, and it solves to x_k.  A miss stores
   that relation too, and the walk never solves an exchange twice.
-* Parent skip.  mu_k is an involution, so mutating a seed found by this
-  call at the last letter of its word gives back its parent, which is
-  already seen.  The root is always expanded in every direction: a caller
-  may pass a seed with a non-empty word whose parent was never seen.
+* Each edge once.  mu_k is an involution, so an edge of the exchange graph
+  needs to be walked from one end only.  Each seen key holds the set of
+  directions already known to lead to a seen seed, recorded by their
+  position in the key's canonical order: the index itself for the
+  labelled key, the rank the quotient key's sort gives the index.  A new
+  child c found from s at k starts with the position of k, as mu_k(c) = s;
+  a child whose key is already seen adds its position of k to that key's
+  set; and a seed is not mutated in the directions of its set.  Recording
+  on a seen key is exact in labelled mode.  In quotient mode the seed with
+  that key may be another member of the child's class, whose mutation at
+  that position gives a relabelling of s, which has s's key only when s's
+  mutable labels are pairwise distinct (see _quotient_key); the walk
+  records there only then, as it always can for seeds reachable from
+  Seed.initial.  The root starts with no direction: a caller may pass a
+  seed with a non-empty word whose parent was never seen.
 
-A child's matrix and labels are computed first, and its Seed is built
-only when its key is new.  None of this changes the report.
+A child's rows and labels are computed first, and its Seed (and matrix) is
+built only when its key is new.  A skipped child would have been a
+duplicate, and duplicates are dropped before the budget is checked, so
+none of this changes the report.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .laurent import LaurentPoly, render_poly
-from .seeds import Seed, _exchanged, _require_int, matrix_mutate, seed_mutate
+from .seeds import Seed, _exchanged, _mutated_rows, _require_int, seed_mutate
 
 
 @dataclass(frozen=True)
@@ -90,8 +103,10 @@ class ExplorationReport:
 
 
 def _labelled_key(rows: tuple, labels: tuple, n: int):
-    """Dedup key of structural (matrix, cluster) equality: labels are injective on values."""
-    return rows, labels
+    """Dedup key of structural (matrix, cluster) equality: labels are injective on values.
+
+    Returns the key and each mutable index's position in it, the index itself."""
+    return (rows, labels), range(n)
 
 
 def _quotient_key(rows: tuple, labels: tuple, n: int):
@@ -110,12 +125,16 @@ def _quotient_key(rows: tuple, labels: tuple, n: int):
     Seed.initial is a free generating set of the ambient field, so its
     entries are pairwise distinct and every equivalent pair gets the same
     key.
+
+    Returns the key and each mutable index's position in it, its rank in
+    the sort.
     """
     if n == 1:
-        return rows, labels  # the only permutation is the identity
+        return (rows, labels), range(1)  # the only permutation is the identity
     perm = sorted(range(n), key=labels.__getitem__)
     pick = itemgetter(*perm)
-    return tuple(map(pick, pick(rows) + rows[n:])), pick(labels)
+    key = tuple(map(pick, pick(rows) + rows[n:])), pick(labels)
+    return key, sorted(range(n), key=perm.__getitem__)
 
 
 def explore(
@@ -130,9 +149,9 @@ def explore(
     quotient_permutations the key additionally identifies seeds that
     differ by a simultaneous permutation of the mutable indices.  Each
     exchange relation is solved once per call, and the solve serves both
-    directions; a found seed is not mutated back towards its parent
-    (see the module docstring); the report is the one that mutating every
-    seed in every direction gives.
+    directions; each edge of the exchange graph is walked from one end
+    only (see the module docstring); the report is the one that mutating
+    every seed in every direction gives.
     """
     limits = limits or ExplorationLimits()
     key = _quotient_key if quotient_permutations else _labelled_key
@@ -140,10 +159,11 @@ def explore(
 
     label = {}  # cluster value -> its int label in this call
     root_labels = tuple(label.setdefault(x, len(label)) for x in seed.cluster)
-    seen = {key(seed.matrix.entries, root_labels, n)}
+    root_key, root_rank = key(seed.matrix.entries, root_labels, n)
+    seen = {root_key: set()}  # key -> positions of the directions known to lead to a seen seed
     memo = {}  # exchange relation on labels -> (x_k', its label), see the module docstring
-    order = [seed]
-    level = [(seed, root_labels)]
+    level = [(seed, root_labels, root_rank, seen[root_key])]
+    found = list(level)  # every seed found, with its labels, in discovery order
     depth = 0
     reason = "closure"
 
@@ -152,13 +172,14 @@ def explore(
             reason = "depth"
             break
         next_level = []
-        for s, labels in level:
+        for s, labels, rank, done in level:
             rows = s.matrix.entries
-            back = s.word[-1] if depth else 0  # the root's parent need not be in seen
-            for k in range(1, n + 1):
-                if k == back:
-                    continue  # mu_k is an involution: this child is s's parent
-                kk = k - 1
+            # with repeated mutable labels a relabelling of s may have another quotient key
+            exact = not quotient_permutations or len(set(labels[:n])) == n
+            for kk in range(n):
+                if rank[kk] in done:
+                    continue  # this edge was walked from its other end
+                k = kk + 1
                 support = [(lb, row[kk]) for lb, row in zip(labels, rows) if row[kk]]
                 relation = (labels[kk], tuple(sorted(support)))
                 solved = memo.get(relation)
@@ -170,44 +191,43 @@ def explore(
                     # the child's relation at k: x_k' against the negated column k
                     reverse = (solved[1], tuple(sorted((lb, -b) for lb, b in support)))
                     memo[reverse] = (s.cluster[kk], labels[kk])
-                    matrix = child.matrix
+                    child_rows = child.matrix.entries
                 else:
-                    matrix = matrix_mutate(s.matrix, k)
+                    child_rows = _mutated_rows(rows, kk)
                 entry, entry_label = solved
                 child_labels = labels[:kk] + (entry_label,) + labels[k:]
-                ck = key(matrix.entries, child_labels, n)
-                if ck in seen:
+                ck, child_rank = key(child_rows, child_labels, n)
+                known = seen.get(ck)
+                if known is not None:
+                    if exact:
+                        known.add(child_rank[kk])  # mu_k of the child is s, which is seen
                     continue
                 if len(seen) >= limits.max_seeds:
-                    return _report(order, "budget")
-                seen.add(ck)
+                    return _report(found, list(label), n, "budget")
+                seen[ck] = known = {child_rank[kk]}
                 if child is None:
-                    child = _exchanged(s, k, entry, matrix)
-                order.append(child)
-                next_level.append((child, child_labels))
+                    child = _exchanged(s, k, entry, child_rows)
+                found.append((child, child_labels, child_rank, known))
+                next_level.append(found[-1])
         level = next_level
         depth += 1
 
-    return _report(order, reason)
+    return _report(found, list(label), n, reason)
 
 
-def _report(order: list[Seed], reason: str) -> ExplorationReport:
-    """The report on the seeds found, in discovery order, and the stop reason."""
-    clusters = []
-    cluster_seen = set()
-    for s in order:
-        cl = frozenset(s.mutable_entries())
-        if cl not in cluster_seen:
-            cluster_seen.add(cl)
-            clusters.append(cl)
-    keys = {v: v.sort_key() for cl in clusters for v in cl}  # one sort key per variable
+def _report(found: list, values: list, n: int, reason: str) -> ExplorationReport:
+    """The report on the seeds found, each with its labels, in discovery order,
+    given the value of each label and the stop reason."""
+    clusters = {frozenset(labels[:n]) for _, labels, _, _ in found}
+    keys = {lb: values[lb].sort_key() for cl in clusters for lb in cl}  # one sort key per variable
     variables = sorted(keys, key=keys.__getitem__)
-    clusters.sort(key=lambda cl: tuple(sorted(map(keys.__getitem__, cl))))
+    place = {lb: i for i, lb in enumerate(variables)}  # labels in the variables' order
+    ordered = sorted(clusters, key=lambda cl: sorted(map(place.__getitem__, cl)))
     return ExplorationReport(
-        seeds_found=len(order),
-        distinct_variables=tuple(variables),
-        distinct_clusters=tuple(clusters),
+        seeds_found=len(found),
+        distinct_variables=tuple(values[lb] for lb in variables),
+        distinct_clusters=tuple(frozenset(values[lb] for lb in cl) for cl in ordered),
         finite=reason == "closure",
         frontier_exhausted_reason=reason,
-        seeds=tuple(order),
+        seeds=tuple(s for s, _, _, _ in found),
     )

@@ -207,8 +207,14 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
         _require_int(k, "mutation index")
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} outside 1..{n}")
-    kk = k - 1
-    entries = B.entries
+    # ints computed from the int entries of B, in B's shape: nothing to re-check
+    return ExchangeMatrix._from_canonical(_mutated_rows(B.entries, k - 1), B.profile)
+
+
+def _mutated_rows(entries: tuple, kk: int) -> tuple:
+    """The rows of mu_k(B) from the rows of B, for k = kk + 1 already checked.
+
+    explore calls this directly for a child it only needs the key of."""
     rowk = entries[kk]
     # b_ij changes only where sign(b_kj) = sign(b_ik), by b_ik * |b_kj|: the
     # dense (|b_ik| b_kj + b_ik |b_kj|) / 2 is zero for opposite signs or a zero
@@ -226,8 +232,7 @@ def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
         new[kk] = -bik  # after the loop, which touches column k when b_kk != 0
         rows.append(tuple(new))
     rows[kk] = tuple([-v for v in rowk])  # row k is negated whatever b_kk is
-    # ints computed from the int entries of B, in B's shape: nothing to re-check
-    return ExchangeMatrix._from_canonical(tuple(rows), B.profile)
+    return tuple(rows)
 
 
 class Seed:
@@ -323,16 +328,17 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     new_entry = exact_div(m1 + m2, s.cluster[k - 1])  # NotDivisible propagates
     if new_entry.is_zero:
         raise InvalidSeed("cluster entries must be nonzero")
-    return _exchanged(s, k, new_entry, matrix)
-
-
-def _exchanged(s: Seed, k: int, entry: LaurentPoly, matrix: ExchangeMatrix) -> Seed:
-    """mu_k(s) given its new entry x_k', which seed_mutate has solved and checked
-    for this exchange, and its matrix mu_k(B) (explore reuses one entry across
-    seeds with the same relation, and builds the matrix before the seed)."""
-    cluster = s.cluster[: k - 1] + (entry,) + s.cluster[k:]
     # the rest of the cluster and the word were checked when s was built
-    return Seed._from_canonical(matrix, cluster, s.word + (k,))
+    return Seed._from_canonical(matrix, s.cluster[: k - 1] + (new_entry,) + s.cluster[k:], s.word + (k,))
+
+
+def _exchanged(s: Seed, k: int, entry: LaurentPoly, rows: tuple) -> Seed:
+    """mu_k(s) given its new entry x_k', which seed_mutate has solved and checked
+    for this exchange, and the rows of mu_k(B) from _mutated_rows: explore
+    reuses one entry across seeds with the same relation, and computes the
+    rows before it knows whether the seed is new."""
+    matrix = ExchangeMatrix._from_canonical(rows, s.profile)  # mu_k of a valid matrix, see matrix_mutate
+    return Seed._from_canonical(matrix, s.cluster[: k - 1] + (entry,) + s.cluster[k:], s.word + (k,))
 
 
 def _initial_at(s: Seed) -> Seed:

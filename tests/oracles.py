@@ -14,11 +14,11 @@ through the checking public constructors; the reference acyclicity test
 is a depth-first search for a back edge.  The reference symmetrizer
 propagates Fraction ratios and rejects each failure where it meets it,
 instead of the kernel's integer propagation and one final sweep.  The
-reference exploration
-mutates every seed in every direction with seed_mutate, without the
-exchange memo, the parent skip or explore's per-call labels; its quotient
-key sorts by LaurentPoly.sort_key, or is the brute-force minimum over all
-relabellings.  The reference tree evaluator walks
+reference exploration mutates every seed in every direction with
+seed_mutate, without the exchange memo, the one-end edge walk or explore's
+per-call labels; its quotient key sorts by LaurentPoly.sort_key, or is the
+brute-force minimum over all relabellings, and its report groups clusters
+as sets of values, not of labels.  The reference tree evaluator walks
 every path of an expression tree, re-evaluating shared subtrees.  The
 reference polynomial parser is the earlier one: a tokenizer, a token list
 and a factor parser over it; it read a lone sign as the zero polynomial.
@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from itertools import permutations, product
 from operator import add, sub
 from typing import Sequence
 
 from clusterkit.constructions import CartanMatrix
+from clusterkit.explore import ExplorationReport
 from clusterkit.laurent import DimensionMismatch, LaurentPoly, NotDivisible, ParseError, RationalFn
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, seed_mutate, validate
 
@@ -604,10 +604,8 @@ def explore_reference(seed: Seed, limits, quotient_permutations: bool = False, q
 
     Seeds are deduplicated as Seed values, or by quotient_key under the
     quotient, instead of by explore's per-call labels; the report is
-    explore's.
+    built from the cluster values by report_reference.
     """
-    # the package attribute clusterkit.explore is the function, not the module
-    module = sys.modules["clusterkit.explore"]
     key = quotient_key if quotient_permutations else (lambda s: s)
     seen = {key(seed)}
     order = [seed]
@@ -626,13 +624,35 @@ def explore_reference(seed: Seed, limits, quotient_permutations: bool = False, q
                 if ck in seen:
                     continue
                 if len(seen) >= limits.max_seeds:
-                    return module._report(order, "budget")
+                    return report_reference(order, "budget")
                 seen.add(ck)
                 order.append(child)
                 next_level.append(child)
         level = next_level
         depth += 1
-    return module._report(order, reason)
+    return report_reference(order, reason)
+
+
+def report_reference(order: list, reason: str) -> ExplorationReport:
+    """explore's report on the seeds found, built from the values of their mutable entries:
+    one frozenset of LaurentPoly per distinct cluster, sorted by the entries' sort keys."""
+    clusters = []
+    cluster_seen = set()
+    for s in order:
+        cl = frozenset(s.mutable_entries())
+        if cl not in cluster_seen:
+            cluster_seen.add(cl)
+            clusters.append(cl)
+    variables = sorted({v for cl in clusters for v in cl}, key=LaurentPoly.sort_key)
+    clusters.sort(key=lambda cl: tuple(sorted(v.sort_key() for v in cl)))
+    return ExplorationReport(
+        seeds_found=len(order),
+        distinct_variables=tuple(variables),
+        distinct_clusters=tuple(clusters),
+        finite=reason == "closure",
+        frontier_exhausted_reason=reason,
+        seeds=tuple(order),
+    )
 
 
 # ---------------------------------------------------------------------------

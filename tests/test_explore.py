@@ -204,24 +204,36 @@ def test_exchange_memo_matches_reference(quotient):
                 _assert_matches_reference(seed, lim, quotient)
 
 
+# a hand-built D4 seed whose mutable entries repeat in pairs: recording a seen
+# child's direction without the distinct-labels guard loses 5 of its 55
+# quotient classes
+D4_PAIRED = ((0, 0, 1, 0), (0, 0, -1, 0), (-1, 1, 0, 1), (0, 0, -1, 0))
+
+
 def test_exchange_memo_on_repeated_entries():
     # Hand-built seeds whose cluster entries repeat (a specialisation of the
     # initial variables): an exchange then depends on how often an entry
     # occurs in the exchange relation and with which exponent, which the
-    # memo key must keep.
+    # memo key must keep; and a quotient key is no longer a complete
+    # invariant of its class, which the one-end edge walk must respect.
     B = ExchangeMatrix([[0, 1, 0], [-1, 0, -1], [0, 1, 0], [-1, 0, 0]], SeedProfile(3, 3, 4))
     x1 = LaurentPoly.variable(4, 1)
     seed = Seed(B, [x1] * 4, ())
     assert explore_reference(seed, WIDE).seeds_found == 84
-    _assert_matches_reference(seed, WIDE, False)
-    rng = random.Random("memo-repeated")
-    for letter, n in (("A", 2), ("A", 3), ("B", 3)):
-        for _ in range(12):
-            B = random_dynkin_matrix(rng, letter, n)
-            m = B.profile.m
-            pool = rng.randint(1, m)
-            cluster = [LaurentPoly.variable(m, rng.randint(1, pool)) for _ in range(m)]
-            _assert_matches_reference(Seed(B, cluster, ()), WIDE, False)
+    x = [LaurentPoly.variable(4, i) for i in (1, 2)]
+    paired = Seed(ExchangeMatrix(D4_PAIRED, SeedProfile(4, 4, 4)), [x[1], x[1], x[0], x[0]], ())
+    assert explore_reference(paired, WIDE, True).seeds_found == 55
+    for quotient in (False, True):
+        _assert_matches_reference(seed, WIDE, quotient)
+        _assert_matches_reference(paired, WIDE, quotient)
+        rng = random.Random(f"memo-repeated-{quotient}" if quotient else "memo-repeated")
+        for letter, n, draws in (("A", 2, 12), ("A", 3, 12), ("B", 3, 12), ("A", 4, 4), ("D", 4, 4)):
+            for _ in range(draws):
+                B = random_dynkin_matrix(rng, letter, n)
+                m = B.profile.m
+                pool = rng.randint(1, m)
+                cluster = [LaurentPoly.variable(m, rng.randint(1, pool)) for _ in range(m)]
+                _assert_matches_reference(Seed(B, cluster, ()), WIDE, quotient)
 
 
 D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
@@ -264,3 +276,33 @@ def test_root_with_a_word_explores_its_parent_direction(a3_seed):
     assert report.seeds_found == 3 + 1
     assert a3_seed in report.seeds
     assert [s.word for s in report.seeds] == [(1,), (1, 1), (1, 2), (1, 3)]
+
+
+def _dynkin_draw(letter, n):
+    return random_dynkin_matrix(random.Random(f"edges-{letter}{n}"), letter, n)
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        _dynkin_draw("A", 3),
+        _dynkin_draw("B", 3),
+        _dynkin_draw("G", 2),
+        ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)),
+        ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)),
+    ],
+    ids=["A3", "B3", "G2", "D4", "A4-4-frozen"],
+)
+def test_each_edge_is_walked_once(monkeypatch, B):
+    # a child is built by a solve (seed_mutate) or by rows-only mutation;
+    # walking each edge of a closed exchange graph from one end builds n/2
+    # children per seed, where skipping only the parent builds (n - 1) per
+    # seed, plus one
+    module = sys.modules["clusterkit.explore"]
+    built = []
+    for name in ("seed_mutate", "_mutated_rows"):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: built.append(args) or real(*args))
+    report = explore(Seed.initial(B), WIDE)
+    assert report.frontier_exhausted_reason == "closure"
+    assert 2 * len(built) == B.profile.n * report.seeds_found

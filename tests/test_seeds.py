@@ -146,6 +146,20 @@ def test_seed_mutate_checks_its_index_once(a3, monkeypatch):
             exchange_monomials(seed, k)
 
 
+def test_seed_mutate_builds_one_matrix(a3, monkeypatch):
+    # seed_mutate's matrix_mutate builds mu_k(B), and the child seed holds that
+    # matrix; building it again from the rows would make two per mutation
+    built = []
+    real = ExchangeMatrix._from_canonical
+    monkeypatch.setattr(ExchangeMatrix, "_from_canonical", lambda rows, profile: built.append(rows) or real(rows, profile))
+    seed = Seed.initial(a3)
+    for k in (1, 2, 3):
+        child = seed_mutate(seed, k)
+        assert built[-1] is child.matrix.entries
+        assert child.matrix == matrix_mutate_reference(a3, k)
+    assert len(built) == 3
+
+
 # -- skew symmetrizer ---------------------------------------------------------
 
 

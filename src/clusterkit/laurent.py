@@ -33,7 +33,14 @@ RationalFn._from_canonical does the same for fractions that are reduced
 by construction: constants, Laurent splits, negations and powers.
 A product or quotient with a monomial factor is one addition to every
 key of the other operand, which keeps their order, so it needs no
-dictionary and no sort.
+dictionary and no sort.  A square, a * a with one object as both
+operands (as in x ** 2 and each squaring step of a power), adds each
+diagonal term once and each pair of distinct terms once with its
+coefficient doubled: about half the term products of the general loop,
+with the same sums.  Exact division by a polynomial of two terms or more
+takes each next leading remainder term from a heap of negated keys (after
+Monagan and Pearce, Sparse polynomial division using a heap, J. Symbolic
+Comput. 46, 2011) instead of scanning the remainder for its maximum.
 
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd on
@@ -60,6 +67,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from heapq import heappop, heappush
 from itertools import repeat
 from operator import and_, or_, rshift, sub
 from typing import Iterable, Sequence
@@ -275,6 +283,11 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self._keys) == 1
 
+    @property
+    def term_count(self) -> int:
+        """The number of terms, counted without unpacking them."""
+        return len(self._keys)
+
     def support_vars(self) -> frozenset[int]:
         """1-indexed set of variables occurring with nonzero exponent."""
         out = set()
@@ -363,11 +376,23 @@ class LaurentPoly:
         bterms = list(zip(bkeys, bcoeffs))
         acc: dict[int, int] = {}
         get = acc.get
-        for ka, ca in zip(akeys, a._coeffs):
-            off = ka - bias
-            for kb, cb in bterms:
-                k = kb + off
-                acc[k] = get(k, 0) + ca * cb
+        if a is b:
+            # a square: each diagonal term once, each pair of distinct terms
+            # once with its coefficient doubled; the sums are the general loop's
+            for i, (ka, ca) in enumerate(bterms):
+                off = ka - bias
+                k = ka + off
+                acc[k] = get(k, 0) + ca * ca
+                ca += ca
+                for kb, cb in bterms[i + 1:]:
+                    k = kb + off
+                    acc[k] = get(k, 0) + ca * cb
+        else:
+            for ka, ca in zip(akeys, a._coeffs):
+                off = ka - bias
+                for kb, cb in bterms:
+                    k = kb + off
+                    acc[k] = get(k, 0) + ca * cb
         # the extreme exponent of each slot never cancels (it comes from one
         # pair of terms), so the surviving keys show every overflow
         keys, coeffs = _sorted_parts(acc)
@@ -487,6 +512,16 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     leaves a remainder whose terms all lie below the one just cancelled,
     so the quotient terms come out strictly descending, which is their
     canonical order.
+
+    The remainder is a dictionary from key to coefficient, and its next
+    leading key comes from a heap of negated keys (Monagan and Pearce,
+    J. Symbolic Comput. 46, 2011), not from a scan of the dictionary.  The
+    heap starts as a's keys, and a key is pushed when it enters the
+    remainder, so the heap holds every remainder key.  It may also hold a
+    key that has left: one cancelled by a later step (a stale entry), or
+    a second copy of one cancelled and then re-created (a duplicate).  A
+    popped key that is no longer in the remainder is such an entry and is
+    skipped, so each step pops the largest remainder key.
     """
     a._check(b)
     if b.is_zero:
@@ -519,12 +554,17 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     tail = list(zip(bkeys[1:], bcoeffs[1:]))
     rem = dict(zip(a._keys, a._coeffs))
     get = rem.get
+    # a max-heap of rem's keys, stored negated: every key is pushed when it
+    # enters rem, and a's keys negated are ascending, which is already a heap
+    heap = [-k for k in a._keys]
     qkeys, qcoeffs = [], []
     # a remainder key out of range is still exact and in lex order (every
     # slot is off by less than 2^31), so only the quotient terms are tested
     while rem:
-        r = max(rem)
-        r_c = rem.pop(r)
+        r = -heappop(heap)
+        r_c = rem.pop(r, 0)
+        if not r_c:
+            continue  # cancelled since it was pushed, or a duplicate of one processed
         t = r - lead
         if t & guard:
             raise _range_error("a quotient exponent")
@@ -536,12 +576,36 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         off = t - bias
         for k, c in tail:
             k += off
-            nc = get(k, 0) - t_c * c
+            nc = get(k)
+            if nc is None:
+                rem[k] = -t_c * c
+                heappush(heap, -k)
+                continue
+            nc -= t_c * c
             if nc:
                 rem[k] = nc
             else:
                 del rem[k]
     return LaurentPoly._from_canonical(m, tuple(qkeys), tuple(qcoeffs))
+
+
+def _lead_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """lead(a) / lead(b) for nonzero a and b, or None when lead(b)'s coefficient
+    does not divide lead(a)'s.
+
+    A monomial factor keeps the order of the terms it multiplies, so this is
+    the only monomial u that can give a == u * b.  Its key is ka - kb + bias,
+    guard-checked like a quotient term of exact_div.
+    """
+    a._check(b)
+    bias, guard = _LAYOUT[a.m]
+    key = a._keys[0] - b._keys[0] + bias
+    if key & guard:
+        raise _range_error("a quotient exponent")
+    ca, cb = a._coeffs[0], b._coeffs[0]
+    if ca % cb:
+        return None
+    return LaurentPoly._from_canonical(a.m, (key,), (ca // cb,))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ each term's value as a product of image powers and adds the terms one by
 one, without the kernel's Horner walk.  The kernel references (general
 multiply, leading-term division with the minimum exponents read off the
 terms, powers, shifts, derivatives, matrix mutation) build every result
-through the checking public constructors; the reference acyclicity test
+through the checking public constructors, and the reference associate
+test divides by the reference division; the reference acyclicity test
 is a depth-first search for a back edge.  The reference symmetrizer
 propagates Fraction ratios and rejects each failure where it meets it,
 instead of the kernel's integer propagation and one final sweep.  The
@@ -193,6 +194,23 @@ def derivative_reference(p: LaurentPoly, i: int) -> LaurentPoly:
     """The partial derivative in x_i (1-indexed), term by term through the checking constructor."""
     j = i - 1
     return LaurentPoly(p.m, [(exps[:j] + (exps[j] - 1,) + exps[j + 1 :], c * exps[j]) for exps, c in p.terms if exps[j]])
+
+
+def are_associate_reference(a: LaurentPoly, b: LaurentPoly, profile: SeedProfile) -> bool:
+    """Whether a = u * b for a unit u, by trial division: the reference quotient
+    a / b must exist and be +- a monomial in the invertible coefficients n+1..p."""
+    if a.is_zero or b.is_zero:
+        raise ValueError("associateness is defined for nonzero elements")
+    if len(a.terms) != len(b.terms):
+        return False  # a unit is +-monomial, and multiplying by one maps terms one to one
+    try:
+        q = exact_div_reference(a, b)
+    except NotDivisible:
+        return False
+    if len(q.terms) != 1:
+        return False
+    ((exps, c),) = q.terms
+    return c in (1, -1) and all(profile.n < i <= profile.p for i, e in enumerate(exps, start=1) if e)
 
 
 def matrix_mutate_reference(B: ExchangeMatrix, k: int) -> ExchangeMatrix:

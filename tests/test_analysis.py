@@ -26,7 +26,7 @@ from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import FieldTag, LaurentPoly, RationalFn, exact_div
 from clusterkit.presets import a3_matrix, lampe_matrix
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, apply_word
-from oracles import rank2_matrix
+from oracles import are_associate_reference, random_dynkin_matrix, rank2_matrix
 
 COEFF_PROFILE = SeedProfile(1, 2, 3)  # one mutable, one invertible coefficient, one frozen
 
@@ -89,7 +89,7 @@ def test_associate_examples():
 
 def test_associates_need_equal_term_counts(monkeypatch):
     z = var(3) + one()
-    # associates have equal term counts and are still found by division
+    # associates have equal term counts and are still found
     assert are_associate(LaurentPoly.monomial(3, (0, -2, 0), -1) * z, z, COEFF_PROFILE)
     assert not are_associate(var(1) * z, z, COEFF_PROFILE)  # x1 is not a unit here
     # unequal term counts give False without a division, even where b divides a
@@ -111,6 +111,42 @@ def test_distinct_cluster_variables_never_associate():
     for i, a in enumerate(variables):
         for j, b in enumerate(variables):
             assert are_associate(a, b, seed.profile) == (i == j)
+
+
+def _coefficient_seed_variables(rng, letter, n):
+    """A finite-type profile with invertible coefficients n+1..p and non-invertible
+    ones p+1..m (p < m), and the distinct cluster variables of its closure."""
+    B = random_dynkin_matrix(rng, letter, n)
+    while B.profile.m < n + 2:
+        B = random_dynkin_matrix(rng, letter, n)
+    m = B.profile.m
+    profile = SeedProfile(n, rng.randint(n + 1, m - 1), m)
+    report = explore(Seed.initial(ExchangeMatrix(B.entries, profile)), ExplorationLimits(max_depth=64, max_seeds=100000))
+    return profile, report.distinct_variables
+
+
+@pytest.mark.parametrize("letter, n", [("A", 2), ("A", 3), ("B", 3), ("A", 4), ("D", 4)])
+def test_associates_match_the_division_reference(letter, n):
+    rng = random.Random(f"associates {letter}{n}")
+    profile, variables = _coefficient_seed_variables(rng, letter, n)
+    m = profile.m
+    cases = []  # (a, b, expected or None where only the reference decides)
+    for b in variables:
+        exps = [rng.randint(-3, 3) if profile.n < i <= profile.p else 0 for i in range(1, m + 1)]
+        u = LaurentPoly.monomial(m, exps, rng.choice((1, -1)))
+        cases += [(u * b, b, True), (b, u * b, True)]
+        if b.term_count > 1:
+            # the leading terms give the unit u, but a lower term disagrees
+            (*rest, (e, c)) = (u * b).terms
+            cases.append((LaurentPoly(m, [*rest, (e, -c)]), b, False))
+        for j in [*range(1, profile.n + 1), *range(profile.p + 1, m + 1)]:  # mutable or non-invertible
+            cases.append((var(j, m) ** rng.randint(1, 2) * u * b, b, False))
+    equal_counts = [(a, b, None) for a in variables for b in variables if a is not b and a.term_count == b.term_count]
+    assert equal_counts
+    for a, b, expected in cases + equal_counts:
+        got = are_associate(a, b, profile)
+        assert got == are_associate_reference(a, b, profile)
+        assert expected is None or got == expected
 
 
 # -- disjointness ---------------------------------------------------------------

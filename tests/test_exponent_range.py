@@ -7,6 +7,7 @@ of two lands on an end), the constructor, *, **, shift, exact_div and
 derivative must give exactly the value of the tuple references in
 oracles.py, and raise ExponentRangeError exactly where that value has an
 exponent out of range; a slot that wrapped would give another value.
+Squares, which take their own branch of *, are checked the same way.
 Examples are derandomized and bounded, no example database is written,
 and hypothesis keeps its caches in the system's temporary directory.
 """
@@ -113,6 +114,7 @@ def test_kernel_matches_the_references_at_the_range_ends(case):
         assert a.min_exponents() == tuple(min(col) for col in zip(*(e for e, _ in a.terms)))
 
     assert outcome(lambda: a * b) == outcome(mul_reference, a, b)
+    assert outcome(lambda: a * a) == outcome(mul_reference, a, a)  # the square branch
     assert outcome(lambda: a**k) == outcome(power_reference, a, k)
     assert outcome(a.derivative, i) == outcome(derivative_reference, a, i)
     offsets = case["offsets"]
@@ -162,6 +164,12 @@ def test_the_range_ends_themselves():
     d = LaurentPoly(2, {(0, 2): 1, (0, 1): 1, (0, EXPONENT_MIN + 1): 1, (0, EXPONENT_MIN): 1})
     with pytest.raises(ExponentRangeError, match="a quotient exponent"):
         exact_div(d, b)
+    # a square leaves the range exactly where its extreme diagonal term does
+    halves = [(EXPONENT_MAX // 2, True), (EXPONENT_MAX // 2 + 1, False), (EXPONENT_MIN // 2, True), (EXPONENT_MIN // 2 - 1, False)]
+    for e, fits in halves:
+        p = LaurentPoly(2, {(0, e): 3, (1, 0): -1, (0, 0): 2})
+        want = mul_reference(p, p) if fits else RANGE
+        assert outcome(lambda: p * p) == want and outcome(lambda: p**2) == want
     for bad in (EXPONENT_MAX + 1, EXPONENT_MIN - 1, 4_000_000_000):
         with pytest.raises(ExponentRangeError, match=f"exponent {bad} outside"):
             LaurentPoly.monomial(1, (bad,))

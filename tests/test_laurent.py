@@ -279,6 +279,21 @@ def test_kernel_fast_paths_match_references(m):
                 assert a.shift(b.terms[0][0]) == mul_reference(a, LaurentPoly.monomial(m, b.terms[0][0]))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_square_matches_the_general_product(m):
+    # a * a with one object takes the square branch; an equal copy takes the general loop
+    rng = random.Random(700 + m)
+    for size in (2, 3, 5, 9, 14):
+        for big in (6, 10**30):
+            a = random_poly(rng, m=m, max_terms=size, max_exp=3, max_coeff=big)
+            copy = LaurentPoly(m, a.terms)
+            assert copy is not a and copy == a
+            square = a * a
+            assert square == mul_reference(a, a) == a * copy == copy * a
+            assert_canonical(square)
+            assert a**2 == square and a**3 == power_reference(a, 3)
+
+
 def test_exact_div_by_monomial_checks_every_coefficient():
     x1 = parse_poly("x1", 1)
     for a, b in [("2*x1 + 3", "2*x1"), ("6*x1^2 + 4", "4"), ("5", "-3*x1")]:

@@ -83,6 +83,24 @@ def test_only_the_kernel_reads_the_packed_keys():
     assert readers == {"laurent.py"}
 
 
+def test_no_term_count_unpacks_the_terms():
+    # len(p.terms) unpacks every key into the terms view only to count them;
+    # outside the kernel a count is p.term_count
+    calls = []
+    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "len"
+                and any(isinstance(arg, ast.Attribute) and arg.attr == "terms" for arg in node.args)
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_seeds_are_validated_only_at_the_door():
     # Seed(...) validates its matrix and mutation keeps it valid, so no other
     # package code has a reason to call validate

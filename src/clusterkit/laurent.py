@@ -861,19 +861,18 @@ def xd_plus_one_reducible(d: int, field: FieldTag) -> bool:
 
 
 def odd_divisor(d: int) -> int | None:
-    """Smallest odd divisor > 1 of d, or None when d is a power of two.
+    """The odd part of d, or None when d is a power of two.
 
-    Trial division stops at the square root of the odd part: an odd part
-    with no factor up to there is prime and is its own smallest divisor.
-    That is about sqrt(d)/2 steps, still slow for a prime far above 10^16.
+    Any odd factor q > 1 of d shows X^d + 1 reducible over the rationals:
+    with Y = X^(d/q), Y^q + 1 = (Y + 1)(Y^(q-1) - Y^(q-2) + ... + 1), so
+    X^(d/q) + 1 divides X^d + 1.  The odd part is such a factor, found
+    without factoring d, and it leaves d/q = 2^a: the factor X^(2^a) + 1
+    is the 2^(a+1)-th cyclotomic polynomial, irreducible over Q.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    while d % 2 == 0:
-        d //= 2
-    if d == 1:
-        return None
-    return next((q for q in range(3, math.isqrt(d) + 1, 2) if d % q == 0), d)
+    q = d // (d & -d)
+    return q if q > 1 else None
 
 
 # ---------------------------------------------------------------------------

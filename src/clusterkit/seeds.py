@@ -247,7 +247,7 @@ class Seed:
         if bad:
             raise InvalidSeed("; ".join(bad))
         cluster = tuple(cluster)
-        m = matrix.profile.m
+        n, m = matrix.profile.n, matrix.profile.m
         if len(cluster) != m:
             raise InvalidSeed(f"cluster of length {len(cluster)} for m={m}")
         for c in cluster:
@@ -260,6 +260,8 @@ class Seed:
         word = tuple(word)
         for w in word:
             _require_int(w, "word entry")
+            if not 1 <= w <= n:
+                raise InvalidSeed(f"word entry {w} outside 1..{n}")
         object.__setattr__(self, "word", word)
 
     def __setattr__(self, name, value):

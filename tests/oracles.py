@@ -23,6 +23,8 @@ as sets of values, not of labels.  The reference tree evaluator walks
 every path of an expression tree, re-evaluating shared subtrees.  The
 reference polynomial parser is the earlier one: a tokenizer, a token list
 and a factor parser over it; it read a lone sign as the zero polynomial.
+The reference factoriality criteria read the matrix entry by entry, take
+each column gcd by folding math.gcd and the odd part by halving.
 rank2_matrix builds the 2 x 2 test seeds, which the package never needs.
 """
 
@@ -35,9 +37,10 @@ from itertools import permutations, product
 from operator import add, sub
 from typing import Sequence
 
+from clusterkit.analysis import DegenerateColumn
 from clusterkit.constructions import CartanMatrix
 from clusterkit.explore import ExplorationReport
-from clusterkit.laurent import DimensionMismatch, LaurentPoly, NotDivisible, ParseError, RationalFn
+from clusterkit.laurent import DimensionMismatch, FieldTag, LaurentPoly, NotDivisible, ParseError, RationalFn
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, seed_mutate, validate
 
 
@@ -211,6 +214,67 @@ def are_associate_reference(a: LaurentPoly, b: LaurentPoly, profile: SeedProfile
         return False
     ((exps, c),) = q.terms
     return c in (1, -1) and all(profile.n < i <= profile.p for i, e in enumerate(exps, start=1) if e)
+
+
+def column_criterion_reference(B: ExchangeMatrix) -> dict:
+    """column_criterion's verdict JSON from the statement: the first pair k < s,
+    in lexicographic order, with b_ks = 0 and c_k = c_s, else c_k = -c_s."""
+    n, m = B.profile.n, B.profile.m
+    for k in range(1, n + 1):
+        for s in range(k + 1, n + 1):
+            if B.entries[k - 1][s - 1] != 0:
+                continue
+            for sign in (1, -1):
+                if all(B.entries[i][k - 1] == sign * B.entries[i][s - 1] for i in range(m)):
+                    minus = "-" if sign < 0 else ""
+                    return {
+                        "status": "not_factorial",
+                        "criterion": "equal_columns",
+                        "witness": {"k": k, "s": s, "negated": sign < 0},
+                        "justification": f"columns {k} and {s} satisfy c_{k} = {minus}c_{s} with b_{k}{s} = 0; "
+                        f"mutating at {k} then {s} produces two non-associate irreducible "
+                        f"factorizations of the same element",
+                    }
+    return {
+        "status": "inconclusive",
+        "criterion": None,
+        "witness": None,
+        "justification": "no pair of mutable columns is equal up to sign with a zero linking entry",
+    }
+
+
+def gcd_criterion_reference(B: ExchangeMatrix, field: FieldTag) -> dict:
+    """gcd_criterion's verdict JSON from the statement: the first column k whose
+    entry gcd d has X^d + 1 reducible, which over the complexes means d >= 2 and
+    over the rationals that d has an odd part q > 1, giving the factor X^(d/q) + 1."""
+    for k in range(1, B.profile.n + 1):
+        d = 0
+        for row in B.entries:
+            d = math.gcd(d, row[k - 1])
+        if d == 0:
+            raise DegenerateColumn(f"column {k} is entirely zero")
+        q = d
+        while q % 2 == 0:
+            q //= 2
+        if field is FieldTag.COMPLEXES and d >= 2:
+            why = f"X^{d}+1 splits into linear factors over the complexes (d = {d} >= 2)"
+        elif field is FieldTag.RATIONALS and q > 1:
+            why = f"d = {d} is not a power of two: X^{d}+1 has the rational factor X^{d // q}+1"
+        else:
+            continue
+        return {
+            "status": "not_factorial",
+            "criterion": "column_gcd",
+            "witness": {"k": k, "d": d, "field": field.value, "odd_factor": q if q > 1 else None},
+            "justification": f"column {k} has entry gcd {d} and {why}; the exchange relation at {k} "
+            f"then factors into non-associate non-units in two ways",
+        }
+    return {
+        "status": "inconclusive",
+        "criterion": None,
+        "witness": None,
+        "justification": f"every mutable column gcd d has X^d+1 irreducible over {field.value}",
+    }
 
 
 def matrix_mutate_reference(B: ExchangeMatrix, k: int) -> ExchangeMatrix:

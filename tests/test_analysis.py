@@ -26,7 +26,14 @@ from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import FieldTag, LaurentPoly, RationalFn, exact_div
 from clusterkit.presets import a3_matrix, lampe_matrix
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, apply_word
-from oracles import are_associate_reference, random_dynkin_matrix, rank2_matrix
+from oracles import (
+    are_associate_reference,
+    column_criterion_reference,
+    gcd_criterion_reference,
+    random_dynkin_matrix,
+    random_valid_matrix,
+    rank2_matrix,
+)
 
 COEFF_PROFILE = SeedProfile(1, 2, 3)  # one mutable, one invertible coefficient, one frozen
 
@@ -171,10 +178,25 @@ def test_acyclic_staircase_clusters_disjoint():
 
 def test_disjointness_cross_check_raises(monkeypatch):
     # python -O must not strip the check, so it raises a named error, not AssertionError
-    monkeypatch.setattr(clusterkit.analysis, "_associate_pairing_agrees", lambda c1, c2, profile: False)
     seed = Seed.initial(a3_matrix())
+    staircase = apply_word(seed, (1, 2, 3))  # disjoint from seed
+    shared = apply_word(seed, (1,))  # shares x2 and x3 with seed
+    monkeypatch.setattr(clusterkit.analysis, "are_associate", lambda a, b, profile: True)
     with pytest.raises(InternalInvariantError):
-        clusters_disjoint(seed, apply_word(seed, (1,)))
+        clusters_disjoint(seed, staircase)
+    monkeypatch.setattr(clusterkit.analysis, "are_associate", lambda a, b, profile: False)
+    with pytest.raises(InternalInvariantError):
+        clusters_disjoint(seed, shared)
+
+
+# random.Random(13) draws D4 with one frozen row, an invertible coefficient
+@pytest.mark.parametrize("matrix", [a3_matrix(), random_dynkin_matrix(random.Random(13), "D", 4)], ids=["a3", "d4"])
+def test_disjointness_is_structural_on_a_closure(matrix):
+    report = explore(Seed.initial(matrix), ExplorationLimits(max_depth=64, max_seeds=100000), quotient_permutations=True)
+    assert report.finite
+    for s in report.seeds:
+        for t in report.seeds:
+            assert clusters_disjoint(s, t) == set(s.mutable_entries()).isdisjoint(t.mutable_entries())
 
 
 def test_staircase_on_a3():
@@ -208,18 +230,6 @@ def test_column_criterion_a3():
     k, s = verdict.witness.k, verdict.witness.s
     assert B.entry(k, s) == 0
     assert B.column(k) == tuple(-v for v in B.column(s))
-
-
-def test_column_witness_revalidation_raises():
-    class LyingColumns(ExchangeMatrix):
-        __slots__ = ()
-
-        def column(self, k):
-            return (0, 1, 0)
-
-    B = LyingColumns([[0, -1, 0], [1, 0, -2], [0, 2, 0]], SeedProfile(3, 3, 3))
-    with pytest.raises(InternalInvariantError):
-        column_criterion(B)
 
 
 def test_column_criterion_inconclusive_cases():
@@ -262,17 +272,56 @@ def test_gcd_criterion_degenerate_column():
         gcd_criterion(B, FieldTag.RATIONALS)
 
 
-def test_gcd_witness_revalidation_raises(monkeypatch):
-    monkeypatch.setattr(clusterkit.analysis, "gcd", lambda a, b: 3)
-    with pytest.raises(InternalInvariantError):
-        gcd_criterion(rank2_matrix(2, 2), FieldTag.COMPLEXES)
-
-
 def test_gcd_witness_revalidates():
     verdict = gcd_criterion(rank2_matrix(2, 2), FieldTag.COMPLEXES)
     assert verdict.is_not_factorial
     col = rank2_matrix(2, 2).column(verdict.witness.k)
     assert all(v % verdict.witness.d == 0 for v in col)
+
+
+# -- both criteria against their statements ---------------------------------------
+
+
+def _random_matrix(rng) -> ExchangeMatrix:
+    """Mostly unvalidated: any profile with m >= n, entries often 0 or a multiple of
+    a common factor, and now and then a column copied up to sign onto another."""
+    if rng.random() < 0.2:
+        return random_valid_matrix(rng)
+    n = rng.randint(1, 4)
+    m = rng.randint(n, 6)
+    scale = rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 15, 45, 2**5 * 3**4))
+    rows = [[scale * rng.choice((0, 0, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+    if n > 1 and rng.random() < 0.5:
+        k, s = rng.sample(range(n), 2)
+        sign = rng.choice((1, -1))
+        for row in rows:
+            row[s] = sign * row[k]
+        if rng.random() < 0.7:  # b_ks = b_sk = 0 keeps the copy a witness
+            rows[min(k, s)][k] = rows[min(k, s)][s] = 0
+    return ExchangeMatrix(rows, SeedProfile(n, rng.randint(0, m), m))
+
+
+def test_criteria_match_their_statements():
+    rng = random.Random(2026)
+    matrices = [ExchangeMatrix([], SeedProfile(1, 0, 0)), a3_matrix(), lampe_matrix(), rank2_matrix(2, 2)]
+    matrices += [_random_matrix(rng) for _ in range(1500)]
+    found = {"equal_columns": 0, "negated": 0, "column_gcd": 0}
+    for B in matrices:
+        verdict = column_criterion(B)
+        assert verdict.to_json() == column_criterion_reference(B), B
+        found["equal_columns"] += verdict.is_not_factorial
+        found["negated"] += verdict.is_not_factorial and verdict.witness.negated
+        for field in FieldTag:
+            try:
+                expected = gcd_criterion_reference(B, field)
+            except DegenerateColumn:
+                with pytest.raises(DegenerateColumn):
+                    gcd_criterion(B, field)
+                continue
+            verdict = gcd_criterion(B, field)
+            assert verdict.to_json() == expected, (B, field)
+            found["column_gcd"] += verdict.is_not_factorial
+    assert min(found.values()) > 100, found  # every witness kind is drawn
 
 
 # -- membership ---------------------------------------------------------------------

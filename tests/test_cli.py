@@ -85,16 +85,19 @@ def test_staircase_golden(capsys, a3_file):
 
 
 def test_factoriality_with_a_large_prime_column_gcd_finishes(capsys, tmp_path):
-    # trial division up to d itself took about 5 * 10^8 steps for this prime
-    path = tmp_path / "prime.txt"
-    path.write_text("2 2 2\n0 1000000007; -1000000007 0\n")
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "factoriality", "--matrix", str(path), "--json")
-    assert time.perf_counter() - start < 1.0
-    assert code == 0
-    data = json.loads(out)
-    assert data["status"] == "not_factorial"
-    assert data["witness"]["d"] == 1000000007 and data["witness"]["odd_factor"] == 1000000007
+    # trial division up to d itself took about 5 * 10^8 steps for the first prime, and
+    # trial division up to the odd part's square root about 2^62 for the second; the
+    # last gcd is 2^5 times the prime 2^61 - 1
+    for d, odd in [(1000000007, 1000000007), (2**127 - 1, 2**127 - 1), (2**5 * (2**61 - 1), 2**61 - 1)]:
+        path = tmp_path / "prime.txt"
+        path.write_text(f"2 2 2\n0 {d}; -{d} 0\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "factoriality", "--matrix", str(path), "--json")
+        assert time.perf_counter() - start < 1.0, d
+        assert code == 0
+        data = json.loads(out)
+        assert data["status"] == "not_factorial"
+        assert data["witness"]["d"] == d and data["witness"]["odd_factor"] == odd
 
 
 def test_factoriality_inconclusive_still_exit_zero(capsys, lampe_file):

@@ -697,11 +697,21 @@ def test_xd_plus_one_agrees_with_bruteforce():
 
 
 def test_odd_divisor_agrees_with_bruteforce():
-    for d in range(1, 2001):
-        expected = next((q for q in range(3, d + 1, 2) if d % q == 0), None)
-        assert odd_divisor(d) == expected, d
-    assert odd_divisor(1000000007) == 1000000007  # prime: trial division stops at its square root
-    assert odd_divisor(3 * 1000000007) == 3
+    powers_of_two = {2**a for a in range(13)}
+    for d in range(1, 4097):
+        q = odd_divisor(d)
+        if d in powers_of_two:
+            assert q is None, d
+        else:
+            assert q % 2 == 1 and d % q == 0 and d // q in powers_of_two, (d, q)
+    # the factor the gcd criterion names divides X^d + 1
+    for d in range(1, 201):
+        q = odd_divisor(d)
+        if q is not None:
+            target, factor = x(1, 1) ** d + one(1), x(1, 1) ** (d // q) + one(1)
+            assert exact_div(target, factor) * factor == target, d
+    assert odd_divisor(1000000007) == 1000000007
+    assert odd_divisor(3 * 1000000007) == 3000000021
 
 
 @pytest.mark.parametrize("d", [0, -4])

@@ -318,6 +318,10 @@ def test_seed_word_is_not_coerced(a3):
     for bad in (1.5, True, "1"):
         with pytest.raises(ValueError, match="word entry"):
             Seed(seed.matrix, seed.cluster, (1, bad))
+    # a letter outside 1..n made laurent_membership fail later with an IndexError
+    for bad in (0, 4, -1):
+        with pytest.raises(InvalidSeed, match=rf"word entry {bad} outside 1\.\.3"):
+            Seed(seed.matrix, seed.cluster, (1, bad))
     assert Seed(seed.matrix, seed.cluster, [1, 3]).word == (1, 3)
 
 

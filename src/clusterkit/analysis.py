@@ -10,7 +10,9 @@ which makes cluster disjointness a structural test.
 
 The two non-factoriality criteria read each column once and return a
 verdict that is either NotFactorial with an explicit witness, or
-Inconclusive.  No criterion ever claims factoriality: the affirmative
+Inconclusive.  An all-zero mutable column raises DegenerateColumn:
+column_criterion checks every column first, gcd_criterion raises when its
+scan reaches one.  No criterion ever claims factoriality: the affirmative
 direction is handled by explicit polynomial-ring certificates in the
 constructions module.
 """
@@ -166,6 +168,9 @@ def staircase_disjoint(s: Seed) -> tuple[Seed, bool]:
 def column_criterion(B: ExchangeMatrix) -> FactorialityVerdict:
     """Non-factoriality from a repeated column: c_k = +-c_s with b_ks = 0."""
     cols = [B.column(k) for k in range(1, B.profile.n + 1)]
+    for k, ck in enumerate(cols, start=1):
+        if not any(ck):  # two zero columns are equal, but the matrix is degenerate
+            raise DegenerateColumn(f"column {k} is entirely zero")
     for k, ck in enumerate(cols, start=1):
         minus_ck = tuple(-v for v in ck)
         for s in range(k + 1, len(cols) + 1):

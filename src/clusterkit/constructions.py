@@ -30,8 +30,8 @@ Each identity is checked once.  Where a construction's identity is the
 equation a certificate tree evaluates (the chain's recurrences, the
 staircase's exchange and recovery identities), evaluating the tree in
 _make_certificate is its check.  The chain's shifted identities follow
-from its three-term identities and the equalities between one-step
-mutations of consecutive stages (type_a_chain gives the proof).
+from its three-term identities and from each one-step mutation being the
+head of a later stage (type_a_chain gives the proof).
 identity_counts records how many identities each construction decides,
 by formula.
 """
@@ -51,6 +51,7 @@ from .seeds import (
     Seed,
     SeedProfile,
     _diagonal_scaler,
+    _exchange_monomials,
     _require_int,
     apply_word,
     seed_mutate,
@@ -375,19 +376,25 @@ def type_a_chain(m: int) -> TypeAChain:
     (0 <= i <= m-2, 1 <= k <= m-1-i).  The identities the schedule rests
     on are the three-term identities M(i, k) * e(i, k) = e(i, k-1) +
     e(i, k+1) and their shifts M(i, k) * e(i-j, k+j) = e(i-j, k-1+j) +
-    e(i-j, k+1+j) for 1 <= j <= i.  Each M(i, k) is computed once (one
-    seed_mutate per (i, k), m(m-1)/2 in all) and two things are checked:
+    e(i-j, k+1+j) for 1 <= j <= i.  Stage i+k starts with the mutation
+    of stage i+k-1 at 1, so its head e(i+k, 1) is M(i+k-1, 1), solved
+    once while the stages are built.  The schedule predicts M(i, k) to be
+    that head, and no second exchange is solved for it: with M1 + M2 the
+    exchange monomials of column k of stage i, two things are checked at
+    every (i, k), m(m-1)/2 of each:
 
-    * the three-term identity at every (i, k): m(m-1)/2 products;
-    * M(i, k) == M(i-1, k+1) for i >= 1: (m-1)(m-2)/2 comparisons.
+    * M1 + M2 == e(i, k-1) + e(i, k+1);
+    * e(i+k, 1) * e(i, k) == M1 + M2: one product.
 
-    Together they decide every shifted identity.  Given the three-term
-    identity at (i-j, k+j), the shift j at (i, k) reads
-    M(i, k) * e = M(i-j, k+j) * e with e = e(i-j, k+j), a nonzero cluster
-    entry, so it holds exactly when M(i, k) == M(i-j, k+j), which is the
-    chain of the j equalities M(i-t, k+t) == M(i-t-1, k+t+1).  So the
-    C(m+1, 3) shifted identities (shift 0 included) hold exactly when the
-    checks above pass.
+    The Laurent ring is a domain and e(i, k) is nonzero, so the second
+    check proves e(i+k, 1) is the one solution of the exchange relation
+    x_k * x_k' = M1 + M2, that is M(i, k) == e(i+k, 1); with the first it
+    is the three-term identity at (i, k).  The shift j at (i, k) reads
+    M(i, k) * e = M(i-j, k+j) * e with e = e(i-j, k+j), and both sides
+    equal e(i-j, k-1+j) + e(i-j, k+1+j) by the three-term identity at
+    (i-j, k+j), because M(i, k) and M(i-j, k+j) are both e(i+k, 1).  So
+    the C(m+1, 3) shifted identities (shift 0 included) hold exactly when
+    the checks above pass.
 
     The recurrences through the chain heads h_s = e(s, 1),
     x_s = h_{s-1} * x_{s-1} - x_{s-2} for s = 2..m (x_0 = 1) and
@@ -405,20 +412,18 @@ def type_a_chain(m: int) -> TypeAChain:
     def entry(stage: int, s: int) -> LaurentPoly:
         return stages[stage].cluster[s - 1] if s else LaurentPoly.const(m, 1)
 
-    # M(i, k) for the current and the previous stage
-    previous: list[LaurentPoly] = []
-    for i in range(0, m - 1):
-        current = []
-        for k in range(1, m - i):
-            mutated = seed_mutate(stages[i], k).cluster[k - 1]
-            if mutated * entry(i, k) != entry(i, k - 1) + entry(i, k + 1):
-                raise ConstructionError(f"three-term identity failed at stage {i}, position {k}")
-            if i and mutated != previous[k]:  # previous[k] is M(i-1, k+1)
-                raise ConstructionError(f"shifted three-term identity failed at stage {i}, position {k}")
-            current.append(mutated)
-        previous = current
-
     chain = tuple(stages[i].cluster[0] for i in range(m))
+    # M(i, k) is predicted as the head of stage i + k; the product check proves it
+    for i in range(0, m - 1):
+        stage = stages[i]
+        for k in range(1, m - i):
+            m1, m2 = _exchange_monomials(stage, [row[k - 1] for row in stage.matrix.entries])
+            exchange = m1 + m2
+            if exchange != entry(i, k - 1) + entry(i, k + 1):
+                raise ConstructionError(f"three-term identity failed at stage {i}, position {k}")
+            if chain[i + k] * entry(i, k) != exchange:
+                raise ConstructionError(f"shifted three-term identity failed at stage {i}, position {k}")
+
     var = lambda s: LaurentPoly.variable(m, s)
 
     # the recurrence gives the trees of the initial variables (heads from

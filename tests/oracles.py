@@ -21,6 +21,8 @@ per-call labels; its quotient key sorts by LaurentPoly.sort_key, or is the
 brute-force minimum over all relabellings, and its report groups clusters
 as sets of values, not of labels.  The reference tree evaluator walks
 every path of an expression tree, re-evaluating shared subtrees.  The
+chain reference solves every one-step mutation of every chain stage by
+seed_mutate, where type_a_chain only checks a predicted entry.  The
 reference polynomial parser is the earlier one: a tokenizer, a token list
 and a factor parser over it; it read a lone sign as the zero polynomial.
 The reference factoriality criteria read the matrix entry by entry, take
@@ -218,8 +220,12 @@ def are_associate_reference(a: LaurentPoly, b: LaurentPoly, profile: SeedProfile
 
 def column_criterion_reference(B: ExchangeMatrix) -> dict:
     """column_criterion's verdict JSON from the statement: the first pair k < s,
-    in lexicographic order, with b_ks = 0 and c_k = c_s, else c_k = -c_s."""
+    in lexicographic order, with b_ks = 0 and c_k = c_s, else c_k = -c_s; a matrix
+    with an all-zero mutable column is refused."""
     n, m = B.profile.n, B.profile.m
+    for k in range(1, n + 1):
+        if all(B.entries[i][k - 1] == 0 for i in range(m)):
+            raise DegenerateColumn(f"column {k} is entirely zero")
     for k in range(1, n + 1):
         for s in range(k + 1, n + 1):
             if B.entries[k - 1][s - 1] != 0:
@@ -462,6 +468,13 @@ def eval_expr_reference(expr: tuple, env: dict[str, LaurentPoly], m: int) -> Lau
     if tag == "pow":
         return eval_expr_reference(expr[1], env, m) ** expr[2]
     raise ValueError(f"unknown expression node {tag!r}")
+
+
+def chain_one_step_reference(stages: Sequence[Seed]) -> dict[tuple[int, int], LaurentPoly]:
+    """M(i, k), entry k of the one-step mutation of chain stage i at k, solved
+    by seed_mutate for every 0 <= i <= m-2 and 1 <= k <= m-1-i."""
+    m = len(stages)
+    return {(i, k): seed_mutate(stages[i], k).cluster[k - 1] for i in range(m - 1) for k in range(1, m - i)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -272,11 +273,39 @@ def test_gcd_criterion_degenerate_column():
         gcd_criterion(B, FieldTag.RATIONALS)
 
 
+def test_both_criteria_refuse_a_zero_column():
+    # two zero columns are equal, but the pair is no witness: the matrix is degenerate
+    B = ExchangeMatrix([[0, 0], [0, 0]], SeedProfile(2, 2, 2))
+    with pytest.raises(DegenerateColumn, match="column 1"):
+        column_criterion(B)
+    for field in FieldTag:
+        with pytest.raises(DegenerateColumn, match="column 1"):
+            gcd_criterion(B, field)
+
+
 def test_gcd_witness_revalidates():
-    verdict = gcd_criterion(rank2_matrix(2, 2), FieldTag.COMPLEXES)
-    assert verdict.is_not_factorial
-    col = rank2_matrix(2, 2).column(verdict.witness.k)
-    assert all(v % verdict.witness.d == 0 for v in col)
+    # d is recomputed from the column, and a Q-factor X^(d/q) + 1 must divide X^d + 1
+    X, unit = LaurentPoly.variable(1, 1), LaurentPoly.const(1, 1)
+    cases = [
+        ([[0, -2], [2, 0]], FieldTag.COMPLEXES),
+        ([[0, -1], [3, 0]], FieldTag.RATIONALS),
+        ([[0, -6], [6, 0], [12, 18]], FieldTag.RATIONALS),
+        ([[0, -40], [40, 0], [0, 120]], FieldTag.COMPLEXES),
+    ]
+    for rows, field in cases:
+        B = ExchangeMatrix(rows, SeedProfile(2, 2, len(rows)))
+        verdict = gcd_criterion(B, field)
+        assert verdict.is_not_factorial
+        w = verdict.witness
+        d = 0
+        for v in B.column(w.k):
+            d = math.gcd(d, v)
+        assert w.d == d, rows
+        if w.odd_factor is None:
+            assert field is FieldTag.COMPLEXES and d >= 2, rows
+        else:
+            assert w.odd_factor > 1 and d % w.odd_factor == 0, rows
+            exact_div(X**d + unit, X ** (d // w.odd_factor) + unit)  # NotDivisible fails the test
 
 
 # -- both criteria against their statements ---------------------------------------
@@ -303,14 +332,23 @@ def _random_matrix(rng) -> ExchangeMatrix:
 
 def test_criteria_match_their_statements():
     rng = random.Random(2026)
-    matrices = [ExchangeMatrix([], SeedProfile(1, 0, 0)), a3_matrix(), lampe_matrix(), rank2_matrix(2, 2)]
+    matrices = [ExchangeMatrix([], SeedProfile(1, 0, 0)), ExchangeMatrix([[0, 0], [0, 0]], SeedProfile(2, 2, 2))]
+    matrices += [a3_matrix(), lampe_matrix(), rank2_matrix(2, 2)]
     matrices += [_random_matrix(rng) for _ in range(1500)]
     found = {"equal_columns": 0, "negated": 0, "column_gcd": 0}
+    refused = 0
     for B in matrices:
-        verdict = column_criterion(B)
-        assert verdict.to_json() == column_criterion_reference(B), B
-        found["equal_columns"] += verdict.is_not_factorial
-        found["negated"] += verdict.is_not_factorial and verdict.witness.negated
+        try:
+            expected = column_criterion_reference(B)
+        except DegenerateColumn:
+            with pytest.raises(DegenerateColumn):
+                column_criterion(B)
+            refused += 1
+        else:
+            verdict = column_criterion(B)
+            assert verdict.to_json() == expected, B
+            found["equal_columns"] += verdict.is_not_factorial
+            found["negated"] += verdict.is_not_factorial and verdict.witness.negated
         for field in FieldTag:
             try:
                 expected = gcd_criterion_reference(B, field)
@@ -322,6 +360,7 @@ def test_criteria_match_their_statements():
             assert verdict.to_json() == expected, (B, field)
             found["column_gcd"] += verdict.is_not_factorial
     assert min(found.values()) > 100, found  # every witness kind is drawn
+    assert refused > 10, refused  # and zero columns, refused by both criteria
 
 
 # -- membership ---------------------------------------------------------------------

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -79,6 +82,26 @@ def test_staircase_golden(capsys, a3_file):
     code, out, _ = run(capsys, "staircase", "--matrix", a3_file, "--json")
     assert code == 0
     assert json.loads(out) == json.loads((GOLDEN / "a3_staircase.json").read_text())
+
+
+def test_verify_all_golden_byte_for_byte(capsys):
+    # the whole verification bundle: every preset's checks, details and identity counts
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "verify_all.json").read_text(encoding="utf-8")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(clusterkit.cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "clusterkit", "verify", "--name", "a3", "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"] is True
 
 
 # -- verdicts are data, exit 0 ---------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import clusterkit.constructions as constructions
+import clusterkit.seeds as seeds
 from clusterkit.constructions import (
     CartanMatrix,
     ConstructionError,
@@ -31,7 +32,9 @@ from clusterkit.constructions import (
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import acyclic_n3_cartan
 from clusterkit.seeds import (
+    ExchangeMatrix,
     Seed,
+    SeedProfile,
     apply_word,
     is_acyclic,
     parse_matrix,
@@ -39,7 +42,7 @@ from clusterkit.seeds import (
     skew_symmetrizer,
     validate,
 )
-from oracles import eval_expr_reference, random_cartan
+from oracles import chain_one_step_reference, eval_expr_reference, random_cartan
 
 N3_CARTAN = CartanMatrix([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
 
@@ -206,6 +209,57 @@ def test_chain_rejects_a_stage_that_breaks_only_the_shifted_identities(monkeypat
     monkeypatch.setattr(constructions, "apply_word", apply_word_tampered)
     with pytest.raises(ConstructionError, match="shifted"):
         type_a_chain(6)
+
+
+def test_chain_one_step_mutations_are_later_stage_heads():
+    # type_a_chain takes M(i, k) to be the head of stage i + k; the oracle solves each exchange
+    for m in range(2, 11):
+        stages = type_a_chain(m).stages
+        solved = chain_one_step_reference(stages)
+        assert len(solved) == m * (m - 1) // 2
+        for (i, k), mutated in solved.items():
+            assert mutated == stages[i + k].cluster[0], (m, i, k)
+
+
+def test_chain_solves_one_exchange_per_stage_letter(monkeypatch):
+    # only the stage words mutate: sum of m - i over stages 1..m-1, that is m(m-1)/2
+    calls = []
+
+    def counted(seed, k):
+        calls.append(k)
+        return seed_mutate(seed, k)
+
+    monkeypatch.setattr(seeds, "seed_mutate", counted)
+    monkeypatch.setattr(constructions, "seed_mutate", counted)
+    for m in range(3, 9):
+        calls.clear()
+        type_a_chain(m)
+        assert len(calls) == m * (m - 1) // 2, m
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_chain_rejects_stage_heads_off_by_one_stage(monkeypatch, shift):
+    real = type_a_chain(6).stages
+    # stage s keeps its matrix and other entries but takes the head of stage s + shift
+    planted = [
+        Seed(st.matrix, (real[s + shift].cluster[0],) + st.cluster[1:], st.word) if 0 <= s + shift < 6 else st
+        for s, st in enumerate(real)
+    ]
+    built = iter(planted[1:])
+    monkeypatch.setattr(constructions, "apply_word", lambda seed, word: next(built))
+    with pytest.raises(ConstructionError, match="shifted"):
+        type_a_chain(6)
+
+
+def test_chain_rejects_a_seed_that_breaks_the_three_term_identity(monkeypatch):
+    # b_21 = 2 makes the exchange at 1 read x1 * x1' = x2^2 + 1, not e(0, 0) + e(0, 2);
+    # stage 1 starts with the real mutation at 1, so at (0, 1) its head passes the product
+    # check and only the first check sees the broken identity
+    rows = [list(row) for row in type_a_seed(4).matrix.entries]
+    rows[1][0] = 2
+    monkeypatch.setattr(constructions, "type_a_seed", lambda m: Seed.initial(ExchangeMatrix(rows, SeedProfile(3, 3, 4))))
+    with pytest.raises(ConstructionError, match="^three-term identity failed at stage 0, position 1$"):
+        type_a_chain(4)
 
 
 def test_chain_rejects_a_wrong_recurrence_tree(monkeypatch):

@@ -10,11 +10,10 @@ which makes cluster disjointness a structural test.
 
 The two non-factoriality criteria read each column once and return a
 verdict that is either NotFactorial with an explicit witness, or
-Inconclusive.  An all-zero mutable column raises DegenerateColumn:
-column_criterion checks every column first, gcd_criterion raises when its
-scan reaches one.  No criterion ever claims factoriality: the affirmative
-direction is handled by explicit polynomial-ring certificates in the
-constructions module.
+Inconclusive.  An all-zero mutable column raises DegenerateColumn: both
+criteria check every column before they look for a witness.  No
+criterion ever claims factoriality: the affirmative direction is handled
+by explicit polynomial-ring certificates in the constructions module.
 """
 
 from __future__ import annotations
@@ -194,10 +193,10 @@ def column_criterion(B: ExchangeMatrix) -> FactorialityVerdict:
 
 def gcd_criterion(B: ExchangeMatrix, field: FieldTag = FieldTag.RATIONALS) -> FactorialityVerdict:
     """Non-factoriality from a column gcd d with X^d + 1 reducible over the field."""
-    for k in range(1, B.profile.n + 1):
-        d = gcd(*B.column(k))
-        if not d:
-            raise DegenerateColumn(f"column {k} is entirely zero")
+    gcds = [gcd(*B.column(k)) for k in range(1, B.profile.n + 1)]
+    if 0 in gcds:
+        raise DegenerateColumn(f"column {gcds.index(0) + 1} is entirely zero")
+    for k, d in enumerate(gcds, start=1):
         if xd_plus_one_reducible(d, field):
             q = odd_divisor(d)
             if field is FieldTag.COMPLEXES:

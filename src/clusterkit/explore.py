@@ -11,8 +11,15 @@ labels.  Labels are injective on values, so the walk keys everything on
 ints and tuples of ints instead of on LaurentPoly terms:
 
 * Dedup.  Two seeds are equal exactly when (matrix entries, labels) are.
-  With quotient_permutations the mutable indices are sorted by label and
-  the matrix is permuted to match (see _quotient_key).
+  In labelled mode a seed whose mutable labels are pairwise distinct, as
+  every seed reachable from Seed.initial has, is keyed on (class id,
+  labels) instead: its class is its quotient key (below), numbered in
+  order of first sight, and the labels fix the sorting permutation, so
+  the rows are that permutation undone on the class's rows and the two
+  keys match the same seeds.  A seed with a repeated mutable label keeps
+  the (rows, labels) key.  With quotient_permutations the mutable indices
+  are sorted by label and the matrix is permuted to match (see
+  _quotient_key).
 * Exchange memo.  By the exchange relation x_k * x_k' = M1 + M2
   (Fomin-Zelevinsky, Cluster algebras I, 2002), the new entry x_k' is a
   function of x_k and of the multiset {(x_i, b_ik) : b_ik != 0} over all m
@@ -30,8 +37,8 @@ ints and tuples of ints instead of on LaurentPoly terms:
 * Each edge once.  mu_k is an involution, so an edge of the exchange graph
   needs to be walked from one end only.  Each seen key holds the set of
   directions already known to lead to a seen seed, recorded by their
-  position in the key's canonical order: the index itself for the
-  labelled key, the rank the quotient key's sort gives the index.  A new
+  position in the key's canonical order: the rank the label sort gives
+  the index, or the index itself for the (rows, labels) key.  A new
   child c found from s at k starts with the position of k, as mu_k(c) = s;
   a child whose key is already seen adds its position of k to that key's
   set; and a seed is not mutated in the directions of its set.  Recording
@@ -42,11 +49,23 @@ ints and tuples of ints instead of on LaurentPoly terms:
   records there only then, as it always can for seeds reachable from
   Seed.initial.  The root starts with no direction: a caller may pass a
   seed with a non-empty word whose parent was never seen.
+* Class table.  Mutation commutes with simultaneous relabelling of the
+  mutable indices, mu_sigma(k)(sigma s) = sigma mu_k(s) (Fomin-Zelevinsky,
+  Cluster algebras I), so in labelled mode the mutation of a class-keyed
+  seed at the index in position p of its class depends only on the class
+  and p: the child's class, x_k' and its label, and the position of k in
+  the child's key (k moves from p to that position, and the indices in
+  between shift by one, as only k's label changed).  A per-call table
+  holds that for each (class, position) walked so far, and for the
+  reverse step, which the child's class takes at k's new position back
+  to s's class and x_k.  A hit builds only the child's labels and looks
+  up its key; a miss takes the exchange memo path above and fills the
+  table.
 
-A child's rows and labels are computed first, and its Seed (and matrix) is
-built only when its key is new.  A skipped child would have been a
-duplicate, and duplicates are dropped before the budget is checked, so
-none of this changes the report.
+A child's rows and labels are computed first, or its key alone on a table
+hit, and its Seed (and matrix) is built only when its key is new.  A
+skipped child would have been a duplicate, and duplicates are dropped
+before the budget is checked, so none of this changes the report.
 """
 
 from __future__ import annotations
@@ -102,13 +121,6 @@ class ExplorationReport:
         }
 
 
-def _labelled_key(rows: tuple, labels: tuple, n: int):
-    """Dedup key of structural (matrix, cluster) equality: labels are injective on values.
-
-    Returns the key and each mutable index's position in it, the index itself."""
-    return (rows, labels), range(n)
-
-
 def _quotient_key(rows: tuple, labels: tuple, n: int):
     """Dedup key up to simultaneous permutation of the mutable indices.
 
@@ -150,19 +162,33 @@ def explore(
     differ by a simultaneous permutation of the mutable indices.  Each
     exchange relation is solved once per call, and the solve serves both
     directions; each edge of the exchange graph is walked from one end
-    only (see the module docstring); the report is the one that mutating
-    every seed in every direction gives.
+    only, and in labelled mode each relabelling class is mutated once per
+    direction (see the module docstring); the report is the one that
+    mutating every seed in every direction gives.
     """
     limits = limits or ExplorationLimits()
-    key = _quotient_key if quotient_permutations else _labelled_key
     n = seed.profile.n
+    classes = {}  # labelled mode: quotient key -> class id
+    table = []  # class id -> per position, the child's (class id, x_k', its label, position of k) or None
+
+    def key(rows: tuple, labels: tuple):
+        """A seed's dedup key, each mutable index's position in it, and its class id or None."""
+        if quotient_permutations:
+            return *_quotient_key(rows, labels, n), None
+        if len(set(labels[:n])) < n:
+            return (rows, labels), range(n), None  # the labels do not fix a relabelling
+        qkey, rank = _quotient_key(rows, labels, n)
+        cid = classes.setdefault(qkey, len(classes))
+        if cid == len(table):
+            table.append([None] * n)
+        return (cid, labels), rank, cid
 
     label = {}  # cluster value -> its int label in this call
     root_labels = tuple(label.setdefault(x, len(label)) for x in seed.cluster)
-    root_key, root_rank = key(seed.matrix.entries, root_labels, n)
+    root_key, root_rank, root_cid = key(seed.matrix.entries, root_labels)
     seen = {root_key: set()}  # key -> positions of the directions known to lead to a seen seed
     memo = {}  # exchange relation on labels -> (x_k', its label), see the module docstring
-    level = [(seed, root_labels, root_rank, seen[root_key])]
+    level = [(seed, root_labels, root_rank, seen[root_key], root_cid)]
     found = list(level)  # every seed found, with its labels, in discovery order
     depth = 0
     reason = "closure"
@@ -172,42 +198,59 @@ def explore(
             reason = "depth"
             break
         next_level = []
-        for s, labels, rank, done in level:
+        for s, labels, rank, done, cid in level:
             rows = s.matrix.entries
             # with repeated mutable labels a relabelling of s may have another quotient key
             exact = not quotient_permutations or len(set(labels[:n])) == n
+            moves = None if cid is None else table[cid]
             for kk in range(n):
-                if rank[kk] in done:
+                p = rank[kk]  # the position of k in s's key
+                if p in done:
                     continue  # this edge was walked from its other end
                 k = kk + 1
-                support = [(lb, row[kk]) for lb, row in zip(labels, rows) if row[kk]]
-                relation = (labels[kk], tuple(sorted(support)))
-                solved = memo.get(relation)
-                child = None
-                if solved is None:
-                    child = seed_mutate(s, k)
-                    entry = child.cluster[kk]
-                    solved = memo[relation] = (entry, label.setdefault(entry, len(label)))
-                    # the child's relation at k: x_k' against the negated column k
-                    reverse = (solved[1], tuple(sorted((lb, -b) for lb, b in support)))
-                    memo[reverse] = (s.cluster[kk], labels[kk])
-                    child_rows = child.matrix.entries
+                move = moves and moves[p]
+                child = child_rows = None
+                if move:
+                    child_cid, entry, entry_label, at = move
+                    child_labels = labels[:kk] + (entry_label,) + labels[k:]
+                    ck = (child_cid, child_labels)
                 else:
-                    child_rows = _mutated_rows(rows, kk)
-                entry, entry_label = solved
-                child_labels = labels[:kk] + (entry_label,) + labels[k:]
-                ck, child_rank = key(child_rows, child_labels, n)
+                    support = [(lb, row[kk]) for lb, row in zip(labels, rows) if row[kk]]
+                    relation = (labels[kk], tuple(sorted(support)))
+                    solved = memo.get(relation)
+                    if solved is None:
+                        child = seed_mutate(s, k)
+                        entry = child.cluster[kk]
+                        solved = memo[relation] = (entry, label.setdefault(entry, len(label)))
+                        # the child's relation at k: x_k' against the negated column k
+                        reverse = (solved[1], tuple(sorted((lb, -b) for lb, b in support)))
+                        memo[reverse] = (s.cluster[kk], labels[kk])
+                        child_rows = child.matrix.entries
+                    else:
+                        child_rows = _mutated_rows(rows, kk)
+                    entry, entry_label = solved
+                    child_labels = labels[:kk] + (entry_label,) + labels[k:]
+                    ck, child_rank, child_cid = key(child_rows, child_labels)
+                    at = child_rank[kk]  # the position of k in the child's key
+                    if cid is not None and child_cid is not None:
+                        # mu at p maps s's class to the child's, and mu at `at` back
+                        moves[p] = (child_cid, entry, entry_label, at)
+                        table[child_cid][at] = (cid, s.cluster[kk], labels[kk], p)
                 known = seen.get(ck)
                 if known is not None:
                     if exact:
-                        known.add(child_rank[kk])  # mu_k of the child is s, which is seen
+                        known.add(at)  # mu_k of the child is s, which is seen
                     continue
                 if len(seen) >= limits.max_seeds:
                     return _report(found, list(label), n, "budget")
-                seen[ck] = known = {child_rank[kk]}
+                seen[ck] = known = {at}
+                if move:
+                    # k moves from position p to position at, the indices between shift by one
+                    child_rank = [q + (at <= q < p) - (p < q <= at) for q in rank]
+                    child_rank[kk] = at
                 if child is None:
-                    child = _exchanged(s, k, entry, child_rows)
-                found.append((child, child_labels, child_rank, known))
+                    child = _exchanged(s, k, entry, child_rows or _mutated_rows(rows, kk))
+                found.append((child, child_labels, child_rank, known, child_cid))
                 next_level.append(found[-1])
         level = next_level
         depth += 1
@@ -218,7 +261,7 @@ def explore(
 def _report(found: list, values: list, n: int, reason: str) -> ExplorationReport:
     """The report on the seeds found, each with its labels, in discovery order,
     given the value of each label and the stop reason."""
-    clusters = {frozenset(labels[:n]) for _, labels, _, _ in found}
+    clusters = {frozenset(labels[:n]) for _, labels, _, _, _ in found}
     keys = {lb: values[lb].sort_key() for cl in clusters for lb in cl}  # one sort key per variable
     variables = sorted(keys, key=keys.__getitem__)
     place = {lb: i for i, lb in enumerate(variables)}  # labels in the variables' order
@@ -229,5 +272,5 @@ def _report(found: list, values: list, n: int, reason: str) -> ExplorationReport
         distinct_clusters=tuple(frozenset(values[lb] for lb in cl) for cl in ordered),
         finite=reason == "closure",
         frontier_exhausted_reason=reason,
-        seeds=tuple(s for s, _, _, _ in found),
+        seeds=tuple(s for s, *_ in found),
     )

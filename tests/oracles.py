@@ -253,12 +253,15 @@ def gcd_criterion_reference(B: ExchangeMatrix, field: FieldTag) -> dict:
     """gcd_criterion's verdict JSON from the statement: the first column k whose
     entry gcd d has X^d + 1 reducible, which over the complexes means d >= 2 and
     over the rationals that d has an odd part q > 1, giving the factor X^(d/q) + 1."""
+    gcds = []
     for k in range(1, B.profile.n + 1):
         d = 0
         for row in B.entries:
             d = math.gcd(d, row[k - 1])
         if d == 0:
             raise DegenerateColumn(f"column {k} is entirely zero")
+        gcds.append(d)
+    for k, d in enumerate(gcds, start=1):
         q = d
         while q % 2 == 0:
             q //= 2

@@ -283,6 +283,16 @@ def test_both_criteria_refuse_a_zero_column():
             gcd_criterion(B, field)
 
 
+def test_gcd_criterion_refuses_a_zero_column_after_a_witness():
+    # column 1 has gcd 2, a witness over C, but column 2 is zero: the matrix is degenerate
+    B = ExchangeMatrix([[0, 0], [2, 0]], SeedProfile(2, 2, 2))
+    for check in (lambda: column_criterion(B), lambda: gcd_criterion(B, FieldTag.COMPLEXES)):
+        with pytest.raises(DegenerateColumn, match="column 2"):
+            check()
+    with pytest.raises(DegenerateColumn, match="column 2"):
+        gcd_criterion_reference(B, FieldTag.COMPLEXES)
+
+
 def test_gcd_witness_revalidates():
     # d is recomputed from the column, and a Q-factor X^(d/q) + 1 must divide X^d + 1
     X, unit = LaurentPoly.variable(1, 1), LaurentPoly.const(1, 1)

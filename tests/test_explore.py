@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,12 +181,13 @@ def test_limits_validation():
 
 
 def _outcome(run):
-    """The report and seed-word order of an exploration, or the error it raised."""
+    """The report, and each seed's word, matrix and cluster in discovery order,
+    of an exploration, or the error it raised."""
     try:
         report = run()
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
-    return report.to_json(), [s.word for s in report.seeds]
+    return report.to_json(), [(s.word, s.matrix.entries, s.cluster) for s in report.seeds]
 
 
 def _assert_matches_reference(seed, limits, quotient):
@@ -202,6 +205,30 @@ def test_exchange_memo_matches_reference(quotient):
             seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
             for lim in limits:
                 _assert_matches_reference(seed, lim, quotient)
+
+
+def _mid_level_budget(rng, report, cap):
+    """A seed budget at most cap that stops a walk between two seeds of one level."""
+    depths = [len(s.word) for s in report.seeds[: cap + 1]]
+    return rng.choice([b for b in range(2, len(depths)) if depths[b - 1] == depths[b]])
+
+
+@pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
+@pytest.mark.parametrize("letter,n", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("G", 2)])
+def test_class_table_matches_reference(letter, n, quotient):
+    # labelled mode finds most children by its per-class table; every draw
+    # has a random orientation, relabelling and 0..n frozen rows
+    rng = random.Random(f"table-{letter}{n}-{quotient}")
+    for _ in range(2):
+        seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
+        # a labelled rank-5 closure has thousands of seeds: walk those to depth 4
+        depth = 4 if n == 5 and not quotient else rng.randint(2, 4)
+        cut = ExplorationLimits(max_depth=depth, max_seeds=100000)
+        _assert_matches_reference(seed, cut, quotient)
+        budget = _mid_level_budget(rng, explore(seed, cut, quotient_permutations=quotient), 300)
+        _assert_matches_reference(seed, ExplorationLimits(max_depth=64, max_seeds=budget), quotient)
+        if n < 5 or quotient:
+            _assert_matches_reference(seed, WIDE, quotient)
 
 
 # a hand-built D4 seed whose mutable entries repeat in pairs: recording a seen
@@ -223,9 +250,19 @@ def test_exchange_memo_on_repeated_entries():
     x = [LaurentPoly.variable(4, i) for i in (1, 2)]
     paired = Seed(ExchangeMatrix(D4_PAIRED, SeedProfile(4, 4, 4)), [x[1], x[1], x[0], x[0]], ())
     assert explore_reference(paired, WIDE, True).seeds_found == 55
+    # x2 fills two mutable places: the seeds that keep both copies are keyed
+    # on (rows, labels), the labelled ones that lose one on their class
+    x2, x4 = LaurentPoly.variable(4, 2), LaurentPoly.variable(4, 4)
+    a3_frozen = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0], [1, 1, -1]], SeedProfile(3, 3, 4))
+    mixed = Seed(a3_frozen, [x2, x1, x2, x4], ())
+    report = explore(mixed, WIDE)
+    assert report.seeds_found == 84
+    assert sum(len(set(s.mutable_entries())) < 3 for s in report.seeds) == 24
     for quotient in (False, True):
         _assert_matches_reference(seed, WIDE, quotient)
         _assert_matches_reference(paired, WIDE, quotient)
+        _assert_matches_reference(mixed, WIDE, quotient)
+        _assert_matches_reference(mixed, ExplorationLimits(max_depth=3, max_seeds=50), quotient)
         rng = random.Random(f"memo-repeated-{quotient}" if quotient else "memo-repeated")
         for letter, n, draws in (("A", 2, 12), ("A", 3, 12), ("B", 3, 12), ("A", 4, 4), ("D", 4, 4)):
             for _ in range(draws):
@@ -241,6 +278,15 @@ A4_FROZEN4_ROWS = [
     [0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0],
     [1, 0, 0, 0], [0, -1, 0, 1], [1, 1, 0, -1], [0, 0, 1, 1],
 ]
+
+
+def test_a4_frozen4_labelled_golden():
+    # the report and the seeds' words in discovery order, one word per line
+    B = ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8))
+    report = explore(Seed.initial(B), WIDE)
+    payload = {"report": report.to_json(), "words": [",".join(map(str, s.word)) for s in report.seeds]}
+    golden = Path(__file__).parent / "golden" / "a4_frozen4_explore.json"
+    assert json.dumps(payload, indent=1, sort_keys=True) + "\n" == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
@@ -283,26 +329,39 @@ def _dynkin_draw(letter, n):
 
 
 @pytest.mark.parametrize(
-    "B",
+    "B,quotient,most_hit",
     [
-        _dynkin_draw("A", 3),
-        _dynkin_draw("B", 3),
-        _dynkin_draw("G", 2),
-        ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)),
-        ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)),
+        (_dynkin_draw("A", 3), False, False),
+        (_dynkin_draw("B", 3), False, False),
+        (_dynkin_draw("G", 2), False, None),
+        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), False, True),
+        (ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)), False, True),
+        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), True, None),
     ],
-    ids=["A3", "B3", "G2", "D4", "A4-4-frozen"],
+    ids=["A3", "B3", "G2", "D4", "A4-4-frozen", "D4-quotient"],
 )
-def test_each_edge_is_walked_once(monkeypatch, B):
-    # a child is built by a solve (seed_mutate) or by rows-only mutation;
-    # walking each edge of a closed exchange graph from one end builds n/2
+def test_each_edge_is_walked_once(monkeypatch, B, quotient, most_hit):
+    # A child is built by a solve (seed_mutate) or by rows-only mutation.
+    # Walking each edge of a closed exchange graph from one end builds n/2
     # children per seed, where skipping only the parent builds (n - 1) per
-    # seed, plus one
+    # seed, plus one.  In labelled mode a seed whose relabelling class was
+    # already mutated in a direction finds its child by table lookup and
+    # builds it only when it is new, so there the walk builds fewer: at
+    # least one child per seed but the root.  The quotient has no table,
+    # and each labelled G2 class holds one seed, so neither has a hit
+    # (most_hit None); in labelled D4 and A4-4-frozen about 24 seeds share
+    # a class, so most walked edges are hits (most_hit True).
     module = sys.modules["clusterkit.explore"]
     built = []
     for name in ("seed_mutate", "_mutated_rows"):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real: built.append(args) or real(*args))
-    report = explore(Seed.initial(B), WIDE)
+    report = explore(Seed.initial(B), WIDE, quotient_permutations=quotient)
     assert report.frontier_exhausted_reason == "closure"
-    assert 2 * len(built) == B.profile.n * report.seeds_found
+    half_edges = B.profile.n * report.seeds_found / 2
+    if most_hit is None:
+        assert len(built) == half_edges
+        return
+    assert report.seeds_found - 1 <= len(built) < half_edges
+    if most_hit:
+        assert len(built) <= 0.6 * half_edges

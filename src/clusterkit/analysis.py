@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 
 from .laurent import (
+    DimensionMismatch,
     FieldTag,
     LaurentPoly,
     NotDivisible,
@@ -122,6 +123,12 @@ def classify_unit(e: LaurentPoly, profile: SeedProfile) -> UnitForm | None:
     return UnitForm(c, tuple(carried))
 
 
+def _require_ambient(m: int, profile: SeedProfile) -> None:
+    """Refuse a value from another ambient ring than the profile's."""
+    if m != profile.m:
+        raise DimensionMismatch(f"ambient dimensions differ: {m} vs {profile.m}")
+
+
 def are_associate(a: LaurentPoly, b: LaurentPoly, profile: SeedProfile) -> bool:
     """True when a = u*b for a unit u (sign times invertible-coefficient monomial).
 
@@ -134,6 +141,8 @@ def are_associate(a: LaurentPoly, b: LaurentPoly, profile: SeedProfile) -> bool:
     two leading terms, is the only candidate.  classify_unit must accept
     it, and u*b == a is then checked structurally; nothing is divided.
     """
+    _require_ambient(a.m, profile)
+    a._check(b)
     if a.is_zero or b.is_zero:
         raise ValueError("associateness is defined for nonzero elements")
     if a.term_count != b.term_count:
@@ -260,6 +269,7 @@ def laurent_membership(e: LaurentPoly | RationalFn, target: Seed) -> bool:
     when additionally the non-invertible coefficients p+1..m keep
     nonnegative exponents in the quotient.
     """
+    _require_ambient(e.m, target.profile)
     if isinstance(e, LaurentPoly):
         e = RationalFn.from_laurent(e)
     num, den = _compose((e.num, e.den), coordinate_images(target))

@@ -8,63 +8,49 @@ Labels.  One explore call gives each distinct cluster entry a small int
 label, the first time the value is seen (the root's entries, then each
 newly solved x_k'), and every seed in the frontier carries its tuple of
 labels.  Labels are injective on values, so the walk keys everything on
-ints and tuples of ints instead of on LaurentPoly terms:
+ints and tuples of ints instead of on LaurentPoly terms.  The extended
+cluster of a seed is a free generating set of the ambient field
+(Fomin-Zelevinsky, Cluster algebras I, 2002), so its entries, and hence a
+seed's labels, are pairwise distinct; explore refuses a seed that breaks
+this (see explore).
 
-* Dedup.  Two seeds are equal exactly when (matrix entries, labels) are.
-  In labelled mode a seed whose mutable labels are pairwise distinct, as
-  every seed reachable from Seed.initial has, is keyed on (class id,
-  labels) instead: its class is its quotient key (below), numbered in
-  order of first sight, and the labels fix the sorting permutation, so
-  the rows are that permutation undone on the class's rows and the two
-  keys match the same seeds.  A seed with a repeated mutable label keeps
-  the (rows, labels) key.  With quotient_permutations the mutable indices
-  are sorted by label and the matrix is permuted to match (see
-  _quotient_key).
-* Exchange memo.  By the exchange relation x_k * x_k' = M1 + M2
-  (Fomin-Zelevinsky, Cluster algebras I, 2002), the new entry x_k' is a
-  function of x_k and of the multiset {(x_i, b_ik) : b_ik != 0} over all m
-  rows, frozen ones included: M1 and M2 are the products of x_i^|b_ik| over
-  the positive and the negative b_ik.  The memo key is the label of x_k
-  plus the sorted tuple of (label of x_i, b_ik), so equal keys mean equal
-  relations and the memo is exact.  The key is a sorted tuple and not a
-  set because a hand-built seed may repeat an entry, which then counts
-  twice in M1 or M2.  A miss runs seed_mutate with all its checks; a hit
-  reuses the entry it found.
-* The reverse relation.  Mutation negates column k, and b_kk = 0 in the
-  (valid) matrix of every Seed, so the child's relation at k is x_k' against
-  {(x_i, -b_ik)}: M1 and M2 swap, and it solves to x_k.  A miss stores
-  that relation too, and the walk never solves an exchange twice.
-* Each edge once.  mu_k is an involution, so an edge of the exchange graph
-  needs to be walked from one end only.  Each seen key holds the set of
-  directions already known to lead to a seen seed, recorded by their
-  position in the key's canonical order: the rank the label sort gives
-  the index, or the index itself for the (rows, labels) key.  A new
-  child c found from s at k starts with the position of k, as mu_k(c) = s;
-  a child whose key is already seen adds its position of k to that key's
-  set; and a seed is not mutated in the directions of its set.  Recording
-  on a seen key is exact in labelled mode.  In quotient mode the seed with
-  that key may be another member of the child's class, whose mutation at
-  that position gives a relabelling of s, which has s's key only when s's
-  mutable labels are pairwise distinct (see _quotient_key); the walk
-  records there only then, as it always can for seeds reachable from
-  Seed.initial.  The root starts with no direction: a caller may pass a
-  seed with a non-empty word whose parent was never seen.
+* Classes.  A seed's class is its quotient key (see _quotient_key): the
+  seed relabelled so that its mutable labels are sorted, numbered per
+  call in order of first sight.  Two seeds share a class exactly when
+  they differ by a simultaneous permutation of the mutable indices.
+* Dedup.  With quotient_permutations a seed is keyed on its class id;
+  otherwise on (class id, labels), as the labels fix the permutation that
+  undoes the sort, so the key determines the matrix and the cluster.
 * Class table.  Mutation commutes with simultaneous relabelling of the
   mutable indices, mu_sigma(k)(sigma s) = sigma mu_k(s) (Fomin-Zelevinsky,
-  Cluster algebras I), so in labelled mode the mutation of a class-keyed
-  seed at the index in position p of its class depends only on the class
-  and p: the child's class, x_k' and its label, and the position of k in
-  the child's key (k moves from p to that position, and the indices in
-  between shift by one, as only k's label changed).  A per-call table
-  holds that for each (class, position) walked so far, and for the
-  reverse step, which the child's class takes at k's new position back
-  to s's class and x_k.  A hit builds only the child's labels and looks
-  up its key; a miss takes the exchange memo path above and fills the
-  table.
+  Cluster algebras I), and the members of a class carry the same labels
+  (the key holds the sorted mutable labels, and frozen entries never
+  change), so the mutation of a seed at the index carrying label l
+  depends only on its class and l: the child's class, and x_k' and its
+  label.  One dict per class, keyed by l, holds that for each mutation
+  walked so far.  A miss fills the entry and its reverse: mu_k(child) is
+  s, so at the child's class the label of x_k' maps to s's class, x_k
+  and its label.  A hit builds only the child's labels and looks up its
+  key; relabelling keeps labels distinct, so no hit repeats an entry.
+* Each edge once.  mu_k is an involution, so the other end of a walked
+  edge finds it in the table as a hit whose key is seen, and mutates
+  nothing.  Each class is thus mutated once per direction.
+* Exchange memo.  A table miss still looks the exchange relation up.  By
+  the exchange relation x_k * x_k' = M1 + M2, the new entry x_k' is a
+  function of x_k and of the set {(x_i, b_ik) : b_ik != 0} over all m
+  rows, frozen ones included: M1 and M2 are the products of x_i^|b_ik|
+  over the positive and the negative b_ik.  The memo key is the label of
+  x_k plus the sorted tuple of (label of x_i, b_ik), so equal keys mean
+  equal relations and the memo is exact.  A miss runs seed_mutate with
+  all its checks; a hit reuses the entry it found.  Mutation negates
+  column k, and b_kk = 0 in the (valid) matrix of every Seed, so the
+  child's relation at k is x_k' against {(x_i, -b_ik)}: M1 and M2 swap,
+  and it solves to x_k.  A solve stores that relation too, and the walk
+  never solves an exchange twice.
 
-A child's rows and labels are computed first, or its key alone on a table
-hit, and its Seed (and matrix) is built only when its key is new.  A
-skipped child would have been a duplicate, and duplicates are dropped
+A child's rows and labels are computed first, or its labels alone on a
+table hit, and its Seed (and matrix) is built only when its key is new.
+A skipped child would have been a duplicate, and duplicates are dropped
 before the budget is checked, so none of this changes the report.
 """
 
@@ -74,7 +60,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .laurent import LaurentPoly, render_poly
-from .seeds import Seed, _exchanged, _mutated_rows, _require_int, seed_mutate
+from .seeds import InvalidSeed, Seed, _exchanged, _mutated_rows, _require_int, seed_mutate
 
 
 @dataclass(frozen=True)
@@ -127,26 +113,15 @@ def _quotient_key(rows: tuple, labels: tuple, n: int):
     The mutable indices are sorted by label, and the rows and columns of
     the matrix are permuted to match; frozen entries never change, so
     their labels are left out.  The key is itself a relabelling of the
-    seed, so it never identifies two seeds that are not equivalent.
-    Labels order values by first sight, not by LaurentPoly.sort_key, but
-    the partition is the same: two equivalent seeds have the same
-    multiset of values, and a stable sort by any total order on values
-    puts them into the same blocks of equal values, in index order inside
-    a block; another order only rearranges whole blocks, the same way for
-    both seeds.  The extended cluster of a seed reachable from
-    Seed.initial is a free generating set of the ambient field, so its
-    entries are pairwise distinct and every equivalent pair gets the same
-    key.
-
-    Returns the key and each mutable index's position in it, its rank in
-    the sort.
+    seed, so it never identifies two seeds that are not equivalent, and
+    with pairwise distinct labels the sort is a complete invariant: two
+    equivalent seeds get the same key.
     """
     if n == 1:
-        return (rows, labels), range(1)  # the only permutation is the identity
+        return rows, labels  # the only permutation is the identity
     perm = sorted(range(n), key=labels.__getitem__)
     pick = itemgetter(*perm)
-    key = tuple(map(pick, pick(rows) + rows[n:])), pick(labels)
-    return key, sorted(range(n), key=perm.__getitem__)
+    return tuple(map(pick, pick(rows) + rows[n:])), pick(labels)
 
 
 def explore(
@@ -161,35 +136,36 @@ def explore(
     quotient_permutations the key additionally identifies seeds that
     differ by a simultaneous permutation of the mutable indices.  Each
     exchange relation is solved once per call, and the solve serves both
-    directions; each edge of the exchange graph is walked from one end
-    only, and in labelled mode each relabelling class is mutated once per
-    direction (see the module docstring); the report is the one that
-    mutating every seed in every direction gives.
+    directions; each relabelling class is mutated once per direction, and
+    the other end of a walked edge is found by lookup (see the module
+    docstring); the report is the one that mutating every seed in every
+    direction gives.
+
+    The entries of the extended cluster must be pairwise distinct, as they
+    are for every seed reachable from Seed.initial: InvalidSeed is raised
+    for a root that repeats an entry, and for a mutation whose new entry
+    x_k' equals one already in its seed.
     """
     limits = limits or ExplorationLimits()
     n = seed.profile.n
-    classes = {}  # labelled mode: quotient key -> class id
-    table = []  # class id -> per position, the child's (class id, x_k', its label, position of k) or None
-
-    def key(rows: tuple, labels: tuple):
-        """A seed's dedup key, each mutable index's position in it, and its class id or None."""
-        if quotient_permutations:
-            return *_quotient_key(rows, labels, n), None
-        if len(set(labels[:n])) < n:
-            return (rows, labels), range(n), None  # the labels do not fix a relabelling
-        qkey, rank = _quotient_key(rows, labels, n)
-        cid = classes.setdefault(qkey, len(classes))
-        if cid == len(table):
-            table.append([None] * n)
-        return (cid, labels), rank, cid
-
     label = {}  # cluster value -> its int label in this call
     root_labels = tuple(label.setdefault(x, len(label)) for x in seed.cluster)
-    root_key, root_rank, root_cid = key(seed.matrix.entries, root_labels)
-    seen = {root_key: set()}  # key -> positions of the directions known to lead to a seen seed
+    if len(label) < len(root_labels):
+        raise InvalidSeed("the extended cluster repeats an entry")
+    classes = {}  # quotient key -> class id
+    table = []  # class id -> {label of x_k: (the child's class id, x_k', its label)}
+
+    def class_of(rows: tuple, labels: tuple) -> int:
+        cid = classes.setdefault(_quotient_key(rows, labels, n), len(classes))
+        if cid == len(table):
+            table.append({})
+        return cid
+
+    root_cid = class_of(seed.matrix.entries, root_labels)
+    seen = {root_cid if quotient_permutations else (root_cid, root_labels)}
     memo = {}  # exchange relation on labels -> (x_k', its label), see the module docstring
-    level = [(seed, root_labels, root_rank, seen[root_key], root_cid)]
-    found = list(level)  # every seed found, with its labels, in discovery order
+    level = [(seed, root_labels, root_cid)]
+    found = list(level)  # every seed found, with its labels and class id, in discovery order
     depth = 0
     reason = "closure"
 
@@ -198,59 +174,45 @@ def explore(
             reason = "depth"
             break
         next_level = []
-        for s, labels, rank, done, cid in level:
+        for s, labels, cid in level:
             rows = s.matrix.entries
-            # with repeated mutable labels a relabelling of s may have another quotient key
-            exact = not quotient_permutations or len(set(labels[:n])) == n
-            moves = None if cid is None else table[cid]
-            for kk in range(n):
-                p = rank[kk]  # the position of k in s's key
-                if p in done:
-                    continue  # this edge was walked from its other end
+            moves = table[cid]
+            for kk, lb in enumerate(labels[:n]):
                 k = kk + 1
-                move = moves and moves[p]
+                move = moves.get(lb)
                 child = child_rows = None
-                if move:
-                    child_cid, entry, entry_label, at = move
-                    child_labels = labels[:kk] + (entry_label,) + labels[k:]
-                    ck = (child_cid, child_labels)
-                else:
-                    support = [(lb, row[kk]) for lb, row in zip(labels, rows) if row[kk]]
-                    relation = (labels[kk], tuple(sorted(support)))
+                if move is None:
+                    support = [(other, row[kk]) for other, row in zip(labels, rows) if row[kk]]
+                    relation = (lb, tuple(sorted(support)))
                     solved = memo.get(relation)
                     if solved is None:
                         child = seed_mutate(s, k)
                         entry = child.cluster[kk]
                         solved = memo[relation] = (entry, label.setdefault(entry, len(label)))
                         # the child's relation at k: x_k' against the negated column k
-                        reverse = (solved[1], tuple(sorted((lb, -b) for lb, b in support)))
-                        memo[reverse] = (s.cluster[kk], labels[kk])
+                        reverse = (solved[1], tuple(sorted((other, -b) for other, b in support)))
+                        memo[reverse] = (s.cluster[kk], lb)
                         child_rows = child.matrix.entries
                     else:
                         child_rows = _mutated_rows(rows, kk)
-                    entry, entry_label = solved
-                    child_labels = labels[:kk] + (entry_label,) + labels[k:]
-                    ck, child_rank, child_cid = key(child_rows, child_labels)
-                    at = child_rank[kk]  # the position of k in the child's key
-                    if cid is not None and child_cid is not None:
-                        # mu at p maps s's class to the child's, and mu at `at` back
-                        moves[p] = (child_cid, entry, entry_label, at)
-                        table[child_cid][at] = (cid, s.cluster[kk], labels[kk], p)
-                known = seen.get(ck)
-                if known is not None:
-                    if exact:
-                        known.add(at)  # mu_k of the child is s, which is seen
-                    continue
+                    if solved[1] in labels:
+                        raise InvalidSeed(f"mutation at {k} repeats an entry of the extended cluster")
+                    child_labels = labels[:kk] + (solved[1],) + labels[k:]
+                    # mu_k maps s's class to the child's, and back at the label of x_k'
+                    move = moves[lb] = (class_of(child_rows, child_labels), *solved)
+                    table[move[0]][solved[1]] = (cid, s.cluster[kk], lb)
+                else:
+                    child_labels = labels[:kk] + (move[2],) + labels[k:]
+                child_cid, entry, _ = move
+                ck = child_cid if quotient_permutations else (child_cid, child_labels)
+                if ck in seen:
+                    continue  # includes every edge walked from its other end
                 if len(seen) >= limits.max_seeds:
                     return _report(found, list(label), n, "budget")
-                seen[ck] = known = {at}
-                if move:
-                    # k moves from position p to position at, the indices between shift by one
-                    child_rank = [q + (at <= q < p) - (p < q <= at) for q in rank]
-                    child_rank[kk] = at
+                seen.add(ck)
                 if child is None:
                     child = _exchanged(s, k, entry, child_rows or _mutated_rows(rows, kk))
-                found.append((child, child_labels, child_rank, known, child_cid))
+                found.append((child, child_labels, child_cid))
                 next_level.append(found[-1])
         level = next_level
         depth += 1
@@ -261,7 +223,7 @@ def explore(
 def _report(found: list, values: list, n: int, reason: str) -> ExplorationReport:
     """The report on the seeds found, each with its labels, in discovery order,
     given the value of each label and the stop reason."""
-    clusters = {frozenset(labels[:n]) for _, labels, _, _, _ in found}
+    clusters = {frozenset(labels[:n]) for _, labels, _ in found}
     keys = {lb: values[lb].sort_key() for cl in clusters for lb in cl}  # one sort key per variable
     variables = sorted(keys, key=keys.__getitem__)
     place = {lb: i for i, lb in enumerate(variables)}  # labels in the variables' order

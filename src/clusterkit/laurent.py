@@ -897,6 +897,7 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        num._check(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if not (num.is_ordinary() and den.is_ordinary()):

@@ -24,7 +24,7 @@ from clusterkit.analysis import (
 )
 from clusterkit.constructions import acyclic_seed_from_cartan, CartanMatrix
 from clusterkit.explore import ExplorationLimits, explore
-from clusterkit.laurent import FieldTag, LaurentPoly, RationalFn, exact_div
+from clusterkit.laurent import DimensionMismatch, FieldTag, LaurentPoly, RationalFn, exact_div
 from clusterkit.presets import a3_matrix, lampe_matrix
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, apply_word
 from oracles import (
@@ -93,6 +93,14 @@ def test_associate_examples():
     assert not are_associate(z + one(), z, COEFF_PROFILE)
     with pytest.raises(ValueError):
         are_associate(LaurentPoly.zero(3), z, COEFF_PROFILE)
+
+
+def test_associates_refuse_another_ambient_ring():
+    # unequal term counts across rings answered False before the rings were compared
+    z = var(3) + one()
+    for a, b in ((var(1, 4), z), (z, var(1, 4) + one(4)), (var(1, 4), var(1, 4))):
+        with pytest.raises(DimensionMismatch, match="ambient dimensions differ"):
+            are_associate(a, b, COEFF_PROFILE)
 
 
 def test_associates_need_equal_term_counts(monkeypatch):
@@ -411,6 +419,16 @@ def test_upper_bound_member():
     report = explore(seed, ExplorationLimits(max_depth=2, max_seeds=1000))
     for v in report.distinct_variables:
         assert upper_bound_member(v, seed, s13)
+
+
+def test_membership_refuses_another_ambient_ring():
+    # x1 in 4 variables was read as the target's x1, and x4 raised IndexError
+    seed = Seed.initial(a3_matrix())
+    for e in (var(1, 4), var(4, 4), RationalFn(one(4), var(4, 4)), var(1, 2)):
+        with pytest.raises(DimensionMismatch, match=f"ambient dimensions differ: {e.m} vs 3"):
+            laurent_membership(e, seed)
+        with pytest.raises(DimensionMismatch):
+            upper_bound_member(e, seed, seed)
 
 
 def test_membership_agrees_with_reduce_based_formulation():

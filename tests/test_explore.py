@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -96,6 +97,47 @@ def test_empirical_positivity():
         report = explore(seed, ExplorationLimits(max_depth=6, max_seeds=100000))
         for v in report.distinct_variables:
             assert all(coeff > 0 for _, coeff in v.terms)
+
+
+# Finite type (Fomin-Zelevinsky, Cluster algebras II, 2003): the cluster
+# variables are the n initial ones and one per positive root, and the
+# clusters are counted by the generalized Catalan numbers of the root system.
+def _closure_counts(letter: str, n: int) -> tuple[int, int]:
+    """(cluster variables, clusters) of the finite type letter_n."""
+    exceptional = {("E", 6): (42, 833), ("F", 4): (28, 105), ("G", 2): (8, 8)}
+    if letter == "A":
+        return n * (n + 3) // 2, math.comb(2 * n + 2, n + 1) // (n + 2)
+    if letter in "BC":
+        return n * (n + 1), math.comb(2 * n, n)
+    if letter == "D":
+        return n * n, (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n
+    return exceptional[letter, n]
+
+
+FINITE_TYPES = (
+    [("A", n) for n in range(2, 7)]
+    + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(3, 7)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("letter,n", FINITE_TYPES, ids=[f"{letter}{n}" for letter, n in FINITE_TYPES])
+def test_finite_type_closures_match_the_theorems(letter, n):
+    # every draw has a random orientation, relabelling and 0..n frozen rows,
+    # none of which changes the exchange graph of a finite type; every
+    # coefficient is positive (Lee-Schiffler 2015, Gross-Hacking-Keel-Kontsevich 2018)
+    variables, clusters = _closure_counts(letter, n)
+    rng = random.Random(f"theorems-{letter}{n}")
+    for _ in range(2):
+        seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
+        for quotient in (True, False) if n <= 4 else (True,):
+            report = explore(seed, WIDE, quotient_permutations=quotient)
+            assert report.finite
+            assert len(report.distinct_variables) == variables
+            assert len(report.distinct_clusters) == clusters
+            assert all(c > 0 for v in report.distinct_variables for _, c in v.terms)
 
 
 def test_laurent_phenomenon_desk_scale(a3_seed):
@@ -216,8 +258,9 @@ def _mid_level_budget(rng, report, cap):
 @pytest.mark.parametrize("quotient", [False, True], ids=["labelled", "quotient"])
 @pytest.mark.parametrize("letter,n", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("G", 2)])
 def test_class_table_matches_reference(letter, n, quotient):
-    # labelled mode finds most children by its per-class table; every draw
-    # has a random orientation, relabelling and 0..n frozen rows
+    # both modes find a walked edge's other end, and labelled mode most
+    # children, by the per-class table; every draw has a random orientation,
+    # relabelling and 0..n frozen rows
     rng = random.Random(f"table-{letter}{n}-{quotient}")
     for _ in range(2):
         seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
@@ -231,46 +274,31 @@ def test_class_table_matches_reference(letter, n, quotient):
             _assert_matches_reference(seed, WIDE, quotient)
 
 
-# a hand-built D4 seed whose mutable entries repeat in pairs: recording a seen
-# child's direction without the distinct-labels guard loses 5 of its 55
-# quotient classes
-D4_PAIRED = ((0, 0, 1, 0), (0, 0, -1, 0), (-1, 1, 0, 1), (0, 0, -1, 0))
-
-
-def test_exchange_memo_on_repeated_entries():
-    # Hand-built seeds whose cluster entries repeat (a specialisation of the
-    # initial variables): an exchange then depends on how often an entry
-    # occurs in the exchange relation and with which exponent, which the
-    # memo key must keep; and a quotient key is no longer a complete
-    # invariant of its class, which the one-end edge walk must respect.
-    B = ExchangeMatrix([[0, 1, 0], [-1, 0, -1], [0, 1, 0], [-1, 0, 0]], SeedProfile(3, 3, 4))
-    x1 = LaurentPoly.variable(4, 1)
-    seed = Seed(B, [x1] * 4, ())
-    assert explore_reference(seed, WIDE).seeds_found == 84
-    x = [LaurentPoly.variable(4, i) for i in (1, 2)]
-    paired = Seed(ExchangeMatrix(D4_PAIRED, SeedProfile(4, 4, 4)), [x[1], x[1], x[0], x[0]], ())
-    assert explore_reference(paired, WIDE, True).seeds_found == 55
-    # x2 fills two mutable places: the seeds that keep both copies are keyed
-    # on (rows, labels), the labelled ones that lose one on their class
-    x2, x4 = LaurentPoly.variable(4, 2), LaurentPoly.variable(4, 4)
+def test_explore_rejects_repeated_entries():
+    # Hand-built seeds whose extended cluster repeats an entry (a
+    # specialisation of the initial variables) are not seeds of a cluster
+    # algebra, whose clusters are free generating sets; the class table
+    # and the dedup keys assume distinct entries, so explore refuses them.
+    x1, x2, x4 = (LaurentPoly.variable(4, i) for i in (1, 2, 4))
+    all_x1 = Seed(ExchangeMatrix([[0, 1, 0], [-1, 0, -1], [0, 1, 0], [-1, 0, 0]], SeedProfile(3, 3, 4)), [x1] * 4, ())
+    paired = Seed(
+        ExchangeMatrix([[0, 0, 1, 0], [0, 0, -1, 0], [-1, 1, 0, 1], [0, 0, -1, 0]], SeedProfile(4, 4, 4)),
+        [x2, x2, x1, x1],
+        (),
+    )
     a3_frozen = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0], [1, 1, -1]], SeedProfile(3, 3, 4))
     mixed = Seed(a3_frozen, [x2, x1, x2, x4], ())
-    report = explore(mixed, WIDE)
-    assert report.seeds_found == 84
-    assert sum(len(set(s.mutable_entries())) < 3 for s in report.seeds) == 24
+    # distinct entries whose first mutation repeats one: x1' = (1 + x2) / (1 + x2^-1) = x2
+    one_plus_inverse = LaurentPoly.const(2, 1) + LaurentPoly.monomial(2, (0, -1))
+    rank2 = ExchangeMatrix([[0, 1], [-1, 0]], SeedProfile(2, 2, 2))
+    collapsing = Seed(rank2, [one_plus_inverse, LaurentPoly.variable(2, 2)], ())
+    assert explore(collapsing, ExplorationLimits(max_depth=0)).seeds_found == 1
     for quotient in (False, True):
-        _assert_matches_reference(seed, WIDE, quotient)
-        _assert_matches_reference(paired, WIDE, quotient)
-        _assert_matches_reference(mixed, WIDE, quotient)
-        _assert_matches_reference(mixed, ExplorationLimits(max_depth=3, max_seeds=50), quotient)
-        rng = random.Random(f"memo-repeated-{quotient}" if quotient else "memo-repeated")
-        for letter, n, draws in (("A", 2, 12), ("A", 3, 12), ("B", 3, 12), ("A", 4, 4), ("D", 4, 4)):
-            for _ in range(draws):
-                B = random_dynkin_matrix(rng, letter, n)
-                m = B.profile.m
-                pool = rng.randint(1, m)
-                cluster = [LaurentPoly.variable(m, rng.randint(1, pool)) for _ in range(m)]
-                _assert_matches_reference(Seed(B, cluster, ()), WIDE, quotient)
+        for root in (all_x1, paired, mixed):
+            with pytest.raises(InvalidSeed, match="the extended cluster repeats an entry"):
+                explore(root, WIDE, quotient_permutations=quotient)
+        with pytest.raises(InvalidSeed, match="mutation at 1 repeats an entry"):
+            explore(collapsing, WIDE, quotient_permutations=quotient)
 
 
 D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
@@ -298,7 +326,7 @@ def test_a4_frozen4_labelled_golden():
 def test_each_exchange_relation_is_solved_once(monkeypatch, rows, seeds_found, solves, quotient):
     # one seed_mutate per unordered exchange relation: a solve also stores the
     # reverse relation, so the walk never solves its inverse; without the
-    # reverse entry labelled D4 takes 104 solves and the frozen A4 70
+    # reverse entry D4 takes 55 solves in both modes
     module = sys.modules["clusterkit.explore"]
     calls = []
     solve = module.seed_mutate
@@ -329,39 +357,40 @@ def _dynkin_draw(letter, n):
 
 
 @pytest.mark.parametrize(
-    "B,quotient,most_hit",
+    "B,quotient,seeds_found,solves,row_mutations,quotient_keys",
     [
-        (_dynkin_draw("A", 3), False, False),
-        (_dynkin_draw("B", 3), False, False),
-        (_dynkin_draw("G", 2), False, None),
-        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), False, True),
-        (ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)), False, True),
-        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), True, None),
+        (_dynkin_draw("A", 3), False, 84, 15, 70, 22),
+        (_dynkin_draw("B", 3), False, 40, 22, 26, 31),
+        (_dynkin_draw("G", 2), False, 8, 8, 0, 9),
+        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), False, 1200, 52, 1162, 101),
+        (ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)), False, 1008, 35, 989, 85),
+        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), True, 50, 52, 48, 101),
     ],
     ids=["A3", "B3", "G2", "D4", "A4-4-frozen", "D4-quotient"],
 )
-def test_each_edge_is_walked_once(monkeypatch, B, quotient, most_hit):
-    # A child is built by a solve (seed_mutate) or by rows-only mutation.
-    # Walking each edge of a closed exchange graph from one end builds n/2
-    # children per seed, where skipping only the parent builds (n - 1) per
-    # seed, plus one.  In labelled mode a seed whose relabelling class was
-    # already mutated in a direction finds its child by table lookup and
-    # builds it only when it is new, so there the walk builds fewer: at
-    # least one child per seed but the root.  The quotient has no table,
-    # and each labelled G2 class holds one seed, so neither has a hit
-    # (most_hit None); in labelled D4 and A4-4-frozen about 24 seeds share
-    # a class, so most walked edges are hits (most_hit True).
+def test_each_edge_is_walked_once(monkeypatch, B, quotient, seeds_found, solves, row_mutations, quotient_keys):
+    # Only a class-table miss solves or keys: it mutates by a solve
+    # (seed_mutate) or the rows alone (_mutated_rows), and computes the
+    # child's quotient key (_quotient_key, once more for the root); a hit
+    # mutates the rows only when its child is new.  A miss fills the table
+    # at both ends of the edge, keyed by class and the label of x_k, so the
+    # second end of an edge is a lookup, and so is every other member of a
+    # class mutated in a direction already walked.  A closed walk thus
+    # misses at most n/2 times per seed: exactly that when each class holds
+    # one seed (G2 and the quotient), far fewer in labelled D4 and
+    # A4-4-frozen, where about 24 seeds share a class.
     module = sys.modules["clusterkit.explore"]
-    built = []
-    for name in ("seed_mutate", "_mutated_rows"):
+    calls = {"seed_mutate": 0, "_mutated_rows": 0, "_quotient_key": 0}
+    for name in calls:
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, real=real: built.append(args) or real(*args))
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
     report = explore(Seed.initial(B), WIDE, quotient_permutations=quotient)
     assert report.frontier_exhausted_reason == "closure"
-    half_edges = B.profile.n * report.seeds_found / 2
-    if most_hit is None:
-        assert len(built) == half_edges
-        return
-    assert report.seeds_found - 1 <= len(built) < half_edges
-    if most_hit:
-        assert len(built) <= 0.6 * half_edges
+    assert report.seeds_found == seeds_found
+    assert calls == {"seed_mutate": solves, "_mutated_rows": row_mutations, "_quotient_key": quotient_keys}
+    assert quotient_keys - 1 <= B.profile.n * seeds_found / 2

@@ -527,6 +527,15 @@ def test_rationalfn_zero_denominator():
         RationalFn(one(), LaurentPoly.zero(M))
 
 
+def test_rationalfn_refuses_parts_from_different_rings():
+    # a monomial denominator in x3 was cancelled away against a 2-variable
+    # numerator, and x3 + 1 failed deep in the shift with "negative shift count"
+    num = parse_poly("x1 + x2", 2)
+    for den in (LaurentPoly.monomial(3, (0, 0, 1)), parse_poly("x3 + 1", 3), LaurentPoly.zero(3)):
+        with pytest.raises(DimensionMismatch, match="ambient dimensions differ: 2 vs 3"):
+            RationalFn(num, den)
+
+
 @pytest.mark.parametrize("k", [True, 1.5, "2", 2.0])
 def test_power_rejects_an_exponent_that_is_not_an_int(k):
     # x ** True returned x, and x ** 1.5 raised TypeError from inside the square-and-multiply

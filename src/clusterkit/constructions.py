@@ -13,18 +13,21 @@ Three families are built and checked identity-by-identity:
   schedule; only the schedule, the disjointness of its end clusters and
   the integer coefficients of its entries are checked, with no certificate.
 
-Chain and staircase emit a GeneratorCertificate: the generator values, a
-triangular-support chain, and per-target expression trees whose exact
-re-evaluation proves that both clusters and all coefficients lie in the
-subalgebra the generators span.  The chain is the independence proof:
-generator i involves x_i, which is transcendental over
-Q(x_1, ..., x_{i-1}), a field containing the generators before it.  The
-chain also makes the Jacobian lower-triangular, so the recorded nonzero
-Jacobian determinant at an integer point is the product of its diagonal.
-Trees share subtrees (each chain tree refers to the two before it), and
-evaluation computes each shared subtree once per evaluation pass over
-the certificate.  Every identity is checked as structural equality of
-Laurent polynomials; any failure aborts the construction.
+Chain and staircase emit a GeneratorCertificate: the generator values,
+which form a triangular-support chain, and per-target expression trees
+whose exact re-evaluation proves that both clusters and all
+coefficients lie in the subalgebra the generators span.  The chain is
+the independence proof: generator i involves x_i, which is
+transcendental over Q(x_1, ..., x_{i-1}), a field containing the
+generators before it.  So the pivots are the generator order, and the
+certificate holds only its generators and trees.  Its JSON form also
+records an integer sample point and the nonzero Jacobian determinant
+there (the chain makes it the product of the diagonal), computed when
+it is serialized and checked by nothing.  Trees share subtrees (each
+chain tree refers to the two before it), and evaluation computes each
+shared subtree once per evaluation pass over the certificate.  Every
+identity is checked as structural equality of Laurent polynomials; any
+failure aborts the construction.
 
 Each identity is checked once.  Where a construction's identity is the
 equation a certificate tree evaluates (the chain's recurrences, the
@@ -169,31 +172,27 @@ def _monomial_expr(exps: Sequence[int], names: Sequence[str]) -> tuple:
 class GeneratorCertificate:
     """Evidence that the named generators span and are independent.
 
-    pivot_vars is the triangular-support chain: one pivot per generator,
-    as many generators as variables, pivots strictly increasing, and each
-    generator's support within the variables up to its pivot while
-    containing the pivot itself.  The chain proves algebraic independence.
-    jacobian_det is the product of the diagonal partials dg_i/dx_i at the
-    recorded integer sample point, the Jacobian determinant of the chain;
-    verification recomputes it.  Every expression tree re-evaluates
-    exactly to its target value.
+    The generators form a triangular-support chain: as many generators as
+    variables, and generator i involves x_i and no later variable, so its
+    pivot is x_i.  The chain proves algebraic independence.  Every
+    expression tree re-evaluates exactly to its target value.  to_json
+    also records an integer sample point and the chain's Jacobian
+    determinant there, a nonzero number computed only for the file.
     """
 
     generator_names: tuple[str, ...]
     generators: tuple[LaurentPoly, ...]
-    pivot_vars: tuple[int, ...]
-    sample_point: tuple[int, ...]
-    jacobian_det: Fraction
     expressions: tuple[tuple[str, LaurentPoly, tuple], ...]  # (label, target, tree)
 
     def to_json(self) -> dict:
+        point, det = _sample_point_with_nonzero_jacobian(self.generators)
         return {
             "generators": [
-                {"name": nm, "value": render_poly(g), "pivot": pv}
-                for nm, g, pv in zip(self.generator_names, self.generators, self.pivot_vars)
+                {"name": nm, "value": render_poly(g), "pivot": i}
+                for i, (nm, g) in enumerate(zip(self.generator_names, self.generators), start=1)
             ],
-            "sample_point": list(self.sample_point),
-            "jacobian_det": str(self.jacobian_det),
+            "sample_point": list(point),
+            "jacobian_det": str(det),
             "expressions": [
                 {"target": label, "value": render_poly(val), "tree": expr_to_json(tree)}
                 for label, val, tree in self.expressions
@@ -205,19 +204,16 @@ class GeneratorCertificate:
 class VerificationResult:
     ok: bool
     failures: tuple[str, ...]
-    certified: str
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures), "certified": self.certified}
 
 
 def _jacobian_det(gens: Sequence[LaurentPoly], point: Sequence[int]) -> Fraction:
     """Exact Jacobian determinant of a complete support chain at an integer point.
 
-    Precondition: _check_support_chain passes, so the m generators have
-    pivots exactly 1..m and generator i involves no variable beyond x_i.
-    Then dg_i/dx_j = 0 for j > i, the Jacobian matrix is lower-triangular,
-    and its determinant is the product of the diagonal entries dg_i/dx_i.
+    Precondition: _check_support_chain passes, so generator i involves
+    no variable beyond x_i.  Then dg_i/dx_j = 0 for j > i, the Jacobian
+    matrix is lower-triangular, and its determinant is the product of the
+    diagonal entries dg_i/dx_i.  Only the serialized certificate records
+    it; no check reads it.
     """
     det = Fraction(1)
     for i, g in enumerate(gens, start=1):
@@ -236,24 +232,18 @@ def _sample_point_with_nonzero_jacobian(gens: Sequence[LaurentPoly]) -> tuple[tu
     raise ConstructionError("no sample point with nonzero Jacobian found")
 
 
-def _check_support_chain(gens: Sequence[LaurentPoly], pivots: Sequence[int]) -> list[str]:
-    """Failures of the triangular-support chain; none means pivots are exactly 1..m."""
+def _check_support_chain(gens: Sequence[LaurentPoly]) -> list[str]:
+    """Failures of the triangular-support chain whose pivot i is x_i."""
     failures = []
     m = gens[0].m
     if len(gens) != m:
         failures.append(f"generator count {len(gens)} differs from the variable count {m}")
-    if len(pivots) != len(gens):
-        failures.append(f"pivot count {len(pivots)} differs from the generator count {len(gens)}")
-    prev = 0
-    for name_idx, (g, pv) in enumerate(zip(gens, pivots), start=1):
-        if pv <= prev:
-            failures.append(f"pivot of generator {name_idx} does not increase")
-        prev = pv
+    for i, g in enumerate(gens, start=1):
         sup = g.support_vars()
-        if pv not in sup:
-            failures.append(f"generator {name_idx} misses its pivot variable x{pv}")
-        if any(v > pv for v in sup):
-            failures.append(f"generator {name_idx} involves variables beyond its pivot x{pv}")
+        if i not in sup:
+            failures.append(f"generator {i} misses its pivot variable x{i}")
+        if any(v > i for v in sup):
+            failures.append(f"generator {i} involves variables beyond its pivot x{i}")
     return failures
 
 
@@ -268,42 +258,34 @@ def _failed_trees(names, gens, expressions) -> list[str]:
     return [label for (label, target, _), value in zip(expressions, values) if value != target]
 
 
-def _make_certificate(names, gens, pivots, expressions) -> GeneratorCertificate:
-    bad = _check_support_chain(gens, pivots)
+def _make_certificate(names, gens, expressions) -> GeneratorCertificate:
+    bad = _check_support_chain(gens)
     if bad:
         raise ConstructionError("; ".join(bad))
-    point, det = _sample_point_with_nonzero_jacobian(gens)
     failed = _failed_trees(names, gens, expressions)
     if failed:
         raise ConstructionError(f"expression tree for {failed[0]} does not evaluate to its target")
-    return GeneratorCertificate(
-        tuple(names), tuple(gens), tuple(pivots), point, det, tuple(expressions)
-    )
+    return GeneratorCertificate(tuple(names), tuple(gens), tuple(expressions))
 
 
-def verify_polynomial_generators(
-    cert: GeneratorCertificate, seeds: tuple[Seed, Seed]
-) -> VerificationResult:
+def verify_polynomial_generators(cert: GeneratorCertificate, seeds: tuple[Seed, Seed]) -> VerificationResult:
     """Re-check a certificate against a pair of disjoint-cluster seeds.
 
-    Checks the support chain, which proves independence, and only when
-    it holds recomputes the recorded Jacobian determinant as the chain's
-    diagonal product.  Re-evaluates every expression tree, and checks
-    that both clusters' mutable entries and all coefficients appear among
-    the expressed targets; those are exactly the hypotheses under which
-    the generated subalgebra equals the whole algebra and its two-cluster
-    upper bound.
+    Checks the support chain, which proves independence, re-evaluates
+    every expression tree, and checks that both clusters' mutable entries
+    and all coefficients appear among the expressed targets; those are
+    exactly the hypotheses under which the generated subalgebra equals
+    the whole algebra and its two-cluster upper bound.  A result with no
+    failures certifies: the generators are algebraically independent
+    (triangular support chain) and generate both clusters and all
+    coefficients; the algebra they span is a polynomial ring equal to the
+    cluster algebra and to the two-cluster upper bound.
     """
     failures = []
     s0, s1 = seeds
     if not clusters_disjoint(s0, s1):
         failures.append("the two seeds' clusters are not disjoint")
-    chain_failures = _check_support_chain(cert.generators, cert.pivot_vars)
-    failures += chain_failures
-    if not chain_failures:
-        det = _jacobian_det(cert.generators, cert.sample_point)
-        if det != cert.jacobian_det or det == 0:
-            failures.append("Jacobian determinant at the recorded sample point does not match")
+    failures += _check_support_chain(cert.generators)
     bad = _failed_trees(cert.generator_names, cert.generators, cert.expressions)
     failures += [f"expression tree for {label} does not re-evaluate to its target" for label in bad]
     expressed = set(cert.generators) | {target for label, target, _ in cert.expressions if label not in bad}
@@ -314,13 +296,7 @@ def verify_polynomial_generators(
     for what, v in needed:
         if v not in expressed:
             failures.append(f"{what} is not expressed in the generators")
-    certified = (
-        "generators are algebraically independent (triangular support chain, nonzero "
-        "Jacobian) and generate both clusters and all coefficients; the algebra they "
-        "span is a polynomial ring equal to the cluster algebra and to the two-cluster "
-        "upper bound"
-    )
-    return VerificationResult(not failures, tuple(failures), certified)
+    return VerificationResult(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +409,7 @@ def type_a_chain(m: int) -> TypeAChain:
     st1_trees = _recurrence_trees(names[1:])
     expressions = [(f"x{s}", var(s), var_trees[s]) for s in range(1, m + 1)]
     expressions += [(f"x{s}[1]", entry(1, s), st1_trees[s]) for s in range(1, m)]
-    cert = _make_certificate(names, list(chain), list(range(1, m + 1)), expressions)
+    cert = _make_certificate(names, list(chain), expressions)
     counts = {
         "three_term": m * (m - 1) // 2,
         "shifted": math.comb(m + 1, 3),
@@ -569,7 +545,7 @@ def acyclic_staircase(C: CartanMatrix) -> Staircase:
         tree = ("sub", ("mul", ("gen", f"x{k}[1]"), ("gen", f"x{k}")), recovered)
         expressions.append((f"x{n + k}", var(n + k), tree))
 
-    cert = _make_certificate(names, gens, list(range(1, 2 * n + 1)), expressions)
+    cert = _make_certificate(names, gens, expressions)
     return Staircase(seed0, seed1, cert, {"matrix_shapes": n, "exchange": n, "coefficient_recovery": n})
 
 
@@ -630,6 +606,9 @@ def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:
     x and E, the combination polynomials at the generators, the table's
     monomials at x, E and the formal x'), so its power table is built once.
     """
+    _require_int(degree_bound, "degree_bound")
+    if degree_bound < 0:
+        raise ValueError("degree_bound must be >= 0")
     seed0 = acyclic_seed_from_cartan(C)
     n = seed0.profile.n
     B0 = seed0.matrix

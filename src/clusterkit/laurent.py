@@ -1077,16 +1077,17 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
         if not p.is_ordinary():
             raise ValueError("composition expects ordinary polynomials (no negative exponents)")
         n, zero = p.m, LaurentPoly.zero(m)
-        if not p.terms:
+        terms = p.terms  # read once: the first term must be prev itself
+        if not terms:
             values.append(zero)
             continue
         # acc[i + 1] sums the closed runs of level i (the runs of one degree of
         # variable i + 1) in units of images[i] ** deg[i], deg[i] being the degree
         # of the open run; acc[0] collects the value
         acc = [zero] * (n + 1)
-        prev = p.terms[0][0]
+        prev = terms[0][0]
         deg = list(prev)
-        for exps, c in p.terms:
+        for exps, c in terms:
             if exps is not prev:
                 j = 0
                 while exps[j] == prev[j]:

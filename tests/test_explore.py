@@ -14,7 +14,7 @@ from clusterkit.analysis import laurent_membership
 from clusterkit.explore import ExplorationLimits, _quotient_key, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import a3_matrix
-from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word
+from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word, parse_matrix
 from oracles import explore_reference, permutation_key_bruteforce, random_dynkin_matrix, rank2_matrix
 
 WIDE = ExplorationLimits(max_depth=64, max_seeds=100000)
@@ -115,7 +115,7 @@ def _closure_counts(letter: str, n: int) -> tuple[int, int]:
 
 
 FINITE_TYPES = (
-    [("A", n) for n in range(2, 7)]
+    [("A", n) for n in range(1, 7)]
     + [("B", n) for n in range(2, 7)]
     + [("C", n) for n in range(3, 7)]
     + [("D", n) for n in range(4, 7)]
@@ -129,9 +129,14 @@ def test_finite_type_closures_match_the_theorems(letter, n):
     # none of which changes the exchange graph of a finite type; every
     # coefficient is positive (Lee-Schiffler 2015, Gross-Hacking-Keel-Kontsevich 2018)
     variables, clusters = _closure_counts(letter, n)
-    rng = random.Random(f"theorems-{letter}{n}")
-    for _ in range(2):
-        seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
+    if n == 1:
+        # random_dynkin_matrix can draw m = 1 for A1, which is no valid seed
+        matrices = [parse_matrix("1 2 2\n0; 1"), parse_matrix("1 3 3\n0; 1; -1")]
+    else:
+        rng = random.Random(f"theorems-{letter}{n}")
+        matrices = [random_dynkin_matrix(rng, letter, n) for _ in range(2)]
+    for matrix in matrices:
+        seed = Seed.initial(matrix)
         for quotient in (True, False) if n <= 4 else (True,):
             report = explore(seed, WIDE, quotient_permutations=quotient)
             assert report.finite

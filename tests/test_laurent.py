@@ -569,6 +569,20 @@ def test_rationalfn_power_matches_reducing_products():
             assert got.den.terms[0][1] > 0
 
 
+def test_rationalfn_negation_and_subtraction():
+    assert RationalFn.from_laurent(x(1)) - RationalFn.const(M, 2) == RationalFn.from_laurent(x(1) - 2 * one())
+    rng = random.Random(953)
+    fractions = []
+    while len(fractions) < 20:
+        den = random_poly(rng, laurent=False)
+        if not den.is_zero:
+            fractions.append(RationalFn(random_poly(rng, laurent=False), den))
+    for a, b in zip(fractions, fractions[1:]):
+        assert a - b == a + (-b)
+        assert (a - b) + b == a
+        assert -(-a) == a
+
+
 def test_rationalfn_arithmetic_via_evaluation():
     rng = random.Random(29)
     for _ in range(100):
@@ -643,6 +657,18 @@ def test_compose_rejects_negative_exponents():
     assert _compose([LaurentPoly.zero(2)], images) == [LaurentPoly.zero(2)]
     with pytest.raises(ValueError, match="ordinary"):
         _compose([x(1, 2), exact_div(x(1, 2), x(2, 2))], images)
+
+
+def test_compose_does_not_rely_on_the_terms_cache(monkeypatch):
+    # the Horner walk compares each exponent tuple with the previous one by
+    # identity, so the first term must be read from the same terms tuple
+    p = x(1, 2) ** 2 * x(2, 2) + 3 * x(1, 2) + x(2, 2) ** 2 + one(2)
+    images = [x(1, 2) + x(2, 2), x(1, 2) * x(2, 2) - one(2)]
+    expected = compose_reference([p], images)
+    cached = LaurentPoly.terms.fget
+    fresh = property(lambda q: tuple((tuple(list(exps)), c) for exps, c in cached(q)))
+    monkeypatch.setattr(LaurentPoly, "terms", fresh)
+    assert _compose([p], images) == expected
 
 
 def test_compose_depth_does_not_follow_the_variable_count():

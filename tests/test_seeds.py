@@ -400,6 +400,25 @@ def test_degenerate_exchange_guard(a3):
         seed_mutate(s, 2)
 
 
+def test_seed_refuses_a_cluster_that_does_not_fit(a3):
+    x = [LaurentPoly.variable(3, i) for i in (1, 2, 3)]
+    with pytest.raises(InvalidSeed, match="cluster of length 2 for m=3"):
+        Seed(a3, x[:2], ())
+    with pytest.raises(InvalidSeed, match="cluster entry in wrong ambient ring"):
+        Seed(a3, [x[0], x[1], LaurentPoly.variable(4, 3)], ())
+    with pytest.raises(InvalidSeed, match="cluster entries must be nonzero"):
+        Seed(a3, [x[0], LaurentPoly.zero(3), x[2]], ())
+
+
+def test_mutation_refuses_a_zero_new_entry():
+    # x1 * x1' = x2 + (-x2) = 0: the two exchange monomials differ but cancel
+    B = parse_matrix("1 3 3\n0; 1; -1")
+    x2 = LaurentPoly.variable(3, 2)
+    s = Seed(B, [LaurentPoly.variable(3, 1), x2, -x2], ())
+    with pytest.raises(InvalidSeed, match="cluster entries must be nonzero"):
+        seed_mutate(s, 1)
+
+
 def test_seed_randomized_invariants():
     rng = random.Random(99)
     for _ in range(30):

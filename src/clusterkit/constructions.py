@@ -232,10 +232,9 @@ def _sample_point_with_nonzero_jacobian(gens: Sequence[LaurentPoly]) -> tuple[tu
     raise ConstructionError("no sample point with nonzero Jacobian found")
 
 
-def _check_support_chain(gens: Sequence[LaurentPoly]) -> list[str]:
-    """Failures of the triangular-support chain whose pivot i is x_i."""
+def _check_support_chain(gens: Sequence[LaurentPoly], m: int) -> list[str]:
+    """Failures of the triangular-support chain on m variables whose pivot i is x_i."""
     failures = []
-    m = gens[0].m
     if len(gens) != m:
         failures.append(f"generator count {len(gens)} differs from the variable count {m}")
     for i, g in enumerate(gens, start=1):
@@ -247,22 +246,22 @@ def _check_support_chain(gens: Sequence[LaurentPoly]) -> list[str]:
     return failures
 
 
-def _failed_trees(names, gens, expressions) -> list[str]:
+def _failed_trees(names, gens, expressions, m: int) -> list[str]:
     """Labels of the expression trees that do not evaluate to their targets.
 
     One eval_expr pass covers every tree, so a subtree they share is
     evaluated once.  A tree that names a generator missing from names has
     no value and fails too.
     """
-    values = eval_expr([tree for _, _, tree in expressions], dict(zip(names, gens)), gens[0].m)
+    values = eval_expr([tree for _, _, tree in expressions], dict(zip(names, gens)), m)
     return [label for (label, target, _), value in zip(expressions, values) if value != target]
 
 
-def _make_certificate(names, gens, expressions) -> GeneratorCertificate:
-    bad = _check_support_chain(gens)
+def _make_certificate(seed: Seed, names, gens, expressions) -> GeneratorCertificate:
+    bad = _check_support_chain(gens, seed.profile.m)
     if bad:
         raise ConstructionError("; ".join(bad))
-    failed = _failed_trees(names, gens, expressions)
+    failed = _failed_trees(names, gens, expressions, seed.profile.m)
     if failed:
         raise ConstructionError(f"expression tree for {failed[0]} does not evaluate to its target")
     return GeneratorCertificate(tuple(names), tuple(gens), tuple(expressions))
@@ -285,8 +284,9 @@ def verify_polynomial_generators(cert: GeneratorCertificate, seeds: tuple[Seed, 
     s0, s1 = seeds
     if not clusters_disjoint(s0, s1):
         failures.append("the two seeds' clusters are not disjoint")
-    failures += _check_support_chain(cert.generators)
-    bad = _failed_trees(cert.generator_names, cert.generators, cert.expressions)
+    m = s0.profile.m
+    failures += _check_support_chain(cert.generators, m)
+    bad = _failed_trees(cert.generator_names, cert.generators, cert.expressions, m)
     failures += [f"expression tree for {label} does not re-evaluate to its target" for label in bad]
     expressed = set(cert.generators) | {target for label, target, _ in cert.expressions if label not in bad}
     n = s0.profile.n
@@ -409,7 +409,7 @@ def type_a_chain(m: int) -> TypeAChain:
     st1_trees = _recurrence_trees(names[1:])
     expressions = [(f"x{s}", var(s), var_trees[s]) for s in range(1, m + 1)]
     expressions += [(f"x{s}[1]", entry(1, s), st1_trees[s]) for s in range(1, m)]
-    cert = _make_certificate(names, list(chain), expressions)
+    cert = _make_certificate(seed0, names, list(chain), expressions)
     counts = {
         "three_term": m * (m - 1) // 2,
         "shifted": math.comb(m + 1, 3),
@@ -545,7 +545,7 @@ def acyclic_staircase(C: CartanMatrix) -> Staircase:
         tree = ("sub", ("mul", ("gen", f"x{k}[1]"), ("gen", f"x{k}")), recovered)
         expressions.append((f"x{n + k}", var(n + k), tree))
 
-    cert = _make_certificate(names, gens, expressions)
+    cert = _make_certificate(seed0, names, gens, expressions)
     return Staircase(seed0, seed1, cert, {"matrix_shapes": n, "exchange": n, "coefficient_recovery": n})
 
 

@@ -19,7 +19,7 @@ coefficients as two parallel tuples.  Structural equality of this
 canonical form therefore coincides with mathematical equality, and values
 are hashable and immutable.  The public view terms, the tuple of
 (exponent tuple, coefficient) pairs in the same order, is unpacked on
-first use and cached.
+each read; no kernel path reads it.
 
 The public constructors (LaurentPoly(...), zero, const, variable,
 monomial) check the exponent lengths, refuse any coefficient or exponent
@@ -192,7 +192,7 @@ class LaurentPoly:
     docstring); terms is the unpacked view.
     """
 
-    __slots__ = ("m", "_keys", "_coeffs", "_view", "_hash")
+    __slots__ = ("m", "_keys", "_coeffs")
 
     def __init__(self, m: int, terms: dict[Exps, int] | Iterable[tuple[Exps, int]]):
         _require_dimension(m)
@@ -227,17 +227,12 @@ class LaurentPoly:
 
     @property
     def terms(self) -> tuple:
-        """(exponent tuple, coefficient) pairs in descending lex order, unpacked once."""
-        try:
-            return self._view  # set on first use
-        except AttributeError:
-            shifts = _shifts(self.m)
-            view = tuple([
-                (tuple([(k >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts]), c)
-                for k, c in zip(self._keys, self._coeffs)
-            ])
-            _set_view(self, view)
-            return view
+        """(exponent tuple, coefficient) pairs in descending lex order, unpacked on each read."""
+        shifts = _shifts(self.m)
+        return tuple([
+            (tuple([(k >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts]), c)
+            for k, c in zip(self._keys, self._coeffs)
+        ])
 
     # -- constructors -------------------------------------------------
 
@@ -290,12 +285,10 @@ class LaurentPoly:
 
     def support_vars(self) -> frozenset[int]:
         """1-indexed set of variables occurring with nonzero exponent."""
-        out = set()
-        for exps, _ in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    out.add(i + 1)
-        return frozenset(out)
+        bias = _LAYOUT[self.m][0]
+        # a slot of the OR is nonzero iff some key's exponent there is nonzero
+        ors = reduce(or_, [k ^ bias for k in self._keys], 0)
+        return frozenset([i for i, s in enumerate(_shifts(self.m), start=1) if ors >> s & _SLOT_MASK])
 
     def min_exponents(self) -> Exps:
         """Per-variable minimum exponent over all terms (zeros if empty)."""
@@ -462,12 +455,7 @@ class LaurentPoly:
         return self.m == other.m and self._keys == other._keys and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        try:
-            return self._hash  # set on first use
-        except AttributeError:
-            h = hash((self.m, self._keys, self._coeffs))
-            _set_hash(self, h)
-            return h
+        return hash((self.m, self._keys, self._coeffs))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.m}, {render_poly(self)!r})"
@@ -479,8 +467,6 @@ _new = object.__new__
 _set_m = LaurentPoly.m.__set__
 _set_keys = LaurentPoly._keys.__set__
 _set_coeffs = LaurentPoly._coeffs.__set__
-_set_view = LaurentPoly._view.__set__
-_set_hash = LaurentPoly._hash.__set__
 
 
 def _power(base, k: int):
@@ -1015,7 +1001,7 @@ def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, L
         return num, LaurentPoly.const(num.m, 1)
     if den.is_monomial:
         # fast path: cancel the common monomial factor and integer content
-        dexps, dc = den.terms[0]
+        dexps, dc = den.min_exponents(), den._coeffs[0]
         common = tuple(map(min, num.min_exponents(), dexps))
         num = num.shift(tuple(-e for e in common))
         g = math.gcd(_integer_content(num), dc)
@@ -1038,9 +1024,10 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
     same way in x2, and so on.  In descending lex order each p_d is a
     contiguous run of terms.  The walk keeps one accumulator per variable
     in a list, not in Python frames, so m is not bounded by the recursion
-    limit: at each term it closes the levels after the first slot where the
-    exponents differ from the previous term's, folding each into its
-    parent, and steps that slot's level down by the gap.  Each degree step
+    limit: at each term it closes the levels after the first slot where its
+    packed key differs from the previous term's (the slot of the top bit of
+    the two keys' XOR), folding each into its parent, and steps that slot's
+    level down by the gap.  Each degree step
     costs one multiply by a power of one image, where term-by-term
     composition multiplies full image powers for every term.  All the
     values share one table of these powers, so each is computed once per
@@ -1076,28 +1063,26 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
     for p in polys:
         if not p.is_ordinary():
             raise ValueError("composition expects ordinary polynomials (no negative exponents)")
-        n, zero = p.m, LaurentPoly.zero(m)
-        terms = p.terms  # read once: the first term must be prev itself
-        if not terms:
+        n, zero, keys, coeffs = p.m, LaurentPoly.zero(m), p._keys, p._coeffs
+        if not keys:
             values.append(zero)
             continue
+        shifts = _shifts(n)
         # acc[i + 1] sums the closed runs of level i (the runs of one degree of
         # variable i + 1) in units of images[i] ** deg[i], deg[i] being the degree
-        # of the open run; acc[0] collects the value
-        acc = [zero] * (n + 1)
-        prev = terms[0][0]
-        deg = list(prev)
-        for exps, c in terms:
-            if exps is not prev:
-                j = 0
-                while exps[j] == prev[j]:
-                    j += 1
-                for i in range(n - 1, j, -1):
-                    acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])
-                    acc[i + 1] = zero
-                acc[j + 1] = times_power(acc[j + 1], j, deg[j] - exps[j])
-                deg[j:] = exps[j:]
-                prev = exps
+        # of the open run; acc[0] collects the value.  The first term opens
+        # every level.
+        acc = [zero] * n + [LaurentPoly.const(m, coeffs[0])]
+        deg = [(keys[0] >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts]
+        for prev, k, c in zip(keys, keys[1:], coeffs[1:]):
+            # the first slot where k differs from prev: an XOR has no carries
+            j = n - 1 - ((k ^ prev).bit_length() - 1) // _SLOT_BITS
+            for i in range(n - 1, j, -1):
+                acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])
+                acc[i + 1] = zero
+            exps = [(k >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts[j:]]
+            acc[j + 1] = times_power(acc[j + 1], j, deg[j] - exps[0])
+            deg[j:] = exps
             acc[n] = acc[n] + LaurentPoly.const(m, c)
         for i in range(n - 1, -1, -1):
             acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])

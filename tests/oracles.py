@@ -28,6 +28,8 @@ and a factor parser over it; it read a lone sign as the zero polynomial.
 The reference factoriality criteria read the matrix entry by entry, take
 each column gcd by folding math.gcd and the odd part by halving.
 rank2_matrix builds the 2 x 2 test seeds, which the package never needs.
+positive_roots reads a finite root system off its Cartan matrix by root
+strings, on integer tuples alone.
 """
 
 from __future__ import annotations
@@ -843,6 +845,34 @@ def random_cartan(rng, max_n: int = 4, bound: int = 3) -> CartanMatrix:
         except (ValueError, InvalidSeed):
             continue
         return cm
+
+
+def positive_roots(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """The positive roots of a finite-type Cartan matrix, in the basis of simple roots.
+
+    Root strings, height by height: with <alpha_i^vee, beta> = sum_j a_ij beta_j,
+    the alpha_i-string through a positive root beta != alpha_i runs from
+    beta - p alpha_i to beta + q alpha_i with p - q = <alpha_i^vee, beta>, so
+    beta + alpha_i is a root exactly when p > <alpha_i^vee, beta>.  Every
+    root below beta has a smaller height and is already known when beta's
+    strings are read.  Nothing here touches clusterkit.
+    """
+    n = len(cartan)
+    layer = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    roots = set(layer)
+    while layer:
+        higher = set()
+        for beta in layer:
+            for i in range(n):
+                p, down = 0, list(beta)
+                down[i] -= 1
+                while tuple(down) in roots:
+                    p, down[i] = p + 1, down[i] - 1
+                if p > sum(a * b for a, b in zip(cartan[i], beta)):
+                    higher.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        roots |= higher
+        layer = higher
+    return roots
 
 
 def catalan(k: int) -> int:

@@ -161,6 +161,15 @@ def test_dropped_generator_named_by_a_tree_is_a_failure_line():
     assert "expression tree for x4 does not re-evaluate to its target" in out.failures
 
 
+def test_empty_generator_list_is_a_failure_line():
+    # the variable count comes from the seeds, not from a first generator
+    res = type_a_chain(3)
+    empty = dataclasses.replace(res.certificate, generator_names=(), generators=())
+    out = verify_polynomial_generators(empty, res.disjoint_pair)
+    assert not out.ok
+    assert "generator count 0 differs from the variable count 3" in out.failures
+
+
 def test_verification_evaluates_no_jacobian(monkeypatch):
     # the support chain is the independence proof: neither building nor
     # verifying a certificate reads a Jacobian

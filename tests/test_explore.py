@@ -15,7 +15,7 @@ from clusterkit.explore import ExplorationLimits, _quotient_key, explore
 from clusterkit.laurent import LaurentPoly, exact_div, render_poly
 from clusterkit.presets import a3_matrix
 from clusterkit.seeds import InvalidSeed, Seed, ExchangeMatrix, SeedProfile, apply_word, parse_matrix
-from oracles import explore_reference, permutation_key_bruteforce, random_dynkin_matrix, rank2_matrix
+from oracles import explore_reference, permutation_key_bruteforce, positive_roots, random_dynkin_matrix, rank2_matrix
 
 WIDE = ExplorationLimits(max_depth=64, max_seeds=100000)
 
@@ -127,7 +127,11 @@ FINITE_TYPES = (
 def test_finite_type_closures_match_the_theorems(letter, n):
     # every draw has a random orientation, relabelling and 0..n frozen rows,
     # none of which changes the exchange graph of a finite type; every
-    # coefficient is positive (Lee-Schiffler 2015, Gross-Hacking-Keel-Kontsevich 2018)
+    # coefficient is positive (Lee-Schiffler 2015, Gross-Hacking-Keel-Kontsevich
+    # 2018); and the denominator vectors of the non-initial variables of an
+    # acyclic seed are the positive roots of the Cartan companion of its
+    # principal part, a_ii = 2 and a_ij = -|b_ij| (Fomin-Zelevinsky 2003,
+    # Caldero-Keller 2006), so the drawn matrix itself gives the roots
     variables, clusters = _closure_counts(letter, n)
     if n == 1:
         # random_dynkin_matrix can draw m = 1 for A1, which is no valid seed
@@ -137,12 +141,20 @@ def test_finite_type_closures_match_the_theorems(letter, n):
         matrices = [random_dynkin_matrix(rng, letter, n) for _ in range(2)]
     for matrix in matrices:
         seed = Seed.initial(matrix)
+        cartan = [[2 if i == j else -abs(b) for j, b in enumerate(row)] for i, row in enumerate(matrix.entries[:n])]
+        roots = positive_roots(cartan)
         for quotient in (True, False) if n <= 4 else (True,):
             report = explore(seed, WIDE, quotient_permutations=quotient)
             assert report.finite
             assert len(report.distinct_variables) == variables
             assert len(report.distinct_clusters) == clusters
             assert all(c > 0 for v in report.distinct_variables for _, c in v.terms)
+            denominators = {
+                tuple(-e for e in v.min_exponents()[:n])
+                for v in report.distinct_variables
+                if v not in seed.cluster[:n]
+            }
+            assert denominators == roots
 
 
 def test_laurent_phenomenon_desk_scale(a3_seed):

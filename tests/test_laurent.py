@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import clusterkit.laurent
+from clusterkit.analysis import laurent_membership, upper_bound_member
 from clusterkit.laurent import (
     DimensionMismatch,
     FieldTag,
@@ -27,12 +28,14 @@ from clusterkit.laurent import (
     render_poly,
     xd_plus_one_reducible,
 )
+from clusterkit.seeds import Seed, apply_word
 from oracles import (
     ZeroImageInverted,
     compose_reference,
     exact_div_reference,
     mul_reference,
     power_reference,
+    rank2_matrix,
     substitute,
     sympy_gcd,
     xd_plus_one_reducible_bruteforce,
@@ -660,15 +663,29 @@ def test_compose_rejects_negative_exponents():
 
 
 def test_compose_does_not_rely_on_the_terms_cache(monkeypatch):
-    # the Horner walk compares each exponent tuple with the previous one by
-    # identity, so the first term must be read from the same terms tuple
+    # the kernel reads the packed keys: with the terms view made to raise,
+    # composition, membership, fraction reduction and the gcd still run
     p = x(1, 2) ** 2 * x(2, 2) + 3 * x(1, 2) + x(2, 2) ** 2 + one(2)
     images = [x(1, 2) + x(2, 2), x(1, 2) * x(2, 2) - one(2)]
     expected = compose_reference([p], images)
-    cached = LaurentPoly.terms.fget
-    fresh = property(lambda q: tuple((tuple(list(exps)), c) for exps, c in cached(q)))
-    monkeypatch.setattr(LaurentPoly, "terms", fresh)
+    seed = Seed.initial(rank2_matrix(2, 2))
+    y, z = apply_word(seed, (1,)), apply_word(seed, (2, 1))
+    member = apply_word(seed, (1, 2, 1)).cluster[0]  # Laurent in every cluster
+    away = RationalFn(one(2), one(2) + x(2, 2))
+    a, b, c = x(1, 2) + x(2, 2), x(1, 2) - one(2), x(2, 2) + 3 * one(2)
+
+    def unpacked(q):
+        raise AssertionError("a kernel path read the terms view")
+
+    monkeypatch.setattr(LaurentPoly, "terms", property(unpacked))
     assert _compose([p], images) == expected
+    assert laurent_membership(member, y) and upper_bound_member(member, y, z)
+    assert not laurent_membership(away, seed) and not upper_bound_member(away, y, z)
+    monomial_den = RationalFn(x(1, 2) * c, x(1, 2) ** 2 * x(2, 2) * 2)
+    assert (monomial_den.num, monomial_den.den) == (c, 2 * x(1, 2) * x(2, 2))
+    general_den = RationalFn(a * b, a * c)
+    assert (general_den.num, general_den.den) == (b, c)
+    assert poly_gcd(a * b, a * c) == a
 
 
 def test_compose_depth_does_not_follow_the_variable_count():

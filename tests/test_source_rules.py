@@ -67,8 +67,22 @@ def test_trusted_constructors_stay_in_their_home_modules():
     assert used == set(TRUSTED_CALL_SITES)
 
 
-# LaurentPoly's stored form: packed exponent keys and their coefficients
-PACKED_FIELDS = {"_keys", "_coeffs"}
+# LaurentPoly's stored form: packed exponent keys, their coefficients and
+# the names of the key layout
+PACKED_NAMES = {"_keys", "_coeffs", "_LAYOUT", "_SLOT_BITS", "_SLOT_MASK", "_GUARD_BIT", "_EXP_BIAS"}
+
+
+def _named(node) -> str | None:
+    """The name node refers to or imports, as an attribute, a bare name, an import or a string."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
 
 
 def test_only_the_kernel_reads_the_packed_keys():
@@ -76,9 +90,7 @@ def test_only_the_kernel_reads_the_packed_keys():
     readers = set()
     for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if (isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS) or (
-                isinstance(node, ast.Constant) and node.value in PACKED_FIELDS
-            ):
+            if _named(node) in PACKED_NAMES:
                 readers.add(path.name)
     assert readers == {"laurent.py"}
 
@@ -121,6 +133,26 @@ def test_seeds_are_validated_only_at_the_door():
     for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, None)
     assert callers == [("seeds.py", "Seed.__init__")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import left behind by a deletion; __init__.py imports only to export
+    unused = []
+    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_readme_layout_table_names_existing_api():

@@ -20,14 +20,12 @@ coefficients lie in the subalgebra the generators span.  The chain is
 the independence proof: generator i involves x_i, which is
 transcendental over Q(x_1, ..., x_{i-1}), a field containing the
 generators before it.  So the pivots are the generator order, and the
-certificate holds only its generators and trees.  Its JSON form also
-records an integer sample point and the nonzero Jacobian determinant
-there (the chain makes it the product of the diagonal), computed when
-it is serialized and checked by nothing.  Trees share subtrees (each
-chain tree refers to the two before it), and evaluation computes each
-shared subtree once per evaluation pass over the certificate.  Every
-identity is checked as structural equality of Laurent polynomials; any
-failure aborts the construction.
+certificate holds only its generators and trees: no Jacobian, and no
+file format.  Trees share subtrees (each chain tree refers to the two
+before it), and evaluation computes each shared subtree once per
+evaluation pass over the certificate.  Every identity is checked as
+structural equality of Laurent polynomials; any failure aborts the
+construction.
 
 Each identity is checked once.  Where a construction's identity is the
 equation a certificate tree evaluates (the chain's recurrences, the
@@ -43,12 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from random import Random
 from typing import Sequence
 
 from .analysis import clusters_disjoint
-from .laurent import LaurentPoly, _compose, exact_div, render_poly
+from .laurent import LaurentPoly, _compose, exact_div
 from .seeds import (
     ExchangeMatrix,
     Seed,
@@ -144,15 +140,6 @@ def eval_expr(trees: Sequence[tuple], env: dict[str, LaurentPoly], m: int) -> li
     return [value(tree) for tree in trees]
 
 
-def expr_to_json(expr: tuple) -> list:
-    tag = expr[0]
-    if tag in ("gen", "int"):
-        return [tag, expr[1]]
-    if tag == "pow":
-        return [tag, expr_to_json(expr[1]), expr[2]]
-    return [tag, *(expr_to_json(t) for t in expr[1:])]
-
-
 def _monomial_expr(exps: Sequence[int], names: Sequence[str]) -> tuple:
     """Tree of prod names[i]^exps[i], in the order of names, skipping zero exponents."""
     factors = [("gen", nm) if e == 1 else ("pow", ("gen", nm), e) for nm, e in zip(names, exps) if e]
@@ -175,61 +162,18 @@ class GeneratorCertificate:
     The generators form a triangular-support chain: as many generators as
     variables, and generator i involves x_i and no later variable, so its
     pivot is x_i.  The chain proves algebraic independence.  Every
-    expression tree re-evaluates exactly to its target value.  to_json
-    also records an integer sample point and the chain's Jacobian
-    determinant there, a nonzero number computed only for the file.
+    expression tree re-evaluates exactly to its target value.
     """
 
     generator_names: tuple[str, ...]
     generators: tuple[LaurentPoly, ...]
     expressions: tuple[tuple[str, LaurentPoly, tuple], ...]  # (label, target, tree)
 
-    def to_json(self) -> dict:
-        point, det = _sample_point_with_nonzero_jacobian(self.generators)
-        return {
-            "generators": [
-                {"name": nm, "value": render_poly(g), "pivot": i}
-                for i, (nm, g) in enumerate(zip(self.generator_names, self.generators), start=1)
-            ],
-            "sample_point": list(point),
-            "jacobian_det": str(det),
-            "expressions": [
-                {"target": label, "value": render_poly(val), "tree": expr_to_json(tree)}
-                for label, val, tree in self.expressions
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
     failures: tuple[str, ...]
-
-
-def _jacobian_det(gens: Sequence[LaurentPoly], point: Sequence[int]) -> Fraction:
-    """Exact Jacobian determinant of a complete support chain at an integer point.
-
-    Precondition: _check_support_chain passes, so generator i involves
-    no variable beyond x_i.  Then dg_i/dx_j = 0 for j > i, the Jacobian
-    matrix is lower-triangular, and its determinant is the product of the
-    diagonal entries dg_i/dx_i.  Only the serialized certificate records
-    it; no check reads it.
-    """
-    det = Fraction(1)
-    for i, g in enumerate(gens, start=1):
-        det *= g.derivative(i).evaluate(point)
-    return det
-
-
-def _sample_point_with_nonzero_jacobian(gens: Sequence[LaurentPoly]) -> tuple[tuple[int, ...], Fraction]:
-    rng = Random(20231115)
-    m = gens[0].m
-    for _ in range(64):
-        point = tuple(rng.randint(2, 19) for _ in range(m))
-        det = _jacobian_det(gens, point)
-        if det:
-            return point, det
-    raise ConstructionError("no sample point with nonzero Jacobian found")
 
 
 def _check_support_chain(gens: Sequence[LaurentPoly], m: int) -> list[str]:
@@ -306,6 +250,7 @@ def verify_polynomial_generators(cert: GeneratorCertificate, seeds: tuple[Seed, 
 
 def type_a_seed(m: int) -> Seed:
     """Tridiagonal seed on m variables with one non-invertible coefficient."""
+    _require_int(m, "m")
     if m < 2:
         raise ValueError("the chain construction needs m >= 2")
     n = m - 1
@@ -567,19 +512,6 @@ class BfzTable:
     coefficient_in_generators: tuple[LaurentPoly, ...]  # x_{n+k} as formal polynomials
     rows: tuple[BfzExpansion, ...]
     degree_bound: int
-
-    def to_json(self) -> dict:
-        return {
-            "degree_bound": self.degree_bound,
-            "primed": [render_poly(p) for p in self.primed],
-            "rows": [
-                {
-                    "exponents": list(r.exponents),
-                    "combination": [{"monomial": list(mexp), "coeff": c} for mexp, c in r.combination],
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def bfz_basis_change(C: CartanMatrix, degree_bound: int = 2) -> BfzTable:

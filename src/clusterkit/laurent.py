@@ -415,24 +415,6 @@ class LaurentPoly:
             raise _range_error("a shifted exponent")
         return LaurentPoly._from_canonical(self.m, keys, self._coeffs)
 
-    def derivative(self, i: int) -> "LaurentPoly":
-        """Formal partial derivative with respect to x_i (1-indexed)."""
-        _require_int(i, "variable index")
-        if not 1 <= i <= self.m:
-            raise DimensionMismatch(f"variable index {i} outside 1..{self.m}")
-        s = _SLOT_BITS * (self.m - i)
-        one = 1 << s
-        keys, coeffs = [], []
-        # lowering one slot by 1 keeps the order of the terms it leaves nonzero
-        for k, c in zip(self._keys, self._coeffs):
-            e = (k >> s & _SLOT_MASK) - _EXP_BIAS
-            if e:
-                keys.append(k - one)
-                coeffs.append(c * e)
-        if keys and reduce(or_, keys) & _LAYOUT[self.m][1]:
-            raise _range_error("a derivative exponent")
-        return LaurentPoly._from_canonical(self.m, tuple(keys), tuple(coeffs))
-
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         """Exact evaluation; coordinates hit by a negative exponent must be nonzero."""
         if len(point) != self.m:

@@ -9,7 +9,7 @@ the package to reject invalid samples.  The reference composition builds
 each term's value as a product of image powers and adds the terms one by
 one, without the kernel's Horner walk.  The kernel references (general
 multiply, leading-term division with the minimum exponents read off the
-terms, powers, shifts, derivatives, matrix mutation) build every result
+terms, powers, shifts, matrix mutation) build every result
 through the checking public constructors, and the reference associate
 test divides by the reference division; the reference acyclicity test
 is a depth-first search for a back edge.  The reference symmetrizer
@@ -29,7 +29,9 @@ The reference factoriality criteria read the matrix entry by entry, take
 each column gcd by folding math.gcd and the odd part by halving.
 rank2_matrix builds the 2 x 2 test seeds, which the package never needs.
 positive_roots reads a finite root system off its Cartan matrix by root
-strings, on integer tuples alone.
+strings, on integer tuples alone.  The golden writers give certificates
+and basis-change tables the JSON form their golden files record, which
+the package does not have; their Jacobian uses derivative_reference.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ import re
 from fractions import Fraction
 from itertools import permutations, product
 from operator import add, sub
+from random import Random
 from typing import Sequence
 
 from clusterkit.analysis import DegenerateColumn
-from clusterkit.constructions import CartanMatrix
+from clusterkit.constructions import BfzTable, CartanMatrix, GeneratorCertificate
 from clusterkit.explore import ExplorationReport
-from clusterkit.laurent import DimensionMismatch, FieldTag, LaurentPoly, NotDivisible, ParseError, RationalFn
+from clusterkit.laurent import DimensionMismatch, FieldTag, LaurentPoly, NotDivisible, ParseError, RationalFn, render_poly
 from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, seed_mutate, validate
 
 
@@ -447,7 +450,7 @@ def compose_reference(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly
 
 
 # ---------------------------------------------------------------------------
-# expression trees of the constructions
+# expression trees of the constructions, and the goldens' JSON forms
 # ---------------------------------------------------------------------------
 
 
@@ -480,6 +483,59 @@ def chain_one_step_reference(stages: Sequence[Seed]) -> dict[tuple[int, int], La
     by seed_mutate for every 0 <= i <= m-2 and 1 <= k <= m-1-i."""
     m = len(stages)
     return {(i, k): seed_mutate(stages[i], k).cluster[k - 1] for i in range(m - 1) for k in range(1, m - i)}
+
+
+def expr_to_json(expr: tuple) -> list:
+    tag = expr[0]
+    if tag in ("gen", "int"):
+        return [tag, expr[1]]
+    if tag == "pow":
+        return [tag, expr_to_json(expr[1]), expr[2]]
+    return [tag, *(expr_to_json(t) for t in expr[1:])]
+
+
+def jacobian_det(gens: Sequence[LaurentPoly], point: Sequence[int]) -> Fraction:
+    """The Jacobian determinant of a triangular support chain at a point: the product of dg_i/dx_i."""
+    det = Fraction(1)
+    for i, g in enumerate(gens, start=1):
+        det *= derivative_reference(g, i).evaluate(point)
+    return det
+
+
+def certificate_to_json(cert: GeneratorCertificate, m: int) -> dict:
+    """A certificate on m variables with each generator's pivot, and an integer
+    sample point where the Jacobian is nonzero, drawn from a fixed seed."""
+    rng = Random(20231115)
+    points = (tuple(rng.randint(2, 19) for _ in range(m)) for _ in range(64))
+    point, det = next((point, det) for point in points if (det := jacobian_det(cert.generators, point)))
+    return {
+        "generators": [
+            {"name": nm, "value": render_poly(g), "pivot": i}
+            for i, (nm, g) in enumerate(zip(cert.generator_names, cert.generators), start=1)
+        ],
+        "sample_point": list(point),
+        "jacobian_det": str(det),
+        "expressions": [
+            {"target": label, "value": render_poly(val), "tree": expr_to_json(tree)}
+            for label, val, tree in cert.expressions
+        ],
+    }
+
+
+def bfz_table_to_json(table: BfzTable) -> dict:
+    return {
+        "degree_bound": table.degree_bound,
+        "primed": [render_poly(p) for p in table.primed],
+        "primed_in_generators": [render_poly(p) for p in table.primed_in_generators],
+        "coefficient_in_generators": [render_poly(p) for p in table.coefficient_in_generators],
+        "rows": [
+            {
+                "exponents": list(r.exponents),
+                "combination": [{"monomial": list(mexp), "coeff": c} for mexp, c in r.combination],
+            }
+            for r in table.rows
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

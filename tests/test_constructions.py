@@ -16,12 +16,10 @@ import clusterkit.seeds as seeds
 from clusterkit.constructions import (
     CartanMatrix,
     ConstructionError,
-    _jacobian_det,
     acyclic_seed_from_cartan,
     acyclic_staircase,
     bfz_basis_change,
     eval_expr,
-    expr_to_json,
     lie_matrix,
     lie_preset,
     staircase_intermediate_matrix,
@@ -42,7 +40,8 @@ from clusterkit.seeds import (
     skew_symmetrizer,
     validate,
 )
-from oracles import chain_one_step_reference, eval_expr_reference, random_cartan
+from oracles import bfz_table_to_json, certificate_to_json, chain_one_step_reference, eval_expr_reference, expr_to_json
+from oracles import jacobian_det, random_cartan
 
 N3_CARTAN = CartanMatrix([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
 
@@ -68,6 +67,15 @@ def test_type_a_seed_validates():
         assert validate(type_a_seed(m).matrix) == ()
     with pytest.raises(ValueError):
         type_a_seed(1)
+
+
+@pytest.mark.parametrize("m", [2.0, True, "3"])
+@pytest.mark.parametrize("build", [type_a_seed, type_a_chain])
+def test_chain_size_is_not_coerced(build, m):
+    # 2.0 raised TypeError from range, True was read as 1 ("needs m >= 2"),
+    # and "3" raised TypeError from the comparison with 2
+    with pytest.raises(ValueError, match="m must be an integer"):
+        build(m)
 
 
 def test_chain_head_formula():
@@ -162,21 +170,24 @@ def test_dropped_generator_named_by_a_tree_is_a_failure_line():
 
 
 def test_empty_generator_list_is_a_failure_line():
-    # the variable count comes from the seeds, not from a first generator
+    # the variable count comes from the seeds, not from a first generator, in
+    # verification and in the golden writer
     res = type_a_chain(3)
     empty = dataclasses.replace(res.certificate, generator_names=(), generators=())
     out = verify_polynomial_generators(empty, res.disjoint_pair)
     assert not out.ok
     assert "generator count 0 differs from the variable count 3" in out.failures
+    data = certificate_to_json(empty, res.disjoint_pair[0].profile.m)
+    assert data["generators"] == [] and len(data["sample_point"]) == 3 and data["jacobian_det"] == "1"
 
 
 def test_verification_evaluates_no_jacobian(monkeypatch):
     # the support chain is the independence proof: neither building nor
-    # verifying a certificate reads a Jacobian
-    def no_jacobian(gens, point):
-        raise AssertionError("a Jacobian was evaluated")
+    # verifying a certificate evaluates any polynomial at a point
+    def no_evaluation(self, point):
+        raise AssertionError("a polynomial was evaluated at a point")
 
-    monkeypatch.setattr(constructions, "_jacobian_det", no_jacobian)
+    monkeypatch.setattr(LaurentPoly, "evaluate", no_evaluation)
     for res in (type_a_chain(5), acyclic_staircase(N3_CARTAN)):
         out = verify_polynomial_generators(res.certificate, res.disjoint_pair)
         assert out.ok, out.failures
@@ -285,7 +296,7 @@ def test_jacobian_det_matches_sympy():
         for _ in range(4):
             point = tuple(rng.choice((-5, -3, -2, -1, 1, 2, 3, 7)) for _ in range(m))
             expected = J.subs(dict(zip(xs, point))).det()
-            assert _jacobian_det(gens, point) == Fraction(int(expected.p), int(expected.q))
+            assert jacobian_det(gens, point) == Fraction(int(expected.p), int(expected.q))
 
 
 # -- Cartan-built acyclic seeds ----------------------------------------------------
@@ -389,7 +400,7 @@ def test_staircase_certificates_on_random_cartans():
 
 def test_certificate_json_shape():
     st = acyclic_staircase(CartanMatrix([[2, -1], [-1, 2]]))
-    data = st.certificate.to_json()
+    data = certificate_to_json(st.certificate, st.initial.profile.m)
     assert set(data) == {"generators", "sample_point", "jacobian_det", "expressions"}
     for entry in data["expressions"]:
         tree = entry["tree"]
@@ -479,20 +490,17 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _certified(result) -> dict:
-    return {"certificate": result.certificate.to_json(), "identity_counts": result.identity_counts}
+    m = result.disjoint_pair[0].profile.m
+    return {"certificate": certificate_to_json(result.certificate, m), "identity_counts": result.identity_counts}
 
 
 def construction_golden_payloads() -> dict[str, object]:
     """Golden file name -> the payload its text was written from."""
     C = acyclic_n3_cartan()
-    table = bfz_basis_change(C, 2)
-    bfz = table.to_json()
-    bfz["primed_in_generators"] = [render_poly(p) for p in table.primed_in_generators]
-    bfz["coefficient_in_generators"] = [render_poly(p) for p in table.coefficient_in_generators]
     return {
         "type_a_chain_certificates.json": {str(m): _certified(type_a_chain(m)) for m in range(2, 7)},
         "acyclic_n3_staircase_certificate.json": _certified(acyclic_staircase(C)),
-        "acyclic_n3_bfz_degree2.json": bfz,
+        "acyclic_n3_bfz_degree2.json": bfz_table_to_json(bfz_basis_change(C, 2)),
     }
 
 

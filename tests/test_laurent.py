@@ -125,20 +125,6 @@ def test_variable_index_and_dimension_are_not_coerced(bad):
         LaurentPoly(bad, [])
 
 
-def test_derivative_checks_its_variable_index():
-    # on m = 2, derivative(-1) and derivative(True) returned d/dx1, derivative(0)
-    # blamed an exponent vector of length 4 and derivative(3) raised IndexError
-    p = x(1, 2) ** 2 * x(2, 2)
-    assert p.derivative(1) == 2 * x(1, 2) * x(2, 2)
-    assert p.derivative(2) == x(1, 2) ** 2
-    for bad in (0, -1, 3):
-        with pytest.raises(DimensionMismatch, match=f"variable index {bad} outside 1..2"):
-            p.derivative(bad)
-    for bad in (True, 1.5):
-        with pytest.raises(ValueError, match="variable index must be an integer"):
-            p.derivative(bad)
-
-
 # -- addition and multiplication --------------------------------------------
 
 

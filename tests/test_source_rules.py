@@ -6,6 +6,7 @@ import ast
 import functools
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import clusterkit
@@ -13,58 +14,42 @@ import clusterkit
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _modules() -> dict[str, ast.Module]:
+    """Every package module's syntax tree, by file name."""
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(clusterkit.__file__).parent.glob("*.py"))
+    }
+
+
 def test_no_assert_statements_in_package():
     # python -O strips assert statements, so no check in the package may rely on one
-    files = sorted(Path(clusterkit.__file__).parent.glob("*.py"))
-    assert len(files) >= 8
-    found = []
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    modules = _modules()
+    assert len(modules) >= 8
+    found = [
+        f"{fname}:{node.lineno}"
+        for fname, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 
-# The trusted constructors skip every check, so each may be called only where
-# its input is canonical by construction: (file, receiver) -> allowed callers,
-# None meaning any function of that file.
+# The trusted constructors skip every check, so each may be called only in
+# the module whose code makes its input canonical: (file, receiver).
 TRUSTED_CALL_SITES = {
-    ("laurent.py", "LaurentPoly"): None,
-    ("laurent.py", "RationalFn"): None,
-    ("seeds.py", "ExchangeMatrix"): None,
-    ("seeds.py", "Seed"): None,
+    ("laurent.py", "LaurentPoly"), ("laurent.py", "RationalFn"), ("seeds.py", "ExchangeMatrix"), ("seeds.py", "Seed"),
 }
 
 
-def _trusted_calls(tree):
-    """(receiver, enclosing function, line) of every call to a _from_canonical attribute."""
-    out = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_from_canonical":
-            out.append((ast.unparse(node.func.value), func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(tree, None)
-    return out
-
-
 def test_trusted_constructors_stay_in_their_home_modules():
-    files = sorted(Path(clusterkit.__file__).parent.glob("*.py"))
-    bad, used = [], set()
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for receiver, func, lineno in _trusted_calls(tree):
-            key = (path.name, receiver)
-            allowed = TRUSTED_CALL_SITES.get(key, set())
-            if allowed is None or func in allowed:
-                used.add(key)
-            else:
-                bad.append(f"{path.name}:{lineno} {receiver}._from_canonical in {func}")
-    assert bad == []
-    assert used == set(TRUSTED_CALL_SITES)
+    calls = {
+        (fname, ast.unparse(node.func.value))
+        for fname, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_from_canonical"
+    }
+    assert calls == TRUSTED_CALL_SITES
 
 
 # LaurentPoly's stored form: packed exponent keys, their coefficients and
@@ -88,10 +73,9 @@ def _named(node) -> str | None:
 def test_only_the_kernel_reads_the_packed_keys():
     # the key layout is laurent.py's own; every other module reads the terms view
     readers = set()
-    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if _named(node) in PACKED_NAMES:
-                readers.add(path.name)
+    for fname, tree in _modules().items():
+        if any(_named(node) in PACKED_NAMES for node in ast.walk(tree)):
+            readers.add(fname)
     assert readers == {"laurent.py"}
 
 
@@ -99,17 +83,17 @@ def test_no_term_count_unpacks_the_terms():
     # len(p.terms) unpacks every key into the terms view only to count them;
     # outside the kernel a count is p.term_count
     calls = []
-    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
-        if path.name == "laurent.py":
+    for fname, tree in _modules().items():
+        if fname == "laurent.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "len"
                 and any(isinstance(arg, ast.Attribute) and arg.attr == "terms" for arg in node.args)
             ):
-                calls.append(f"{path.name}:{node.lineno}")
+                calls.append(f"{fname}:{node.lineno}")
     assert calls == []
 
 
@@ -130,18 +114,17 @@ def test_seeds_are_validated_only_at_the_door():
         for child in ast.iter_child_nodes(node):
             visit(child, fname, scope)
 
-    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.name, None)
+    for fname, tree in _modules().items():
+        visit(tree, fname, None)
     assert callers == [("seeds.py", "Seed.__init__")]
 
 
 def test_no_module_imports_a_name_it_never_uses():
     # an import left behind by a deletion; __init__.py imports only to export
     unused = []
-    for path in sorted(Path(clusterkit.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
+    for fname, tree in _modules().items():
+        if fname == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -151,7 +134,7 @@ def test_no_module_imports_a_name_it_never_uses():
                 for alias in node.names:
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        unused += [f"{fname}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
 
 
@@ -174,40 +157,79 @@ def test_readme_layout_table_names_existing_api():
 
 # names the package defines for its users without calling them itself
 ENTRY_POINTS = {("cli.py", "main")}
+# public methods that no package statement calls, each with the reason it stays
+UNCALLED_METHODS = {
+    ("laurent.py", "LaurentPoly.evaluate"): "acceptance criterion 10 checks that evaluation is a ring map",
+}
+
+
+def _reads(node) -> Counter:
+    """How often each name is read under node, as a bare name or an attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
 
 
 def test_every_package_name_has_a_caller():
-    # a top-level def or class that only tests use belongs in tests/
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(Path(clusterkit.__file__).parent.glob("*.py"))
-    }
+    # a top-level def or class, or a public method, that only tests use belongs in tests/
+    trees = _modules()
     exported = {
         alias.asname or alias.name
         for node in trees["__init__.py"].body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    # the names each top-level statement uses; a definition's own body does not count
-    uses = {}
-    for fname, tree in trees.items():
-        for stmt in tree.body:
-            uses[fname, id(stmt)] = {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            }
+    # a definition's own body does not count as a use of its name
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
     orphans = []
     for fname, tree in trees.items():
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = stmt.name
-            if name in exported or (fname, name) in ENTRY_POINTS:
-                continue
-            if not any(name in used for key, used in uses.items() if key != (fname, id(stmt))):
+            if name not in exported and (fname, name) not in ENTRY_POINTS and reads[name] == _reads(stmt)[name]:
                 orphans.append(f"{fname}: {name}")
-    assert orphans == []
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            for method in stmt.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("_"):
+                    continue
+                if reads[method.name] == _reads(method)[method.name]:
+                    orphans.append(f"{fname}: {name}.{method.name}")
+    assert sorted(orphans) == sorted(f"{fname}: {name}" for fname, name in UNCALLED_METHODS)
+
+
+# a JSON form is what the CLI prints: explore's report and the factoriality verdict
+JSON_FORMS = {("explore.py", "ExplorationReport"), ("analysis.py", "FactorialityVerdict")}
+
+
+def test_only_cli_outputs_have_a_json_form():
+    # certificates and basis-change tables have none: their golden files are
+    # written by tests/oracles.py
+    forms = {
+        (fname, node.name)
+        for fname, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.FunctionDef) and d.name == "to_json" for d in node.body)
+    }
+    assert forms == JSON_FORMS
+
+
+def test_only_the_kernel_imports_fractions_and_nothing_imports_random():
+    # the package draws nothing at random, and only LaurentPoly.evaluate
+    # works in exact rationals
+    importers = {
+        (module, fname)
+        for fname, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in ([alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module])
+        if module in ("fractions", "random")
+    }
+    assert importers == {("fractions", "laurent.py")}
 
 
 def _referrers(tree, name):
@@ -227,10 +249,7 @@ def test_one_gcd_path_and_one_division_per_reduction():
     # GCDHEU's quotients are the cofactors a fraction reduces by: a second
     # route to the heuristic, or a division inside the reduction, would
     # divide by the gcd a second time
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(Path(clusterkit.__file__).parent.glob("*.py"))
-    }
+    trees = _modules()
     heu = {(fname, func) for fname, tree in trees.items() for func in _referrers(tree, "_heu_gcd")}
     assert heu == {("laurent.py", "_gcd_cofactors"), ("laurent.py", "_heu_gcd")}
     (reduce_fraction,) = [

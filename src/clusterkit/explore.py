@@ -83,25 +83,25 @@ class ExplorationReport:
     """What a bounded walk over the exchange graph found.
 
     distinct_variables collects mutable cluster entries only, sorted
-    structurally; distinct_clusters are the unordered n-subsets they form.
-    finite is True exactly when the walk closed before hitting a limit.
+    structurally; distinct_clusters are the unordered n-subsets they form,
+    and cluster_indices, in the same order, the ascending positions of
+    each cluster's entries in distinct_variables.  finite is True exactly
+    when the walk closed before hitting a limit.
     """
 
     seeds_found: int
     distinct_variables: tuple[LaurentPoly, ...]
     distinct_clusters: tuple[frozenset, ...]
+    cluster_indices: tuple[tuple[int, ...], ...]
     finite: bool
     frontier_exhausted_reason: str  # "depth" | "budget" | "closure"
     seeds: tuple[Seed, ...]
 
     def to_json(self) -> dict:
-        texts = [render_poly(v) for v in self.distinct_variables]
-        index = {v: i for i, v in enumerate(self.distinct_variables)}
-        clusters = [sorted(index[v] for v in cl) for cl in self.distinct_clusters]
         return {
             "seeds_found": self.seeds_found,
-            "variables": texts,
-            "clusters": clusters,
+            "variables": [render_poly(v) for v in self.distinct_variables],
+            "clusters": [list(ix) for ix in self.cluster_indices],
             "finite": self.finite,
             "reason": self.frontier_exhausted_reason,
         }
@@ -224,14 +224,16 @@ def _report(found: list, values: list, n: int, reason: str) -> ExplorationReport
     """The report on the seeds found, each with its labels, in discovery order,
     given the value of each label and the stop reason."""
     clusters = {frozenset(labels[:n]) for _, labels, _ in found}
-    keys = {lb: values[lb].sort_key() for cl in clusters for lb in cl}  # one sort key per variable
-    variables = sorted(keys, key=keys.__getitem__)
-    place = {lb: i for i, lb in enumerate(variables)}  # labels in the variables' order
-    ordered = sorted(clusters, key=lambda cl: sorted(map(place.__getitem__, cl)))
+    # sorted's key is computed once per item: one sort key per variable
+    ranked = sorted({lb for cl in clusters for lb in cl}, key=lambda lb: values[lb].sort_key())
+    variables = tuple(values[lb] for lb in ranked)
+    place = {lb: i for i, lb in enumerate(ranked)}  # labels in the variables' order
+    indices = sorted(tuple(sorted(map(place.__getitem__, cl))) for cl in clusters)
     return ExplorationReport(
         seeds_found=len(found),
-        distinct_variables=tuple(values[lb] for lb in variables),
-        distinct_clusters=tuple(frozenset(values[lb] for lb in cl) for cl in ordered),
+        distinct_variables=variables,
+        distinct_clusters=tuple(frozenset(variables[i] for i in ix) for ix in indices),
+        cluster_indices=tuple(indices),
         finite=reason == "closure",
         frontier_exhausted_reason=reason,
         seeds=tuple(s for s, *_ in found),

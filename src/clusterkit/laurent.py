@@ -31,16 +31,18 @@ coefficient divisor are built through the private
 LaurentPoly._from_canonical, which trusts its input and checks nothing.
 RationalFn._from_canonical does the same for fractions that are reduced
 by construction: constants, Laurent splits, negations and powers.
-A product or quotient with a monomial factor is one addition to every
-key of the other operand, which keeps their order, so it needs no
-dictionary and no sort.  A square, a * a with one object as both
-operands (as in x ** 2 and each squaring step of a power), adds each
-diagonal term once and each pair of distinct terms once with its
-coefficient doubled: about half the term products of the general loop,
-with the same sums.  Exact division by a polynomial of two terms or more
-takes each next leading remainder term from a heap of negated keys (after
-Monagan and Pearce, Sparse polynomial division using a heap, J. Symbolic
-Comput. 46, 2011) instead of scanning the remainder for its maximum.
+Every product with a monomial factor (an int, a monomial, negation, a
+shift, exact division by a monomial, the leading quotient of the
+associate test) is one function, _times_monomial: one offset added to
+every key, which keeps their order, so no dictionary and no sort, and one
+guard test.  A square, a * a with one object as both operands (as in
+x ** 2 and each squaring step of a power), adds each diagonal term once
+and each pair of distinct terms once with its coefficient doubled: about
+half the term products of the general loop, with the same sums.  Exact
+division by a polynomial of two terms or more takes each next leading
+remainder term from a heap of negated keys (after Monagan and Pearce,
+Sparse polynomial division using a heap, J. Symbolic Comput. 46, 2011)
+instead of scanning the remainder for its maximum.
 
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd on
@@ -327,7 +329,7 @@ class LaurentPoly:
         return LaurentPoly._from_canonical(self.m, *_sorted_parts(acc))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._from_canonical(self.m, self._keys, tuple([-c for c in self._coeffs]))
+        return _times_monomial(self, 0, -1, "a product exponent")
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -339,31 +341,15 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             if not isinstance(other, int):
                 return NotImplemented
-            if not other:
-                return LaurentPoly.zero(m)
-            return LaurentPoly._from_canonical(m, self._keys, tuple([c * other for c in self._coeffs]))
+            _require_int(other, "scalar factor")  # True is no factor
+            return _times_monomial(self, 0, other, "a product exponent") if other else LaurentPoly.zero(m)
         if other.m != m:
             self._check(other)
         a, b = (self, other) if len(self._keys) <= len(other._keys) else (other, self)
         akeys, bkeys, bcoeffs = a._keys, b._keys, b._coeffs
         bias, guard = _LAYOUT[m]
         if len(akeys) == 1:
-            # a monomial factor adds one offset to every key and scales, keeping the order
-            off, ca = akeys[0] - bias, a._coeffs[0]
-            if len(bkeys) == 1:
-                key = bkeys[0] + off
-                if key & guard:
-                    raise _range_error("a product exponent")
-                return LaurentPoly._from_canonical(m, (key,), (ca * bcoeffs[0],))
-            if ca != 1:
-                bcoeffs = tuple([c * ca for c in bcoeffs])
-            elif not off:
-                return b
-            if off:
-                bkeys = tuple([k + off for k in bkeys])
-                if reduce(or_, bkeys) & guard:
-                    raise _range_error("a product exponent")
-            return LaurentPoly._from_canonical(m, bkeys, bcoeffs)
+            return _times_monomial(b, akeys[0] - bias, a._coeffs[0], "a product exponent")
         if not akeys:
             return a
         bterms = list(zip(bkeys, bcoeffs))
@@ -406,14 +392,7 @@ class LaurentPoly:
         """Multiply by the monomial with the given exponent vector."""
         if len(offsets) != self.m:
             raise DimensionMismatch(f"offsets of length {len(offsets)} in dimension {self.m}")
-        bias, guard = _LAYOUT[self.m]
-        off = _pack(offsets, "shift offset") - bias
-        if not (off and self._keys):
-            return self
-        keys = tuple([k + off for k in self._keys])
-        if reduce(or_, keys) & guard:
-            raise _range_error("a shifted exponent")
-        return LaurentPoly._from_canonical(self.m, keys, self._coeffs)
+        return _times_monomial(self, _pack(offsets, "shift offset") - _LAYOUT[self.m][0], 1, "a shifted exponent")
 
     def evaluate(self, point: Sequence[int | Fraction]) -> Fraction:
         """Exact evaluation; coordinates hit by a negative exponent must be nonzero."""
@@ -449,6 +428,20 @@ _new = object.__new__
 _set_m = LaurentPoly.m.__set__
 _set_keys = LaurentPoly._keys.__set__
 _set_coeffs = LaurentPoly._coeffs.__set__
+
+
+def _times_monomial(p: LaurentPoly, off: int, c: int, what: str) -> LaurentPoly:
+    """p * c * x^e for an int c != 0, where off is e's key minus the bias; what names an exponent out of range."""
+    if c == 1 and not off:
+        return p
+    keys, coeffs = p._keys, p._coeffs
+    if off:
+        keys = tuple([k + off for k in keys])
+        if reduce(or_, keys, 0) & _LAYOUT[p.m][1]:
+            raise _range_error(what)
+    if c != 1:
+        coeffs = tuple([x * c for x in coeffs])
+    return LaurentPoly._from_canonical(p.m, keys, coeffs)
 
 
 def _power(base, k: int):
@@ -498,17 +491,12 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     bias, guard = _LAYOUT[m]
     bkeys, bcoeffs = b._keys, b._coeffs
     if len(bkeys) == 1:
-        off, cb = bkeys[0] - bias, bcoeffs[0]
-        keys, coeffs = a._keys, a._coeffs
+        cb = bcoeffs[0]
         if cb != 1:
-            if any(c % cb for c in coeffs):
+            if any(c % cb for c in a._coeffs):
                 raise NotDivisible("coefficient not divisible by the monomial divisor's coefficient")
-            coeffs = tuple([c // cb for c in coeffs])
-        if off and keys:
-            keys = tuple([k - off for k in keys])
-            if reduce(or_, keys) & guard:
-                raise _range_error("a quotient exponent")
-        return LaurentPoly._from_canonical(m, keys, coeffs)
+            a = _divide_coefficients(a, cb)
+        return _times_monomial(a, bias - bkeys[0], 1, "a quotient exponent")
     if a.is_zero:
         return a
     # low, slot by slot, clamped to 0..guard bit: below the range every
@@ -562,18 +550,13 @@ def _lead_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     does not divide lead(a)'s.
 
     A monomial factor keeps the order of the terms it multiplies, so this is
-    the only monomial u that can give a == u * b.  Its key is ka - kb + bias,
-    guard-checked like a quotient term of exact_div.
+    the only monomial u that can give a == u * b.
     """
     a._check(b)
-    bias, guard = _LAYOUT[a.m]
-    key = a._keys[0] - b._keys[0] + bias
-    if key & guard:
-        raise _range_error("a quotient exponent")
     ca, cb = a._coeffs[0], b._coeffs[0]
     if ca % cb:
         return None
-    return LaurentPoly._from_canonical(a.m, (key,), (ca // cb,))
+    return _times_monomial(LaurentPoly.const(a.m, ca // cb), a._keys[0] - b._keys[0], 1, "a quotient exponent")
 
 
 # ---------------------------------------------------------------------------

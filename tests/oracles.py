@@ -791,7 +791,8 @@ def explore_reference(seed: Seed, limits, quotient_permutations: bool = False, q
 
 def report_reference(order: list, reason: str) -> ExplorationReport:
     """explore's report on the seeds found, built from the values of their mutable entries:
-    one frozenset of LaurentPoly per distinct cluster, sorted by the entries' sort keys."""
+    one frozenset of LaurentPoly per distinct cluster, sorted by the entries' sort keys,
+    and the positions of each cluster's entries among the sorted variables."""
     clusters = []
     cluster_seen = set()
     for s in order:
@@ -801,10 +802,12 @@ def report_reference(order: list, reason: str) -> ExplorationReport:
             clusters.append(cl)
     variables = sorted({v for cl in clusters for v in cl}, key=LaurentPoly.sort_key)
     clusters.sort(key=lambda cl: tuple(sorted(v.sort_key() for v in cl)))
+    index = {v: i for i, v in enumerate(variables)}
     return ExplorationReport(
         seeds_found=len(order),
         distinct_variables=tuple(variables),
         distinct_clusters=tuple(clusters),
+        cluster_indices=tuple(tuple(sorted(index[v] for v in cl)) for cl in clusters),
         finite=reason == "closure",
         frontier_exhausted_reason=reason,
         seeds=tuple(order),

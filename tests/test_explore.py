@@ -224,6 +224,34 @@ def test_report_json_schema(a3_seed):
         assert len(cluster) == report.seeds[0].profile.n
 
 
+def test_report_computes_one_sort_key_per_variable(a3_seed, monkeypatch):
+    # the report sorted a dict built over every (cluster, entry) pair: 14 * 3 sort keys for 9 variables
+    calls = []
+    sort_key = LaurentPoly.sort_key
+    monkeypatch.setattr(LaurentPoly, "sort_key", lambda p: calls.append(p) or sort_key(p))
+    for quotient in (False, True):
+        calls.clear()
+        report = explore(a3_seed, WIDE, quotient_permutations=quotient)
+        assert len(calls) == len(report.distinct_variables) == 9
+
+
+def test_report_json_hashes_no_variable(a3_seed, monkeypatch):
+    # to_json read each cluster's positions from a dict keyed by the variables,
+    # which rehashed every cluster entry
+    report = explore(a3_seed, WIDE, quotient_permutations=True)
+    data = report.to_json()
+
+    def refuse(p):
+        raise AssertionError("to_json hashed a LaurentPoly")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LaurentPoly, "__hash__", refuse)
+        assert report.to_json() == data
+    # the positions name each cluster's entries, in the clusters' order
+    clusters = [frozenset(report.distinct_variables[i] for i in ix) for ix in report.cluster_indices]
+    assert clusters == list(report.distinct_clusters)
+
+
 def test_limits_validation():
     with pytest.raises(ValueError):
         ExplorationLimits(max_depth=-1)

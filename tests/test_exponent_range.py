@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from clusterkit.analysis import are_associate
 from clusterkit.laurent import (
     EXPONENT_MAX,
     EXPONENT_MIN,
@@ -28,6 +29,7 @@ from clusterkit.laurent import (
     NotDivisible,
     exact_div,
 )
+from clusterkit.seeds import SeedProfile
 from oracles import exact_div_reference, mul_reference, power_reference, shift_reference
 
 pytest.importorskip("hypothesis")
@@ -171,3 +173,14 @@ def test_the_range_ends_themselves():
     for bad in (EXPONENT_MAX + 1, EXPONENT_MIN - 1, 4_000_000_000):
         with pytest.raises(ExponentRangeError, match=f"exponent {bad} outside"):
             LaurentPoly.monomial(1, (bad,))
+
+
+def test_the_associate_test_at_the_range_ends():
+    # the candidate unit lead(a) / lead(b) is guard-checked like a quotient term
+    profile = SeedProfile(1, 2, 2)  # x2 is invertible
+    top, bottom = LaurentPoly.monomial(2, (0, EXPONENT_MAX)), LaurentPoly.monomial(2, (0, EXPONENT_MIN))
+    with pytest.raises(ExponentRangeError, match="a quotient exponent"):
+        are_associate(top, bottom, profile)
+    # x2^-1 = x2^EXPONENT_MAX * x2^EXPONENT_MIN: the unit sits on the upper end
+    assert are_associate(LaurentPoly.monomial(2, (0, -1)), bottom, profile)
+    assert not are_associate(LaurentPoly.monomial(2, (1, -1)), bottom, profile)  # x1 is no unit

@@ -98,6 +98,15 @@ def test_shift_rejects_non_integer_offsets(offset):
         LaurentPoly.variable(2, 1).shift((0, offset))
 
 
+def test_scalar_factor_refuses_bool():
+    # x1 * True returned x1 and x1 * False returned 0, as if the bool were an int
+    x1 = LaurentPoly.variable(2, 1)
+    for product in (lambda: x1 * True, lambda: True * x1, lambda: x1 * False, lambda: False * x1):
+        with pytest.raises(ValueError, match="scalar factor must be an integer, got (True|False)"):
+            product()
+    assert x1 * 3 == 3 * x1 == LaurentPoly.monomial(2, (1, 0), 3) and (x1 * 0).is_zero and x1 * 1 == x1
+
+
 def test_ambient_dimension_is_nonnegative():
     # zero(-2) built a polynomial with m = -2
     for build in (

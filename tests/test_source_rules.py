@@ -233,16 +233,21 @@ def test_only_the_kernel_imports_fractions_and_nothing_imports_random():
 
 
 def _referrers(tree, name):
-    """Names of the top-level functions in tree whose bodies mention name."""
-    out = set()
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for node in ast.walk(stmt):
-                if (isinstance(node, ast.Name) and node.id == name) or (
-                    isinstance(node, ast.Attribute) and node.attr == name
-                ):
-                    out.add(stmt.name)
-    return out
+    """Names of the top-level functions and methods (as Class.method) in tree whose bodies mention name."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(stmt.name, stmt) for stmt in tree.body if isinstance(stmt, funcs)]
+    defs += [
+        (f"{stmt.name}.{method.name}", method)
+        for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+        for method in stmt.body if isinstance(method, funcs)
+    ]
+    return {
+        qualname for qualname, func in defs
+        if any(
+            (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+            for node in ast.walk(func)
+        )
+    }
 
 
 def test_one_gcd_path_and_one_division_per_reduction():
@@ -261,3 +266,14 @@ def test_one_gcd_path_and_one_division_per_reduction():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert "_gcd_cofactors" in called and "exact_div" not in called
+
+
+def test_one_function_adds_an_offset_to_every_key():
+    # a monomial factor (products, negation, shifts, monomial division, the
+    # associate test's candidate unit) goes through _times_monomial, so the
+    # only other guard tests are the packing of given exponents, the product
+    # loops and the heap division's quotient terms
+    checks = {(fname, func) for fname, tree in _modules().items() for func in _referrers(tree, "_range_error")}
+    assert checks == {
+        ("laurent.py", "_pack"), ("laurent.py", "_times_monomial"), ("laurent.py", "LaurentPoly.__mul__"), ("laurent.py", "exact_div"),
+    }

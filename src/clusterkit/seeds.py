@@ -334,13 +334,14 @@ def seed_mutate(s: Seed, k: int) -> Seed:
     return Seed._from_canonical(matrix, s.cluster[: k - 1] + (new_entry,) + s.cluster[k:], s.word + (k,))
 
 
-def _exchanged(s: Seed, k: int, entry: LaurentPoly, rows: tuple) -> Seed:
-    """mu_k(s) given its new entry x_k', which seed_mutate has solved and checked
-    for this exchange, and the rows of mu_k(B) from _mutated_rows: explore
-    reuses one entry across seeds with the same relation, and computes the
-    rows before it knows whether the seed is new."""
-    matrix = ExchangeMatrix._from_canonical(rows, s.profile)  # mu_k of a valid matrix, see matrix_mutate
-    return Seed._from_canonical(matrix, s.cluster[: k - 1] + (entry,) + s.cluster[k:], s.word + (k,))
+def _relabelled(rows: tuple, profile: SeedProfile, cluster: tuple, word: tuple) -> Seed:
+    """A Seed from the matrix rows and cluster of a Seed after a simultaneous
+    permutation of its mutable indices, with a word of int letters in 1..n:
+    explore keeps each seed it finds as its relabelling class and rebuilds
+    it.  The permutation keeps the matrix valid (it permutes a
+    skew-symmetrizer and the edges that connect the variables), so nothing
+    is checked."""
+    return Seed._from_canonical(ExchangeMatrix._from_canonical(rows, profile), cluster, word)
 
 
 def _initial_at(s: Seed) -> Seed:

@@ -203,8 +203,9 @@ def test_disjointness_cross_check_raises(monkeypatch):
 def test_disjointness_is_structural_on_a_closure(matrix):
     report = explore(Seed.initial(matrix), ExplorationLimits(max_depth=64, max_seeds=100000), quotient_permutations=True)
     assert report.finite
-    for s in report.seeds:
-        for t in report.seeds:
+    seeds = tuple(report.seeds)  # each read of report.seeds builds its seeds again
+    for s in seeds:
+        for t in seeds:
             assert clusters_disjoint(s, t) == set(s.mutable_entries()).isdisjoint(t.mutable_entries())
 
 

@@ -292,6 +292,49 @@ def test_exchange_memo_matches_reference(quotient):
             seed = Seed.initial(random_dynkin_matrix(rng, letter, n))
             for lim in limits:
                 _assert_matches_reference(seed, lim, quotient)
+    # infinite types and cyclic orientations, cut at depths 3 to 5: Markov,
+    # cyclic A3, affine A(2,1), wild (2,3) with a frozen row and Kronecker
+    # with two frozen rows
+    for text in (
+        "3 3 3\n0 2 -2; -2 0 2; 2 -2 0",
+        "3 3 3\n0 1 -1; -1 0 1; 1 -1 0",
+        "3 3 3\n0 1 1; -1 0 1; -1 -1 0",
+        "2 2 3\n0 2; -3 0; 1 -1",
+        "2 2 4\n0 2; -2 0; 1 0; -1 1",
+    ):
+        seed = Seed.initial(parse_matrix(text))
+        for depth in (3, 4, 5):
+            _assert_matches_reference(seed, ExplorationLimits(max_depth=depth, max_seeds=100000), quotient)
+    # hand-built entries that are not free: mu_1 of this root has a degenerate
+    # exchange at 2, and the error must name direction 2
+    x = lambda *e: LaurentPoly.monomial(5, e + (0, 0, 0))
+    B = parse_matrix("3 3 5\n0 1 0; -1 0 1; 0 -1 0; 1 0 1; -1 1 1")
+    _assert_matches_reference(Seed(B, [x(-1, 1), x(1, 1), x(-1, 0), x(1, 0), x(-1, -1)], ()), WIDE, quotient)
+
+
+def test_report_seeds_are_values(a3_seed):
+    # report.seeds keeps the walk's records and builds a seed at each read:
+    # reports of one walk compare and hash equal, and so does the tuple of the seeds
+    root = apply_word(a3_seed, (2,))
+    report = explore(root, WIDE)
+    again = explore(root, WIDE)
+    seeds = tuple(report.seeds)
+    assert report == again and hash(report) == hash(again)
+    assert report.seeds == seeds and seeds == report.seeds and hash(report.seeds) == hash(seeds)
+    assert report.seeds != seeds[:-1] and report.seeds != list(seeds)[::-1]
+    assert report.seeds[0] is root and seeds[0] is root
+    assert len(report.seeds) == report.seeds_found == 84
+    assert [s.word for s in report.seeds[-3:]] == [s.word for s in seeds[-3:]]
+    assert report.seeds[-1] == seeds[83] and report.seeds[-1].word == seeds[83].word
+    assert report.seeds[5:40:7] == seeds[5:40:7] and report.seeds[::-1] == seeds[::-1]
+    assert report.seeds[1] == report.seeds[1] and report.seeds[1] is not report.seeds[1]  # nothing is cached
+    assert report.seeds.index(seeds[50]) == 50 and seeds[50] in report.seeds
+    with pytest.raises(IndexError):
+        report.seeds[84]
+    with pytest.raises(IndexError):
+        report.seeds[-85]
+    with pytest.raises(AttributeError):
+        report.seeds._records = ()
 
 
 def _mid_level_budget(rng, report, cap):
@@ -404,28 +447,31 @@ def _dynkin_draw(letter, n):
 @pytest.mark.parametrize(
     "B,quotient,seeds_found,solves,row_mutations,quotient_keys",
     [
-        (_dynkin_draw("A", 3), False, 84, 15, 70, 22),
-        (_dynkin_draw("B", 3), False, 40, 22, 26, 31),
+        (_dynkin_draw("A", 3), False, 84, 15, 6, 22),
+        (_dynkin_draw("B", 3), False, 40, 22, 8, 31),
         (_dynkin_draw("G", 2), False, 8, 8, 0, 9),
-        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), False, 1200, 52, 1162, 101),
-        (ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)), False, 1008, 35, 989, 85),
+        (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), False, 1200, 52, 48, 101),
+        (ExchangeMatrix(A4_FROZEN4_ROWS, SeedProfile(4, 4, 8)), False, 1008, 35, 49, 85),
         (ExchangeMatrix(D4_ROWS, SeedProfile(4, 4, 4)), True, 50, 52, 48, 101),
     ],
     ids=["A3", "B3", "G2", "D4", "A4-4-frozen", "D4-quotient"],
 )
 def test_each_edge_is_walked_once(monkeypatch, B, quotient, seeds_found, solves, row_mutations, quotient_keys):
-    # Only a class-table miss solves or keys: it mutates by a solve
-    # (seed_mutate) or the rows alone (_mutated_rows), and computes the
-    # child's quotient key (_quotient_key, once more for the root); a hit
-    # mutates the rows only when its child is new.  A miss fills the table
-    # at both ends of the edge, keyed by class and the label of x_k, so the
-    # second end of an edge is a lookup, and so is every other member of a
-    # class mutated in a direction already walked.  A closed walk thus
-    # misses at most n/2 times per seed: exactly that when each class holds
-    # one seed (G2 and the quotient), far fewer in labelled D4 and
-    # A4-4-frozen, where about 24 seeds share a class.
+    # Only a class-table miss mutates or keys.  It looks the exchange
+    # relation up in the memo: a memo miss builds the seed from its record
+    # (_relabelled, the only Seed the walk builds) and solves it
+    # (seed_mutate), a memo hit mutates the class's sorted rows alone
+    # (_mutated_rows); either way it computes the child's quotient key
+    # (_quotient_key, once more for the root).  A table hit builds only the
+    # child's labels, and no Seed.  A miss fills the table at both ends of
+    # the edge, keyed by class and the label of x_k, so the second end of an
+    # edge is a lookup, and so is every other member of a class mutated in a
+    # direction already walked.  A closed walk thus misses at most n/2 times
+    # per seed: exactly that when each class holds one seed (G2 and the
+    # quotient), far fewer in labelled D4 and A4-4-frozen, where about 24
+    # seeds share a class.
     module = sys.modules["clusterkit.explore"]
-    calls = {"seed_mutate": 0, "_mutated_rows": 0, "_quotient_key": 0}
+    calls = {"seed_mutate": 0, "_relabelled": 0, "_mutated_rows": 0, "_quotient_key": 0}
     for name in calls:
         real = getattr(module, name)
 
@@ -437,5 +483,10 @@ def test_each_edge_is_walked_once(monkeypatch, B, quotient, seeds_found, solves,
     report = explore(Seed.initial(B), WIDE, quotient_permutations=quotient)
     assert report.frontier_exhausted_reason == "closure"
     assert report.seeds_found == seeds_found
-    assert calls == {"seed_mutate": solves, "_mutated_rows": row_mutations, "_quotient_key": quotient_keys}
+    assert calls == {
+        "seed_mutate": solves,
+        "_relabelled": solves,
+        "_mutated_rows": row_mutations,
+        "_quotient_key": quotient_keys,
+    }
     assert quotient_keys - 1 <= B.profile.n * seeds_found / 2

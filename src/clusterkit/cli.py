@@ -246,9 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first call of main, not at import, and reused by every later one
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     # ParseError and InvalidSeed are ValueErrors; OSError covers a missing or unreadable file

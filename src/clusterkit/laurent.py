@@ -38,11 +38,16 @@ every key, which keeps their order, so no dictionary and no sort, and one
 guard test.  A square, a * a with one object as both operands (as in
 x ** 2 and each squaring step of a power), adds each diagonal term once
 and each pair of distinct terms once with its coefficient doubled: about
-half the term products of the general loop, with the same sums.  Exact
-division by a polynomial of two terms or more takes each next leading
-remainder term from a heap of negated keys (after Monagan and Pearce,
-Sparse polynomial division using a heap, J. Symbolic Comput. 46, 2011)
-instead of scanning the remainder for its maximum.
+half the term products of the general loop, with the same sums.  A sum
+with a one-term operand inserts that term into the other operand's
+descending keys at the place bisect finds (adding on an equal key and
+dropping a zero sum) instead of merging through a dictionary and a sort.
+Exact division by a polynomial of two terms or more takes each next
+leading remainder term from a heap of negated keys (after Monagan and
+Pearce, Sparse polynomial division using a heap, J. Symbolic Comput. 46,
+2011) instead of scanning the remainder for its maximum; its floor on
+the quotient's exponents is computed on all slots at once, by a fixed
+number of big-int operations (_quotient_floor), not slot by slot.
 
 The module also provides reduced fractions of ordinary polynomials
 (RationalFn), exact Laurent division, multivariate integer gcd on
@@ -66,12 +71,13 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import and_, or_, rshift, sub
+from operator import and_, neg, or_, rshift, sub
 from typing import Iterable, Sequence
 
 Exps = tuple  # exponent vector: one signed int per ambient variable
@@ -187,6 +193,26 @@ def _slot_min(keys: tuple, guard: int) -> int:
     return out
 
 
+def _quotient_floor(min_a: int, min_b: int, bias: int, guard: int) -> int:
+    """The key whose every slot holds min_a - min_b + bias in that slot, clamped to
+    0..guard bit: below the range every quotient term passes the floor, and above
+    it none does.
+
+    A constant number of big-int operations on all slots at once.  With the
+    guard bits set, min_a - min_b leaves 1..2^32 - 1 in each slot, so no slot
+    borrows from the next, and x = v + 2^30 for the slot's unclamped value v.
+    The slot's top two bits (guard and bias bit) then give the clamp: both
+    clear, v < 0 and the slot is 0; exactly one set, v = x - 2^30 lies in
+    0..2^31 - 1 (the bias bit cleared when it was the one set, the guard bit
+    moved down to it otherwise); both set, v >= 2^31 and the slot is the
+    guard bit.
+    """
+    x = (min_a | guard) - min_b
+    top, mid = x & guard, x & bias
+    one = (top >> 1) ^ mid  # the bias bit of each slot with exactly one of the two set
+    return (x & (one - (one >> (_SLOT_BITS - 2)))) | (top >> 1 & one) | (top & mid << 1)
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.
 
@@ -281,6 +307,11 @@ class LaurentPoly:
         return len(self._keys) == 1
 
     @property
+    def coefficients(self) -> tuple:
+        """The coefficients in term order, read without unpacking an exponent vector."""
+        return self._coeffs
+
+    @property
     def term_count(self) -> int:
         """The number of terms, counted without unpacking them."""
         return len(self._keys)
@@ -322,6 +353,10 @@ class LaurentPoly:
             return self
         if not self._keys:
             return other
+        if len(other._keys) == 1:
+            return _plus_term(self, other._keys[0], other._coeffs[0])
+        if len(self._keys) == 1:
+            return _plus_term(other, self._keys[0], self._coeffs[0])
         acc = dict(zip(self._keys, self._coeffs))
         get = acc.get
         for k, c in zip(other._keys, other._coeffs):
@@ -444,6 +479,20 @@ def _times_monomial(p: LaurentPoly, off: int, c: int, what: str) -> LaurentPoly:
     return LaurentPoly._from_canonical(p.m, keys, coeffs)
 
 
+def _plus_term(p: LaurentPoly, k: int, c: int) -> LaurentPoly:
+    """p + c * x^e for the key k of e and an int c != 0: the term inserted into p's
+    descending keys at the place bisect finds, or added to an equal key's
+    coefficient, and that term dropped when the sum is zero."""
+    keys, coeffs = p._keys, p._coeffs
+    i = bisect_left(keys, -k, key=neg)  # keys negated are ascending
+    if i < len(keys) and keys[i] == k:
+        c += coeffs[i]
+        if not c:
+            return LaurentPoly._from_canonical(p.m, keys[:i] + keys[i + 1:], coeffs[:i] + coeffs[i + 1:])
+        return LaurentPoly._from_canonical(p.m, keys, coeffs[:i] + (c,) + coeffs[i + 1:])
+    return LaurentPoly._from_canonical(p.m, keys[:i] + (k,) + keys[i:], coeffs[:i] + (c,) + coeffs[i:])
+
+
 def _power(base, k: int):
     """base ** k for k >= 1 by square-and-multiply."""
     result = None
@@ -467,7 +516,9 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     product is the sum of its factors' lowest x_i-degrees, so a quotient
     has exponents at least low = min(a) - min(b), per variable, and a
     quotient term below low proves that none exists; packed, that is one
-    test of every slot at once.  This is reduction
+    test of every slot at once.  low itself is computed on all slots at
+    once as well (_quotient_floor: a fixed number of big-int operations,
+    each slot clamped to 0..guard bit).  This is reduction
     in the ordinary ring after shifting a by x^-min(a) and b by x^-min(b),
     because monomial shifts keep the lex order.  Each reduction step
     leaves a remainder whose terms all lie below the one just cancelled,
@@ -499,13 +550,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return _times_monomial(a, bias - bkeys[0], 1, "a quotient exponent")
     if a.is_zero:
         return a
-    # low, slot by slot, clamped to 0..guard bit: below the range every
-    # quotient term passes, and above it none does
-    min_a, min_b = _slot_min(a._keys, guard), _slot_min(bkeys, guard)
-    low = 0
-    for s in _shifts(m):
-        v = (min_a >> s & _SLOT_MASK) - (min_b >> s & _SLOT_MASK) + _EXP_BIAS
-        low = low << _SLOT_BITS | min(max(v, 0), _GUARD_BIT)
+    low = _quotient_floor(_slot_min(a._keys, guard), _slot_min(bkeys, guard), bias, guard)
     lead, bl_c = bkeys[0] - bias, bcoeffs[0]
     tail = list(zip(bkeys[1:], bcoeffs[1:]))
     rem = dict(zip(a._keys, a._coeffs))

@@ -153,7 +153,7 @@ def _verify_lie() -> list[Check]:
         Check("initial and final clusters are disjoint", lp.disjoint),
         Check(
             "all entries are integer Laurent polynomials",
-            all(type(c) is int for s in lp.stages for e in s.cluster for _, c in e.terms),
+            all(type(c) is int for s in lp.stages for e in s.cluster for c in e.coefficients),
         ),
     ]
 

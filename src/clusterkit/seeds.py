@@ -315,10 +315,13 @@ def _exchange_monomials(s: Seed, column: Sequence[int]) -> tuple[LaurentPoly, La
     for x, b in zip(s.cluster, column):
         if b:
             side = 0 if b > 0 else 1
-            power = x ** abs(b)
+            power = x if b == 1 or b == -1 else x ** abs(b)
             products[side] = power if products[side] is None else products[side] * power
-    m = s.profile.m
-    return tuple(LaurentPoly.const(m, 1) if p is None else p for p in products)
+    m1, m2 = products
+    if m1 is None or m2 is None:
+        one = LaurentPoly.const(s.profile.m, 1)
+        m1, m2 = one if m1 is None else m1, one if m2 is None else m2
+    return m1, m2
 
 
 def seed_mutate(s: Seed, k: int) -> Seed:

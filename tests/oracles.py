@@ -9,9 +9,12 @@ the package to reject invalid samples.  The reference composition builds
 each term's value as a product of image powers and adds the terms one by
 one, without the kernel's Horner walk.  The kernel references (general
 multiply, leading-term division with the minimum exponents read off the
-terms, powers, shifts, matrix mutation) build every result
+terms, powers, shifts, sums through a dictionary of exponent tuples,
+matrix mutation) build every result
 through the checking public constructors, and the reference associate
-test divides by the reference division; the reference acyclicity test
+test divides by the reference division.  The reference quotient floor
+clamps min(a) - min(b) slot by slot in a loop over the packed slots, where
+the kernel clamps every slot at once; the reference acyclicity test
 is a depth-first search for a back edge.  The reference symmetrizer
 propagates Fraction ratios and rejects each failure where it meets it,
 instead of the kernel's integer propagation and one final sweep.  The
@@ -180,6 +183,26 @@ def exact_div_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 rem.pop(key, None)
     shift = tuple(map(sub, sa, sb))
     return LaurentPoly(a.m, [(tuple(map(add, exps, shift)), c) for exps, c in quot])
+
+
+def quotient_floor_reference(min_a: int, min_b: int, m: int) -> int:
+    """exact_div's floor on the packed keys min_a and min_b of m slots, slot by slot:
+    min_a - min_b + 2^30 in each slot, clamped to 0..2^31 (the guard bit)."""
+    low = 0
+    for s in range(32 * (m - 1), -1, -32):
+        v = (min_a >> s & 0xFFFFFFFF) - (min_b >> s & 0xFFFFFFFF) + (1 << 30)
+        low = low << 32 | min(max(v, 0), 1 << 31)
+    return low
+
+
+def add_reference(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a + b through a dictionary of exponent tuples and the checking constructor."""
+    if a.m != b.m:
+        raise DimensionMismatch(f"ambient dimensions differ: {a.m} vs {b.m}")
+    acc = dict(a.terms)
+    for exps, c in b.terms:
+        acc[exps] = acc.get(exps, 0) + c
+    return LaurentPoly(a.m, acc)
 
 
 def power_reference(p: LaurentPoly, k: int) -> LaurentPoly:

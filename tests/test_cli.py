@@ -18,7 +18,7 @@ import pytest
 import clusterkit.cli
 import clusterkit.presets
 from clusterkit.analysis import InternalInvariantError
-from clusterkit.cli import main
+from clusterkit.cli import build_parser, main
 from clusterkit.constructions import ConstructionError
 from clusterkit.laurent import LaurentPoly, NotDivisible, parse_poly, render_poly
 from clusterkit.presets import a3_matrix
@@ -233,16 +233,28 @@ def _with_counts(real, key, value):
     return tampered
 
 
-def _lie_with_half_coefficient(real):
+def _lie_with_coefficient(real, value):
     def tampered():
         lp = real()
         last = lp.stages[-1]
-        # the public constructor refuses a Fraction, so forge it on the trusted path
-        half = LaurentPoly._from_canonical(8, LaurentPoly.const(8, 1)._keys, (Fraction(1, 2),))
-        bad = Seed(last.matrix, (half,) + last.cluster[1:], last.word)
+        # the public constructor refuses a coefficient that is no int, so forge it on the trusted path
+        forged = LaurentPoly._from_canonical(8, LaurentPoly.const(8, 1)._keys, (value,))
+        bad = Seed(last.matrix, (forged,) + last.cluster[1:], last.word)
         return dataclasses.replace(lp, stages=lp.stages[:-1] + (bad,))
 
     return tampered
+
+
+def _lie_with_half_coefficient(real):
+    return _lie_with_coefficient(real, Fraction(1, 2))
+
+
+def _lie_with_float_coefficient(real):
+    return _lie_with_coefficient(real, 2.0)
+
+
+def _lie_with_bool_coefficient(real):
+    return _lie_with_coefficient(real, True)
 
 
 def _lie_missing_stage(real):
@@ -261,6 +273,8 @@ def _lie_missing_stage(real):
         ("acyclic-n3", "acyclic_staircase", lambda f: _with_counts(f, "matrix_shapes", 2), "intermediate matrices match the block shapes"),
         ("lie-rank2", "lie_preset", _lie_missing_stage, "six-stage schedule runs to completion"),
         ("lie-rank2", "lie_preset", _lie_with_half_coefficient, "all entries are integer Laurent polynomials"),
+        ("lie-rank2", "lie_preset", _lie_with_float_coefficient, "all entries are integer Laurent polynomials"),
+        ("lie-rank2", "lie_preset", _lie_with_bool_coefficient, "all entries are integer Laurent polynomials"),
     ],
 )
 def test_preset_checks_recompute_their_claims(capsys, monkeypatch, name, construction, tamper, failing):
@@ -433,6 +447,47 @@ def test_usage_error_exits_two(a3_file):
     with pytest.raises(SystemExit) as exc:
         main(["mutate"])  # missing --matrix
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch, a3_file):
+    # main builds its parser on its first call and reuses it: after an argparse
+    # error, each call prints exactly what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    monkeypatch.setattr(clusterkit.cli, "_parser", None)
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(clusterkit.cli, "build_parser", counted)
+    env = {**os.environ, "PYTHONPATH": str(Path(clusterkit.cli.__file__).parents[1])}
+    calls = [
+        ["mutate", "--matrix", a3_file, "--max-depth", "3"],
+        ["verify", "--json"],
+        ["mutate", "--matrix", a3_file, "--word", "1,3", "--json"],
+    ]
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "clusterkit", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]
+    assert built == [1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(Path(clusterkit.cli.__file__).parents[1])}
+    probe = "import clusterkit.cli as cli; print(cli._parser is None)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "True\n", done.stderr
 
 
 # -- the README's command-line examples -----------------------------------------

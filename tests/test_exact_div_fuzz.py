@@ -19,18 +19,35 @@ reduction to really cancel and re-create a key above the last leading
 term.  Further fixed cases fail only by the lower bound on the quotient's
 exponents (divisors with leading coefficient +-1 and small exponents),
 and others have quotient exponents at both ends of the range.
+
+The quotient's floor min(a) - min(b), clamped to 0..2^31 in each packed
+slot, is computed on all slots at once; it must equal the slot-by-slot
+loop oracles.quotient_floor_reference on every pair of slot values at and
+next to the ends of a slot's range and at the zero exponent, and on
+random keys of one to six slots.
 """
 
 from __future__ import annotations
 
 import tempfile
+from itertools import product
 from operator import add, sub
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from clusterkit.laurent import EXPONENT_MAX, EXPONENT_MIN, LaurentPoly, NotDivisible, exact_div, parse_poly
-from oracles import exact_div_reference
+from clusterkit.laurent import (
+    _LAYOUT,
+    EXPONENT_MAX,
+    EXPONENT_MIN,
+    LaurentPoly,
+    NotDivisible,
+    _quotient_floor,
+    exact_div,
+    parse_poly,
+)
+from oracles import exact_div_reference, quotient_floor_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -195,3 +212,36 @@ def test_heap_division_on_dense_products(case, c):
     assert exact_div(a, b) == exact_div_reference(a, b) == q
     perturbed = a + LaurentPoly.const(a.m, c)
     assert outcome(exact_div, perturbed, b) == outcome(exact_div_reference, perturbed, b)
+
+
+# -- the quotient floor ---------------------------------------------------------
+
+# slot values of a minimum key: the ends of the range (exponents EXPONENT_MIN and
+# EXPONENT_MAX), the zero exponent 2^30 and its neighbours
+FLOOR_SLOTS = (0, 2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1)
+
+
+def packed(slots) -> int:
+    key = 0
+    for v in slots:
+        key = key << 32 | v
+    return key
+
+
+def test_packed_floor_matches_the_slot_loop():
+    rng = Random(2011)
+
+    def slot():
+        return rng.choice(FLOOR_SLOTS) if rng.random() < 0.5 else rng.randrange(2**31)
+
+    pairs = [((a,), (b,)) for a, b in product(FLOOR_SLOTS, repeat=2)]
+    pairs += [((a1, a2), (b1, b2)) for a1, a2, b1, b2 in product(FLOOR_SLOTS, repeat=4)]
+    for _ in range(20_000):
+        m = rng.randint(1, 6)
+        pairs.append((tuple(slot() for _ in range(m)), tuple(slot() for _ in range(m))))
+    wrong = []
+    for sa, sb in pairs:
+        m, min_a, min_b = len(sa), packed(sa), packed(sb)
+        if _quotient_floor(min_a, min_b, *_LAYOUT[m]) != quotient_floor_reference(min_a, min_b, m):
+            wrong.append((sa, sb))
+    assert wrong == []

@@ -8,6 +8,9 @@ must give exactly the value of the tuple references in oracles.py, and
 raise ExponentRangeError exactly where that value has an exponent out of
 range; a slot that wrapped would give another value.
 Squares, which take their own branch of *, are checked the same way.
+Fixed exact divisions put min(a) - min(b), the floor of the quotient's
+exponents, below and above the range in one slot or two, where the
+kernel clamps it, and on the ends themselves, where it does not.
 Examples are derandomized and bounded, no example database is written,
 and hypothesis keeps its caches in the system's temporary directory.
 """
@@ -184,3 +187,30 @@ def test_the_associate_test_at_the_range_ends():
     # x2^-1 = x2^EXPONENT_MAX * x2^EXPONENT_MIN: the unit sits on the upper end
     assert are_associate(LaurentPoly.monomial(2, (0, -1)), bottom, profile)
     assert not are_associate(LaurentPoly.monomial(2, (1, -1)), bottom, profile)  # x1 is no unit
+
+
+def _floor_cases():
+    """(dividend, divisor, outcome) for exact divisions whose quotient floor
+    min(a) - min(b) lies past or on an end of the range in some variable."""
+    lo, hi = EXPONENT_MIN, EXPONENT_MAX
+    p = LaurentPoly
+    return [
+        # below: the quotient x1^(lo - 5) is past the range
+        (p(1, {(lo,): 1, (lo + 1,): 1}), p(1, {(6,): 1, (5,): 1}), RANGE),
+        # above: the quotient x1^(hi + 6) is past the range
+        (p(1, {(hi,): 1, (hi - 1,): 1}), p(1, {(-5,): 1, (-6,): 1}), RANGE),
+        # above in x2, the leading quotient term x1^0*x2^0 in range: refused by the floor
+        (p(2, {(1, hi): 1, (0, hi): 1}), p(2, {(1, hi): 1, (0, lo): 1}), NotDivisible),
+        # above in x1 and below in x2, the leading quotient term x2^lo in range
+        (p(2, {(hi, lo + 1): 1, (1, lo): 1}), p(2, {(hi, 1): 1, (lo, 2): 1}), NotDivisible),
+        # on the ends: floors lo and hi let the quotient through, lo - 1 and hi + 1 are past
+        (p(1, {(lo,): 1, (lo + 1,): 2, (lo + 2,): 1}), p(1, {(1,): 1, (0,): 1}), p(1, {(lo,): 1, (lo + 1,): 1})),
+        (p(2, {(hi, 2): 1, (hi, 0): -1}), p(2, {(0, 1): 1, (0, 0): -1}), p(2, {(hi, 1): 1, (hi, 0): 1})),
+        (p(2, {(lo, 1): 1, (lo, 0): 1}), p(2, {(1, 1): 1, (1, 0): 1}), RANGE),
+        (p(2, {(hi, 1): 1, (hi, 0): 1}), p(2, {(-1, 1): 1, (-1, 0): 1}), RANGE),
+    ]
+
+
+@pytest.mark.parametrize("a, b, want", _floor_cases())
+def test_quotient_floor_past_and_on_the_range_ends(a, b, want):
+    assert outcome(exact_div, a, b) == outcome(exact_div_reference, a, b) == want

@@ -31,6 +31,7 @@ from clusterkit.laurent import (
 from clusterkit.seeds import Seed, apply_word
 from oracles import (
     ZeroImageInverted,
+    add_reference,
     compose_reference,
     exact_div_reference,
     mul_reference,
@@ -147,6 +148,36 @@ def test_add_examples():
 def test_add_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         LaurentPoly.variable(2, 1) + LaurentPoly.variable(3, 1)
+
+
+# one-term operands landing before the first key of ONE_TERM_BASE, after its
+# last, between two keys and on an equal one, and sums that cancel a term
+ONE_TERM_BASE = "3*x1*x2 - x2^2 + 2*x2 + x3^-1"
+
+
+@pytest.mark.parametrize(
+    "term, want",
+    [
+        ("x1^2", "x1^2 + 3*x1*x2 - x2^2 + 2*x2 + x3^-1"),
+        ("-5*x3^-2", "3*x1*x2 - x2^2 + 2*x2 + x3^-1 - 5*x3^-2"),
+        ("7*x2*x3", "3*x1*x2 - x2^2 + 7*x2*x3 + 2*x2 + x3^-1"),
+        ("4*x2", "3*x1*x2 - x2^2 + 6*x2 + x3^-1"),
+        ("-3*x1*x2", "-x2^2 + 2*x2 + x3^-1"),
+        ("-2*x2", "3*x1*x2 - x2^2 + x3^-1"),
+        ("-x3^-1", "3*x1*x2 - x2^2 + 2*x2"),
+    ],
+)
+def test_one_term_sum_on_either_side(term, want):
+    p, t = parse_poly(ONE_TERM_BASE, M), parse_poly(term, M)
+    assert p + t == t + p == add_reference(p, t)
+    assert render_poly(p + t) == render_poly(t + p) == want
+
+
+@pytest.mark.parametrize("a, b, want", [("4*x2", "-4*x2", "0"), ("x1", "-x2", "x1 - x2"), ("-x2", "x1", "x1 - x2"), ("2", "3", "5")])
+def test_sum_of_two_one_term_operands(a, b, want):
+    a, b = parse_poly(a, M), parse_poly(b, M)
+    assert a + b == add_reference(a, b)
+    assert render_poly(a + b) == want
 
 
 def test_mul_examples():

@@ -64,7 +64,19 @@ order of the terms: one multiply by a power of one image per degree step,
 the powers taken from one gap-power table that every value of the call
 shares.  Its sums and products are exact, and the canonical form makes
 equal values identical, so the result is the same as adding up each
-term's product of image powers.
+term's product of image powers.  The walk runs on LaurentPoly values or,
+when the inputs are dense enough (_row_width: the largest polynomial has
+at least 8 terms and 2 per row, every image row is nearly gap-free and no
+packed row can grow past a fixed number of digits per input term), on
+values packed by rows (_RowRing, Kronecker substitution in the last
+variable only): the terms that share their other exponents, the key with
+its last slot dropped, form a row, stored as one int whose base-2^W digits
+are the row's coefficients, with the row's lowest exponent beside it.  A
+product is one big-int product per pair of rows and a sum aligns rows by
+shifts.  Evaluation at 2^W is a ring map, so the rows are exact at every
+step; the result is decoded once, and 2^(W-1) exceeds the bound
+sum_t |c_t| * prod_i |img_i|_1^(a_ti) on every composed coefficient, so
+its balanced digits are the coefficients.
 """
 
 from __future__ import annotations
@@ -77,7 +89,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import and_, neg, or_, rshift, sub
+from operator import add, and_, mul, neg, or_, rshift, sub
 from typing import Iterable, Sequence
 
 Exps = tuple  # exponent vector: one signed int per ambient variable
@@ -1045,14 +1057,34 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
     and products are exact and the canonical form makes equal values
     identical, so the result is the term-by-term one.
 
+    The walk runs on one of two forms of the images, chosen per call from
+    what the inputs show (_row_width): LaurentPoly values, or values packed
+    by rows (_RowRing), where a product costs one big-int product per pair
+    of rows instead of one dictionary update per pair of terms.  The
+    packed walk is exact too and is decoded once at the end, so both forms
+    give the term-by-term result.
+
     A negative exponent raises ValueError: RationalFn.from_laurent splits
     a Laurent value into the ordinary numerator and denominator that are
     composed instead.
     """
+    for p in polys:
+        if not p.is_ordinary():
+            raise ValueError("composition expects ordinary polynomials (no negative exponents)")
     m = images[0].m
-    powers: list[dict[int, LaurentPoly]] = [{1: image} for image in images]
+    width = _row_width(polys, images)
+    if not width:
+        return _horner(polys, images, LaurentPoly.zero(m), lambda c: LaurentPoly.const(m, c), add, mul)
+    ring = _RowRing(m, width)
+    values = _horner(polys, [ring.pack(image) for image in images], {}, ring.const, ring.add, ring.mul)
+    return [ring.unpack(value) for value in values]
 
-    def times_power(value: LaurentPoly, i: int, k: int) -> LaurentPoly:
+
+def _horner(polys: Sequence[LaurentPoly], images: list, zero, const, plus, times) -> list:
+    """_compose's walk over values of one form: zero, const(c), plus(a, b) and times(a, b)."""
+    powers: list[dict] = [{1: image} for image in images]
+
+    def times_power(value, i: int, k: int):
         if not k:
             return value
         table = powers[i]
@@ -1064,16 +1096,14 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
             power = table[have]
             while have < k:
                 step = max(d for d in table if d <= k - have)
-                power = power * table[step]
+                power = times(power, table[step])
                 have += step
                 table[have] = power
-        return value * power
+        return times(value, power)
 
     values = []
     for p in polys:
-        if not p.is_ordinary():
-            raise ValueError("composition expects ordinary polynomials (no negative exponents)")
-        n, zero, keys, coeffs = p.m, LaurentPoly.zero(m), p._keys, p._coeffs
+        n, keys, coeffs = p.m, p._keys, p._coeffs
         if not keys:
             values.append(zero)
             continue
@@ -1082,22 +1112,187 @@ def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> lis
         # variable i + 1) in units of images[i] ** deg[i], deg[i] being the degree
         # of the open run; acc[0] collects the value.  The first term opens
         # every level.
-        acc = [zero] * n + [LaurentPoly.const(m, coeffs[0])]
+        acc = [zero] * n + [const(coeffs[0])]
         deg = [(keys[0] >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts]
         for prev, k, c in zip(keys, keys[1:], coeffs[1:]):
             # the first slot where k differs from prev: an XOR has no carries
             j = n - 1 - ((k ^ prev).bit_length() - 1) // _SLOT_BITS
             for i in range(n - 1, j, -1):
-                acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])
+                acc[i] = plus(acc[i], times_power(acc[i + 1], i, deg[i]))
                 acc[i + 1] = zero
             exps = [(k >> s & _SLOT_MASK) - _EXP_BIAS for s in shifts[j:]]
             acc[j + 1] = times_power(acc[j + 1], j, deg[j] - exps[0])
             deg[j:] = exps
-            acc[n] = acc[n] + LaurentPoly.const(m, c)
+            acc[n] = plus(acc[n], const(c))
         for i in range(n - 1, -1, -1):
-            acc[i] = acc[i] + times_power(acc[i + 1], i, deg[i])
+            acc[i] = plus(acc[i], times_power(acc[i + 1], i, deg[i]))
         values.append(acc[0])
     return values
+
+
+# The row-packed walk pays off when a product's rows hold several terms each.
+_ROW_MIN_TERMS = 8  # terms of the largest polynomial
+_ROW_MIN_FILL = 2  # its terms per row of its last variable
+_ROW_MAX_SPAN = 4  # exponents an image row spans, per term of that row
+_ROW_MAX_DIGITS = 16  # digits of a packed row, per term of the polynomials
+
+
+def _row_width(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> int:
+    """The digit width W in bits of _compose's row-packed walk, or 0 for the sparse walk.
+
+    The packed walk is chosen when the largest polynomial has at least
+    _ROW_MIN_TERMS terms and _ROW_MIN_FILL terms per row (its terms of
+    one exponent vector in all variables but the last), every image row
+    spans at most _ROW_MAX_SPAN exponents of the last variable per term,
+    and no packed row can need more than _ROW_MAX_DIGITS digits per term
+    of the polynomials.  A value in the walk is a sum of products of image
+    powers img_i^b_i with every b_i between 0 and the largest degree d_i of
+    variable i, so its exponents of the last variable lie between the sums
+    of d_i * min(lo_i, 0) and of d_i * max(hi_i, 0), lo_i and hi_i being
+    the extremes of images[i-1]; that span bounds the digits of every
+    packed row, and with it the memory the walk takes.
+
+    W is a multiple of 8 (unpacking reads whole bytes) with 2^(W-1) > B,
+    where B is the largest over the polynomials of the sum over terms of
+    |c_t| * prod_i |img_i|_1^(a_ti), |img|_1 the sum of the absolute
+    values of an image's coefficients.  B bounds every coefficient of every
+    value, so each one is a digit in -2^(W-1) < c < 2^(W-1).
+    """
+    m = images[0].m if images else 0
+    largest = max(polys, key=lambda p: len(p._keys), default=None)
+    if m < 1 or largest is None or len(largest._keys) < _ROW_MIN_TERMS:
+        return 0
+    if len(largest._keys) < _ROW_MIN_FILL * len({k >> _SLOT_BITS for k in largest._keys}):
+        return 0
+    extremes = []
+    for image in images:
+        high: dict[int, int] = {}
+        low: dict[int, int] = {}
+        count: dict[int, int] = {}
+        for k in image._keys:  # descending: a row's first term has its highest exponent
+            row, e = k >> _SLOT_BITS, (k & _SLOT_MASK) - _EXP_BIAS
+            high.setdefault(row, e)
+            low[row] = e
+            count[row] = count.get(row, 0) + 1
+        if any(high[row] - low[row] + 1 > _ROW_MAX_SPAN * n for row, n in count.items()):
+            return 0
+        extremes.append((min([0, *low.values()]), max([0, *high.values()])))
+    norms = [sum(map(abs, image._coeffs)) for image in images]
+    shifts = _shifts(largest.m)
+    top, bound = [0] * largest.m, 0
+    for p in polys:
+        total = 0
+        for k, c in zip(p._keys, p._coeffs):
+            c = abs(c)
+            for i, s in enumerate(shifts):
+                a = (k >> s & _SLOT_MASK) - _EXP_BIAS
+                if a:
+                    c *= norms[i] ** a
+                    top[i] = max(top[i], a)
+            total += c
+        bound = max(bound, total)
+    digits = sum(d * (high - low) for d, (low, high) in zip(top, extremes)) + 1
+    if digits > _ROW_MAX_DIGITS * sum(len(p._keys) for p in polys):
+        return 0
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+class _RowRing:
+    """Laurent polynomials in m variables packed by rows of the last variable, for _compose.
+
+    A value is a dict from row to (low, v).  A row is a packed key with its
+    last slot dropped (the exponents of x1..x_{m-1}); v is the row's
+    polynomial in x_m evaluated at 2^W and divided by 2^low, low being W
+    times an exponent at most the row's lowest (the lowest, unless a sum
+    cancelled it).  Evaluation at 2^W is a ring map, so a product of two
+    values is one big-int product per pair of rows, with the row keys
+    added and the lows added, and rows that meet on one key are added
+    after shifting the higher one's v up by the difference of their lows:
+    every v is exact whatever the size of its digits.  Only unpack reads
+    digits, and the bound behind W (_row_width) keeps each final
+    coefficient a balanced digit.  A product tests the guard bits of its
+    rows as LaurentPoly.__mul__ tests its keys, so a row never wraps;
+    unpack tests the exponents of the last variable.
+    """
+
+    __slots__ = ("m", "width", "bias", "guard")
+
+    def __init__(self, m: int, width: int):
+        self.m, self.width = m, width
+        self.bias, self.guard = _LAYOUT[m - 1]
+
+    def pack(self, p: LaurentPoly) -> dict:
+        width, rows = self.width, {}
+        get = rows.get
+        for k, c in zip(p._keys, p._coeffs):  # descending: each term lowers its row's low
+            row, low = k >> _SLOT_BITS, ((k & _SLOT_MASK) - _EXP_BIAS) * width
+            old = get(row)
+            rows[row] = (low, c) if old is None else (low, (old[1] << (old[0] - low)) + c)
+        return rows
+
+    def const(self, c: int) -> dict:
+        return {self.bias: (0, c)}
+
+    def add(self, a: dict, b: dict) -> dict:
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        out = dict(a)
+        get = out.get
+        for row, (low, v) in b.items():
+            old = get(row)
+            if old is not None:
+                low0, v0 = old
+                if low0 <= low:
+                    v, low = v0 + (v << (low - low0)), low0
+                else:
+                    v = (v0 << (low0 - low)) + v
+            out[row] = (low, v)
+        return out
+
+    def mul(self, a: dict, b: dict) -> dict:
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict = {}
+        get = out.get
+        brows = list(b.items())
+        for ra, (la, va) in a.items():
+            off = ra - self.bias
+            for rb, (lb, vb) in brows:
+                row, low, v = rb + off, la + lb, va * vb
+                old = get(row)
+                if old is not None:
+                    low0, v0 = old
+                    if low0 <= low:
+                        v, low = v0 + (v << (low - low0)), low0
+                    else:
+                        v = (v0 << (low0 - low)) + v
+                out[row] = (low, v)
+        if reduce(or_, out, 0) & self.guard:
+            raise _range_error("a product exponent")
+        return out
+
+    def unpack(self, value: dict) -> LaurentPoly:
+        """The LaurentPoly of a value: each v read as balanced base-2^W digits, lowest first."""
+        width = self.width
+        size, half = width // 8, 1 << (width - 1)
+        fill = bytes(size - 1) + b"\x80"  # half in every digit: v + fill has digits c + half
+        acc = {}
+        for row, (low, v) in value.items():
+            if not v:
+                continue
+            count = v.bit_length() // width + 2  # at least the digits of v
+            data = (v + int.from_bytes(fill * count, "little")).to_bytes(count * size, "little")
+            digits = [int.from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
+            e = low // width
+            nonzero = [j for j, c in enumerate(digits) if c]
+            if e + nonzero[0] < EXPONENT_MIN or e + nonzero[-1] > EXPONENT_MAX:
+                raise _range_error("a product exponent")
+            base = (row << _SLOT_BITS) + e + _EXP_BIAS
+            for j in nonzero:
+                acc[base + j] = digits[j]
+        return LaurentPoly._from_canonical(self.m, *_sorted_parts(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ from clusterkit.laurent import (
     ExponentRangeError,
     LaurentPoly,
     NotDivisible,
+    _compose,
+    _row_width,
     exact_div,
 )
 from clusterkit.seeds import SeedProfile
-from oracles import exact_div_reference, mul_reference, power_reference, shift_reference
+from oracles import compose_reference, exact_div_reference, mul_reference, power_reference, shift_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -214,3 +216,20 @@ def _floor_cases():
 @pytest.mark.parametrize("a, b, want", _floor_cases())
 def test_quotient_floor_past_and_on_the_range_ends(a, b, want):
     assert outcome(exact_div, a, b) == outcome(exact_div_reference, a, b) == want
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_composed_exponent_past_the_range_on_both_walks(sign):
+    # a degree-3 polynomial at an image whose x1 exponent is ±2^29 composes to
+    # x1^(±3 * 2^29), past the range: both the sparse and the row-packed walk refuse it
+    dense = LaurentPoly(2, {(i, j): 1 for i in range(4) for j in range(4) if i + j <= 3})
+    sparse = LaurentPoly(2, {(3, 0): 1, (0, 0): 1})
+    image = LaurentPoly(2, {(sign * 2**29, 1): 1, (sign * 2**29, 0): 1})
+    images = [image, LaurentPoly(2, {(0, 1): 1, (0, 0): 1})]
+    assert _row_width([dense], images) > 0 and _row_width([sparse], images) == 0
+    for p in (dense, sparse):
+        with pytest.raises(ExponentRangeError):
+            _compose([p], images)
+    # at 2^28 the same compositions stay in range and agree with the reference
+    inside = [LaurentPoly(2, {(sign * 2**28, 1): 1, (sign * 2**28, 0): 1}), images[1]]
+    assert _compose([dense, sparse], inside) == compose_reference([dense, sparse], inside)

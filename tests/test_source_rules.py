@@ -272,8 +272,10 @@ def test_one_function_adds_an_offset_to_every_key():
     # a monomial factor (products, negation, shifts, monomial division, the
     # associate test's candidate unit) goes through _times_monomial, so the
     # only other guard tests are the packing of given exponents, the product
-    # loops and the heap division's quotient terms
+    # loops (sparse and row-packed), the row-packed walk's decoding and the
+    # heap division's quotient terms
     checks = {(fname, func) for fname, tree in _modules().items() for func in _referrers(tree, "_range_error")}
     assert checks == {
         ("laurent.py", "_pack"), ("laurent.py", "_times_monomial"), ("laurent.py", "LaurentPoly.__mul__"), ("laurent.py", "exact_div"),
+        ("laurent.py", "_RowRing.mul"), ("laurent.py", "_RowRing.unpack"),
     }

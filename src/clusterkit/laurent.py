@@ -1156,7 +1156,8 @@ def _row_width(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> i
     where B is the largest over the polynomials of the sum over terms of
     |c_t| * prod_i |img_i|_1^(a_ti), |img|_1 the sum of the absolute
     values of an image's coefficients.  B bounds every coefficient of every
-    value, so each one is a digit in -2^(W-1) < c < 2^(W-1).
+    composed value, so each one is a digit in -2^(W-1) < c < 2^(W-1); the
+    walk's intermediate values need no bound (see _RowRing).
     """
     m = images[0].m if images else 0
     largest = max(polys, key=lambda p: len(p._keys), default=None)
@@ -1191,7 +1192,7 @@ def _row_width(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> i
                     top[i] = max(top[i], a)
             total += c
         bound = max(bound, total)
-    digits = sum(d * (high - low) for d, (low, high) in zip(top, extremes)) + 1
+    digits = sum(d * (hi - lo) for d, (lo, hi) in zip(top, extremes)) + 1
     if digits > _ROW_MAX_DIGITS * sum(len(p._keys) for p in polys):
         return 0
     return (bound.bit_length() + 8) // 8 * 8

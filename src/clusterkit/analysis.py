@@ -11,7 +11,9 @@ which makes cluster disjointness a structural test.
 The two non-factoriality criteria read each column once and return a
 verdict that is either NotFactorial with an explicit witness, or
 Inconclusive.  An all-zero mutable column raises DegenerateColumn: both
-criteria check every column before they look for a witness.  No
+criteria check every column before they look for a witness.  A matrix
+that fails validate then raises InvalidSeed with validate's text, as
+Seed(...) does.  No
 criterion ever claims factoriality: the affirmative direction is handled
 by explicit polynomial-ring certificates in the constructions module.
 """
@@ -35,7 +37,7 @@ from .laurent import (
     odd_divisor,
     xd_plus_one_reducible,
 )
-from .seeds import ExchangeMatrix, Seed, SeedProfile, _initial_at, apply_word
+from .seeds import ExchangeMatrix, Seed, SeedProfile, _initial_at, _require_valid, apply_word
 
 
 class DegenerateColumn(ValueError):
@@ -174,17 +176,22 @@ def staircase_disjoint(s: Seed) -> tuple[Seed, bool]:
 
 
 def column_criterion(B: ExchangeMatrix) -> FactorialityVerdict:
-    """Non-factoriality from a repeated column: c_k = +-c_s with b_ks = 0."""
+    """Non-factoriality from a repeated column: c_k = +-c_s with b_ks = 0.
+
+    On a valid matrix b_ks = 0 needs no test of its own: with c_k = +-c_s,
+    b_ks = +-b_kk = 0, the diagonal of a skew-symmetrizable principal part
+    being zero.
+    """
     cols = [B.column(k) for k in range(1, B.profile.n + 1)]
     for k, ck in enumerate(cols, start=1):
         if not any(ck):  # two zero columns are equal, but the matrix is degenerate
             raise DegenerateColumn(f"column {k} is entirely zero")
+    _require_valid(B)
     for k, ck in enumerate(cols, start=1):
         minus_ck = tuple(-v for v in ck)
         for s in range(k + 1, len(cols) + 1):
             cs = cols[s - 1]
-            # b_ks is row k of column s: an unvalidated matrix need not be sign-skew
-            if cs[k - 1] == 0 and (cs == ck or cs == minus_ck):
+            if cs == ck or cs == minus_ck:
                 negated = cs != ck
                 sign = "-" if negated else ""
                 return FactorialityVerdict(
@@ -205,6 +212,7 @@ def gcd_criterion(B: ExchangeMatrix, field: FieldTag = FieldTag.RATIONALS) -> Fa
     gcds = [gcd(*B.column(k)) for k in range(1, B.profile.n + 1)]
     if 0 in gcds:
         raise DegenerateColumn(f"column {gcds.index(0) + 1} is entirely zero")
+    _require_valid(B)
     for k, d in enumerate(gcds, start=1):
         if xd_plus_one_reducible(d, field):
             q = odd_divisor(d)
@@ -268,11 +276,17 @@ def laurent_membership(e: LaurentPoly | RationalFn, target: Seed) -> bool:
     common-factor reduction is needed), and in the target's Laurent ring
     when additionally the non-invertible coefficients p+1..m keep
     nonnegative exponents in the quotient.
+
+    A target with an empty word is not composed: its coordinate images
+    are x_1..x_m themselves, so composing would return the fraction as
+    it is.
     """
     _require_ambient(e.m, target.profile)
     if isinstance(e, LaurentPoly):
         e = RationalFn.from_laurent(e)
-    num, den = _compose((e.num, e.den), coordinate_images(target))
+    num, den = e.num, e.den
+    if target.word:
+        num, den = _compose((num, den), coordinate_images(target))
     q = _rational_laurent_quotient(num, den)
     if q is None:
         return False
@@ -282,5 +296,17 @@ def laurent_membership(e: LaurentPoly | RationalFn, target: Seed) -> bool:
 
 
 def upper_bound_member(e: LaurentPoly | RationalFn, seed_y: Seed, seed_z: Seed) -> bool:
-    """Membership in the intersection of two clusters' Laurent rings."""
+    """Membership in the intersection of two clusters' Laurent rings.
+
+    Both seeds are checked against e's ambient ring first, so a seed from
+    another ring raises DimensionMismatch in either position.  The ring
+    of the seed with the shorter word is tested first (on a tie, seed_y's):
+    its composition is the cheaper one (an empty word's costs nothing, see
+    laurent_membership), and when it rejects e the other composition never
+    runs.  The answer is a conjunction, so the order does not change it.
+    """
+    _require_ambient(e.m, seed_y.profile)
+    _require_ambient(e.m, seed_z.profile)
+    if len(seed_z.word) < len(seed_y.word):
+        seed_y, seed_z = seed_z, seed_y
     return laurent_membership(e, seed_y) and laurent_membership(e, seed_z)

@@ -900,6 +900,19 @@ class RationalFn:
     package itself only divides (the CLI's --den) and splits Laurent
     values with from_laurent, but library users build fractions with the
     others, and the test suite's formal substitution uses them.
+
+    Each operation reduces by the smallest gcd that is exact (Henrici's
+    rule, Knuth, TAOCP Vol. 2, 4.5.1), with the same result as the full
+    reduction RationalFn(num, den):
+
+    * * and / cross-cancel: for reduced a/b and c/d,
+      gcd(ad, bc) = gcd(a, c) * gcd(d, b), so a/b * c/d reduces a against
+      d and c against b, two gcds of the factors instead of one of the
+      products, and the products of the cofactors are coprime;
+    * a monomial numerator or denominator is cancelled against the other
+      part by its exponents and the integer content, with no gcd;
+    * + and - with a polynomial operand c/1 reduce nothing, because
+      gcd(a + cb, b) = gcd(a, b) = 1.
     """
 
     __slots__ = ("num", "den")
@@ -953,9 +966,12 @@ class RationalFn:
     def __add__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if d.is_one:  # gcd(a + c*b, b) = gcd(a, b) = 1
+            return RationalFn._from_canonical(a + c * b, b)
+        if b.is_one:
+            return RationalFn._from_canonical(a * d + c, d)
+        return RationalFn(a * d + c * b, b * d)
 
     def __neg__(self) -> "RationalFn":
         return RationalFn._from_canonical(-self.num, self.den)
@@ -966,14 +982,14 @@ class RationalFn:
     def __mul__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
+        return _cross_cancelled(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "RationalFn") -> "RationalFn":
         if not isinstance(other, RationalFn):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return _cross_cancelled(self.num, self.den, other.den, other.num)
 
     def __pow__(self, k: int) -> "RationalFn":
         """self ** k without a gcd: powers of coprime num and den stay coprime.
@@ -1019,22 +1035,54 @@ def _divide_coefficients(p: LaurentPoly, d: int) -> LaurentPoly:
 
 
 def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """num/den in lowest terms, the denominator's leading coefficient positive."""
     if num.is_zero:
         return num, LaurentPoly.const(num.m, 1)
     if den.is_monomial:
-        # fast path: cancel the common monomial factor and integer content
-        dexps, dc = den.min_exponents(), den._coeffs[0]
-        common = tuple(map(min, num.min_exponents(), dexps))
-        num = num.shift(tuple(-e for e in common))
-        g = math.gcd(_integer_content(num), dc)
-        if g > 1:
-            num = _divide_coefficients(num, g)
-        den = LaurentPoly.monomial(num.m, tuple(map(sub, dexps, common)), dc // g)
+        den, num = _cancel_monomial(den, num)
+    elif num.is_monomial:
+        num, den = _cancel_monomial(num, den)
     else:
         _, num, den = _gcd_cofactors(num, den)
     if den._coeffs[0] < 0:
         num, den = -num, -den
     return num, den
+
+
+def _cancel_monomial(mono: LaurentPoly, p: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(mono/g, p/g) for g = gcd(mono, p), mono a monomial and p nonzero and ordinary.
+
+    A divisor of c * x^e is a monomial, so g is x^min(e, mins(p)) times
+    gcd(c, content(p)): exponents and one integer gcd, no polynomial gcd.
+    """
+    mexps, mc = mono.min_exponents(), mono._coeffs[0]
+    common = tuple(map(min, p.min_exponents(), mexps))
+    p = p.shift(tuple(-e for e in common))
+    g = math.gcd(_integer_content(p), mc)
+    if g > 1:
+        p = _divide_coefficients(p, g)
+    return LaurentPoly.monomial(p.m, tuple(map(sub, mexps, common)), mc // g), p
+
+
+def _cross_cancelled(a: LaurentPoly, b: LaurentPoly, c: LaurentPoly, d: LaurentPoly) -> RationalFn:
+    """The reduced product (a/b) * (c/d) of reduced fractions.
+
+    gcd(ac, bd) = gcd(a, d) * gcd(c, b) when gcd(a, b) = gcd(c, d) = 1, so
+    each numerator is reduced against the other denominator (a factor 1
+    against nothing) and the cofactor products are coprime.  d may have a
+    negative leading coefficient (in / it is the divisor's numerator); the
+    reduction of a against d moves that sign, so each reduced denominator
+    leads positive, and so does their product, the leading term of a
+    product being the product of the leading terms.
+    """
+    a._check(c)
+    if a.is_zero or c.is_zero:
+        return RationalFn.const(a.m, 0)
+    if not d.is_one:
+        a, d = _reduce_fraction(a, d)
+    if not b.is_one:
+        c, b = _reduce_fraction(c, b)
+    return RationalFn._from_canonical(a * c, b * d)
 
 
 def _compose(polys: Sequence[LaurentPoly], images: Sequence[LaurentPoly]) -> list[LaurentPoly]:

@@ -191,6 +191,13 @@ def validate(B: ExchangeMatrix) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _require_valid(B: ExchangeMatrix) -> None:
+    """Raise InvalidSeed, the violations joined by "; ", when validate(B) reports any."""
+    bad = validate(B)
+    if bad:
+        raise InvalidSeed("; ".join(bad))
+
+
 def matrix_mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     """Mutate the exchange matrix in direction k (1-based mutable index).
 
@@ -243,9 +250,7 @@ class Seed:
     __slots__ = ("matrix", "cluster", "word")
 
     def __init__(self, matrix: ExchangeMatrix, cluster: Sequence[LaurentPoly], word: Sequence[int]):
-        bad = validate(matrix)
-        if bad:
-            raise InvalidSeed("; ".join(bad))
+        _require_valid(matrix)
         cluster = tuple(cluster)
         n, m = matrix.profile.n, matrix.profile.m
         if len(cluster) != m:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -26,13 +27,12 @@ from clusterkit.constructions import acyclic_seed_from_cartan, CartanMatrix
 from clusterkit.explore import ExplorationLimits, explore
 from clusterkit.laurent import DimensionMismatch, FieldTag, LaurentPoly, RationalFn, exact_div
 from clusterkit.presets import a3_matrix, lampe_matrix
-from clusterkit.seeds import ExchangeMatrix, Seed, SeedProfile, apply_word
+from clusterkit.seeds import ExchangeMatrix, InvalidSeed, Seed, SeedProfile, apply_word, validate
 from oracles import (
     are_associate_reference,
     column_criterion_reference,
     gcd_criterion_reference,
     random_dynkin_matrix,
-    random_valid_matrix,
     rank2_matrix,
 )
 
@@ -331,22 +331,33 @@ def test_gcd_witness_revalidates():
 
 
 def _random_matrix(rng) -> ExchangeMatrix:
-    """Mostly unvalidated: any profile with m >= n, entries often 0 or a multiple of
-    a common factor, and now and then a column copied up to sign onto another."""
-    if rng.random() < 0.2:
-        return random_valid_matrix(rng)
+    """Mostly valid: a skew-symmetric principal part with entries often 0 or a
+    multiple of a common factor, and now and then a column copied up to sign
+    onto another; one draw in five is any profile with m >= n, unvalidated."""
+    scale = rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 15, 45, 2**5 * 3**4))
+    entry = lambda: scale * rng.choice((0, 0, -2, -1, 1, 2, 3))
     n = rng.randint(1, 4)
     m = rng.randint(n, 6)
-    scale = rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 15, 45, 2**5 * 3**4))
-    rows = [[scale * rng.choice((0, 0, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.2:
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        return ExchangeMatrix(rows, SeedProfile(n, rng.randint(0, m), m))
+    rows = [[0] * n for _ in range(n)] + [[entry() for _ in range(n)] for _ in range(n, m)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = entry()
+            rows[j][i] = -rows[i][j]
     if n > 1 and rng.random() < 0.5:
+        # column s = sign * column k and row s = sign * row k keep the principal
+        # part skew-symmetric; b_ks = b_sk = 0 then makes the pair a witness
         k, s = rng.sample(range(n), 2)
         sign = rng.choice((1, -1))
-        for row in rows:
-            row[s] = sign * row[k]
-        if rng.random() < 0.7:  # b_ks = b_sk = 0 keeps the copy a witness
-            rows[min(k, s)][k] = rows[min(k, s)][s] = 0
-    return ExchangeMatrix(rows, SeedProfile(n, rng.randint(0, m), m))
+        for i in range(m):
+            if i not in (k, s):
+                rows[i][s] = sign * rows[i][k]
+                if i < n:
+                    rows[s][i] = -rows[i][s]
+        rows[k][s] = rows[s][k] = 0
+    return ExchangeMatrix(rows, SeedProfile(n, rng.randint(n, m), m))
 
 
 def test_criteria_match_their_statements():
@@ -355,31 +366,46 @@ def test_criteria_match_their_statements():
     matrices += [a3_matrix(), lampe_matrix(), rank2_matrix(2, 2)]
     matrices += [_random_matrix(rng) for _ in range(1500)]
     found = {"equal_columns": 0, "negated": 0, "column_gcd": 0}
-    refused = 0
+    refused = invalid = 0
     for B in matrices:
-        try:
-            expected = column_criterion_reference(B)
-        except DegenerateColumn:
-            with pytest.raises(DegenerateColumn):
-                column_criterion(B)
-            refused += 1
-        else:
-            verdict = column_criterion(B)
-            assert verdict.to_json() == expected, B
-            found["equal_columns"] += verdict.is_not_factorial
-            found["negated"] += verdict.is_not_factorial and verdict.witness.negated
-        for field in FieldTag:
+        bad = validate(B)
+        criteria = [(column_criterion, column_criterion_reference)]
+        criteria += [(partial(gcd_criterion, field=f), partial(gcd_criterion_reference, field=f)) for f in FieldTag]
+        for criterion, reference in criteria:
             try:
-                expected = gcd_criterion_reference(B, field)
+                expected = reference(B)
             except DegenerateColumn:
                 with pytest.raises(DegenerateColumn):
-                    gcd_criterion(B, field)
+                    criterion(B)
+                refused += 1
                 continue
-            verdict = gcd_criterion(B, field)
-            assert verdict.to_json() == expected, (B, field)
-            found["column_gcd"] += verdict.is_not_factorial
+            if bad:
+                with pytest.raises(InvalidSeed) as refusal:
+                    criterion(B)
+                assert str(refusal.value) == "; ".join(bad)
+                invalid += 1
+                continue
+            verdict = criterion(B)
+            assert verdict.to_json() == expected, B
+            if verdict.criterion == "equal_columns":
+                found["equal_columns"] += 1
+                found["negated"] += verdict.witness.negated
+            found["column_gcd"] += verdict.criterion == "column_gcd"
     assert min(found.values()) > 100, found  # every witness kind is drawn
-    assert refused > 10, refused  # and zero columns, refused by both criteria
+    assert refused > 10, refused  # zero columns, refused by both criteria
+    assert invalid > 10, invalid  # and matrices that fail validate
+
+
+def test_criteria_refuse_matrices_that_fail_validate():
+    # both matrices drew a witness before the criteria validated: c_1 = c_2
+    # with b_12 = 0, and a column gcd 3 over Q
+    for criterion, rows in ((column_criterion, [[0, 0], [1, 1]]), (gcd_criterion, [[0, 3], [1, 0]])):
+        B = ExchangeMatrix(rows, SeedProfile(2, 2, 2))
+        assert validate(B) == ("skew: the principal part is not skew-symmetrizable",)
+        with pytest.raises(InvalidSeed, match="^skew: the principal part is not skew-symmetrizable$"):
+            criterion(B)
+        with pytest.raises(InvalidSeed, match="^skew: the principal part is not skew-symmetrizable$"):
+            Seed.initial(B)  # the same text as the seed constructor's
 
 
 # -- membership ---------------------------------------------------------------------
@@ -430,6 +456,75 @@ def test_membership_refuses_another_ambient_ring():
             laurent_membership(e, seed)
         with pytest.raises(DimensionMismatch):
             upper_bound_member(e, seed, seed)
+
+
+def test_upper_bound_refuses_a_seed_from_another_ring_in_either_position():
+    # e is not in the initial seed's ring, which is tested first: the other
+    # seed's ring must still be refused, not skipped
+    seed = Seed.initial(a3_matrix())
+    e = RationalFn(one(), one() + var(2))
+    assert not laurent_membership(e, seed)
+    for other in (Seed.initial(rank2_matrix(2, 2)), apply_word(Seed.initial(lampe_matrix()), (1, 2))):
+        for pair in ((seed, other), (other, seed)):
+            with pytest.raises(DimensionMismatch, match="ambient dimensions differ: 3 vs 2"):
+                upper_bound_member(e, *pair)
+
+
+def _membership_draws(rng, B, count):
+    """(value, y, z) over B's initial variables: a cluster variable, its
+    inverse or a ratio (w^2 + 1)/v of two, against two seeds reached by short
+    random words."""
+    seed = Seed.initial(B)
+    n, m = B.profile.n, B.profile.m
+    word = lambda: [rng.randint(1, n) for _ in range(rng.randint(0, 3))]
+    draws = []
+    while len(draws) < count:
+        v = apply_word(seed, word()).cluster[rng.randrange(n)]
+        w = RationalFn.from_laurent(apply_word(seed, word()).cluster[rng.randrange(n)])
+        one_m = RationalFn.const(m, 1)
+        value = rng.choice((v, one_m / RationalFn.from_laurent(v), (w * w + one_m) / RationalFn.from_laurent(v)))
+        draws.append((value, apply_word(seed, word()), apply_word(seed, word())))
+    return draws
+
+
+def test_upper_bound_member_is_symmetric_in_its_seeds():
+    rng = random.Random(137)
+    answers = set()
+    for B in (rank2_matrix(2, 2), rank2_matrix(1, 4), a3_matrix()):
+        for e, y, z in _membership_draws(rng, B, 25):
+            answer = upper_bound_member(e, y, z)
+            assert upper_bound_member(e, z, y) == answer, (e, y.word, z.word)
+            assert answer == (laurent_membership(e, y) and laurent_membership(e, z))
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_an_empty_word_target_is_not_composed(monkeypatch):
+    # its coordinate images are x_1..x_m, at which composing is the identity
+    composed = []
+    compose = clusterkit.analysis._compose
+
+    def counted(polys, images):
+        composed.append(len(images))
+        return compose(polys, images)
+
+    seed = Seed.initial(a3_matrix())
+    s13 = apply_word(seed, (1, 3))
+    identity = [var(i) for i in range(1, 4)]
+    values = [var(1), one() + var(2), s13.cluster[0]]
+    values += [RationalFn(one(), one() + var(2)), RationalFn(var(1), var(3) ** 2)]
+    for e in values:
+        split = e if isinstance(e, RationalFn) else RationalFn.from_laurent(e)
+        assert compose((split.num, split.den), identity) == [split.num, split.den]
+    answers = [laurent_membership(e, seed) for e in values]
+    monkeypatch.setattr(clusterkit.analysis, "_compose", counted)
+    assert [laurent_membership(e, seed) for e in values] == answers == [True, True, True, False, True]
+    assert composed == []
+    # the ring of the shorter word goes first: when it rejects, nothing is composed
+    for pair in ((seed, s13), (s13, seed)):
+        assert not upper_bound_member(RationalFn(one(), one() + var(2)), *pair)
+        assert upper_bound_member(one() + var(2), *pair)
+    assert composed == [3, 3]
 
 
 def test_membership_agrees_with_reduce_based_formulation():

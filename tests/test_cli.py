@@ -91,6 +91,36 @@ def test_verify_all_golden_byte_for_byte(capsys):
     assert out == (GOLDEN / "verify_all.json").read_text(encoding="utf-8")
 
 
+X8 = (GOLDEN / "rank2_b1_c4_x8.expr").read_text().strip()
+MEMBERSHIP_GOLDENS = [
+    ("rank2_b1_c4_check_laurent.json", ["check-laurent", "--matrix", "rank2_b1_c4.matrix", "--expr", X8, "--word", "1,2,1,2"]),
+    (
+        "rank2_b1_c4_upper_bound.json",
+        ["upper-bound", "--matrix", "rank2_b1_c4.matrix", "--expr", X8, "--den", "x2", "--word1", "1,2,1", "--word2", "2,1,2"],
+    ),
+    # README's example: the empty word's ring is tested without a composition
+    ("a3_upper_bound.json", ["upper-bound", "--matrix", "a3.matrix", "--expr", "1 + x2", "--word1", "", "--word2", "1,3"]),
+    # a non-monomial --den shares the factor x2^4 + 1 with the numerator: the cross-cancelled /
+    (
+        "rank2_b1_c4_check_laurent_den.json",
+        [
+            "check-laurent", "--matrix", "rank2_b1_c4.matrix", "--expr", "x1^-1*x2^8 + 2*x1^-1*x2^4 + x1^-1",
+            "--den", "x2^4 + 1", "--word", "1,2,1,2",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("golden, argv", MEMBERSHIP_GOLDENS, ids=[g for g, _ in MEMBERSHIP_GOLDENS])
+def test_membership_goldens_byte_for_byte(capsys, golden, argv):
+    # the same commands CI compares by cmp; the goldens predate the composition
+    # and reduction shortcuts they now run through
+    argv = [str(GOLDEN / a) if a.endswith(".matrix") else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(clusterkit.cli.__file__).parents[1])}
     done = subprocess.run(
@@ -265,6 +295,43 @@ def _lie_missing_stage(real):
     return tampered
 
 
+# planted faults in a construction's output, its counts and flags left as they were
+
+
+def _chain_missing_stage(real):
+    def tampered(m):
+        res = real(m)
+        return dataclasses.replace(res, stages=res.stages[:-1])
+
+    return tampered
+
+
+def _staircase_with_initial_matrix(real):
+    def tampered(cartan):
+        st = real(cartan)
+        return dataclasses.replace(st, mutated=Seed(st.initial.matrix, st.mutated.cluster, st.mutated.word))
+
+    return tampered
+
+
+def _staircase_with_short_word(real):
+    def tampered(cartan):
+        st = real(cartan)
+        return dataclasses.replace(st, mutated=Seed(st.mutated.matrix, st.mutated.cluster, st.mutated.word[:-1]))
+
+    return tampered
+
+
+def _lie_sharing_an_entry(real):
+    def tampered():
+        lp = real()
+        first, last = lp.stages[0], lp.stages[-1]
+        shared = Seed(last.matrix, (first.cluster[0],) + last.cluster[1:], last.word)
+        return dataclasses.replace(lp, stages=lp.stages[:-1] + (shared,))
+
+    return tampered
+
+
 @pytest.mark.parametrize(
     "name, construction, tamper, failing",
     [
@@ -275,6 +342,10 @@ def _lie_missing_stage(real):
         ("lie-rank2", "lie_preset", _lie_with_half_coefficient, "all entries are integer Laurent polynomials"),
         ("lie-rank2", "lie_preset", _lie_with_float_coefficient, "all entries are integer Laurent polynomials"),
         ("lie-rank2", "lie_preset", _lie_with_bool_coefficient, "all entries are integer Laurent polynomials"),
+        ("type-a-m4", "type_a_chain", _chain_missing_stage, "chain identities hold for m=4"),
+        ("acyclic-n3", "acyclic_staircase", _staircase_with_initial_matrix, "intermediate matrices match the block shapes"),
+        ("acyclic-n3", "acyclic_staircase", _staircase_with_short_word, "intermediate matrices match the block shapes"),
+        ("lie-rank2", "lie_preset", _lie_sharing_an_entry, "initial and final clusters are disjoint"),
     ],
 )
 def test_preset_checks_recompute_their_claims(capsys, monkeypatch, name, construction, tamper, failing):

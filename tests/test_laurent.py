@@ -20,6 +20,7 @@ from clusterkit.laurent import (
     _coefficients_in,
     _compose,
     _gcd_cofactors,
+    _integer_content,
     _poly_gcd_prs,
     exact_div,
     odd_divisor,
@@ -626,6 +627,86 @@ def test_rationalfn_arithmetic_via_evaluation():
         lhs = (a + b).num.evaluate(pt) / (a + b).den.evaluate(pt)
         rhs = a.num.evaluate(pt) / a.den.evaluate(pt) + b.num.evaluate(pt) / b.den.evaluate(pt)
         assert lhs == rhs
+
+
+def _part(rng, m=3):
+    """A nonzero ordinary polynomial: general, a monomial or a constant, with
+    a random sign and now and then an integer content."""
+    kind = rng.choice(("general", "general", "monomial", "constant"))
+    if kind == "constant":
+        p = LaurentPoly.const(m, rng.choice((1, 1, 2, 6)))
+    elif kind == "monomial":
+        p = LaurentPoly.monomial(m, [rng.randint(0, 2) for _ in range(m)], rng.randint(1, 12))
+    else:
+        p = random_poly(rng, m, laurent=False)
+        if p.is_zero:
+            p = one(m) + x(1, m)
+    return rng.choice((1, -1)) * rng.choice((1, 1, 2, 3, 4)) * p
+
+
+def _fraction_pairs(rng, count):
+    """Reduced fractions r = a/b, s = c/d; a shares a factor g with d and c one
+    with b half of the time, so a cross-cancelled * or / has something to cancel."""
+    pairs = []
+    while len(pairs) < count:
+        a, b, c, d = (_part(rng) for _ in range(4))
+        if rng.random() < 0.5:
+            g, h = _part(rng), _part(rng)
+            a, d, c, b = a * g, d * g, c * h, b * h
+        r, s = RationalFn(a, b), RationalFn(c, d)
+        if rng.random() < 0.1:
+            s = rng.choice((-r, RationalFn.const(3, 0), RationalFn(r.den, r.num)))
+        pairs.append((r, s))
+    return pairs
+
+
+def test_rationalfn_operations_equal_the_full_reduction():
+    # *, / cross-cancel, a monomial part skips the gcd and + or - with a
+    # polynomial operand reduces nothing: each must give the constructor's
+    # full reduction of the unreduced result
+    seen = {"zero": 0, "monomial num": 0, "monomial den": 0, "negative lead": 0, "content": 0, "polynomial": 0}
+    for r, s in _fraction_pairs(random.Random(37), 400):
+        results = [
+            (r * s, RationalFn(r.num * s.num, r.den * s.den)),
+            (r + s, RationalFn(r.num * s.den + s.num * r.den, r.den * s.den)),
+            (r - s, RationalFn(r.num * s.den - s.num * r.den, r.den * s.den)),
+        ]
+        if not s.is_zero:
+            results.append((r / s, RationalFn(r.num * s.den, r.den * s.num)))
+        for got, want in results:
+            assert got == want, (r, s)
+            seen["zero"] += got.is_zero
+            seen["monomial num"] += got.num.is_monomial and not got.num.is_one
+            seen["monomial den"] += got.den.is_monomial and not got.den.is_one
+            seen["negative lead"] += not got.is_zero and got.num.coefficients[0] < 0
+            seen["content"] += not got.is_zero and _integer_content(got.num) > 1
+        seen["polynomial"] += r.is_polynomial or s.is_polynomial
+    assert min(seen.values()) > 20, seen
+
+
+def test_rationalfn_product_reduces_the_factors_not_the_products(monkeypatch):
+    # a/b * c/d with gcd(a, d) = g and gcd(c, b) = h: the gcds run on the
+    # factors a, d and c, b, not on the products ac and bd
+    calls = []
+    cofactors = clusterkit.laurent._gcd_cofactors
+
+    def counted(a, b):
+        calls.append((a, b))
+        return cofactors(a, b)
+
+    g, h = x(1, 3) + x(2, 3), x(3, 3) - 2 * one(3)
+    r = RationalFn(g * (x(1, 3) + one(3)), h * x(2, 3) + 3 * one(3))
+    s = RationalFn(h * (x(3, 3) + one(3)), g * (x(2, 3) - one(3)))
+    product = RationalFn(r.num * s.num, r.den * s.den)
+    total = RationalFn(r.num + 5 * r.den, r.den)
+    five = RationalFn.const(3, 5)
+    monkeypatch.setattr(clusterkit.laurent, "_gcd_cofactors", counted)
+    assert r * s == product
+    assert calls == [(r.num, s.den), (s.num, r.den)]
+    calls.clear()
+    assert r + five == total and five + r == total and calls == []
+    monomial_num = RationalFn(x(1, 3) ** 2 * 6, g * x(1, 3) * 4)
+    assert (monomial_num.num, monomial_num.den) == (x(1, 3) * 3, g * 2) and calls == []
 
 
 # -- substitution ------------------------------------------------------------

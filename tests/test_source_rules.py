@@ -98,25 +98,32 @@ def test_no_term_count_unpacks_the_terms():
 
 
 def test_seeds_are_validated_only_at_the_door():
-    # Seed(...) validates its matrix and mutation keeps it valid, so no other
-    # package code has a reason to call validate
-    callers = []
+    # Seed(...) validates its matrix and mutation keeps it valid, so the only
+    # other doors are the two criteria, which take a bare matrix; all three
+    # refuse through _require_valid, the one caller of validate
+    def callers(name: str) -> list[tuple[str, str]]:
+        found = []
 
-    def visit(node, fname, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Name) and func.id == "validate") or (
-                isinstance(func, ast.Attribute) and func.attr == "validate"
-            ):
-                callers.append((fname, scope))
-        for child in ast.iter_child_nodes(node):
-            visit(child, fname, scope)
+        def visit(node, fname, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == name) or (
+                    isinstance(func, ast.Attribute) and func.attr == name
+                ):
+                    found.append((fname, scope))
+            for child in ast.iter_child_nodes(node):
+                visit(child, fname, scope)
 
-    for fname, tree in _modules().items():
-        visit(tree, fname, None)
-    assert callers == [("seeds.py", "Seed.__init__")]
+        for fname, tree in _modules().items():
+            visit(tree, fname, None)
+        return sorted(found)
+
+    assert callers("validate") == [("seeds.py", "_require_valid")]
+    assert callers("_require_valid") == [
+        ("analysis.py", "column_criterion"), ("analysis.py", "gcd_criterion"), ("seeds.py", "Seed.__init__"),
+    ]
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -967,10 +967,10 @@ class RationalFn:
         if not isinstance(other, RationalFn):
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_one:
+            a, b, c, d = c, d, a, b
         if d.is_one:  # gcd(a + c*b, b) = gcd(a, b) = 1
             return RationalFn._from_canonical(a + c * b, b)
-        if b.is_one:
-            return RationalFn._from_canonical(a * d + c, d)
         return RationalFn(a * d + c * b, b * d)
 
     def __neg__(self) -> "RationalFn":

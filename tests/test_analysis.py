@@ -33,6 +33,7 @@ from oracles import (
     column_criterion_reference,
     gcd_criterion_reference,
     random_dynkin_matrix,
+    random_valid_matrix,
     rank2_matrix,
 )
 
@@ -331,9 +332,13 @@ def test_gcd_witness_revalidates():
 
 
 def _random_matrix(rng) -> ExchangeMatrix:
-    """Mostly valid: a skew-symmetric principal part with entries often 0 or a
-    multiple of a common factor, and now and then a column copied up to sign
-    onto another; one draw in five is any profile with m >= n, unvalidated."""
+    """One draw in five is a valid skew-symmetrizable matrix with d_i in {1, 2, 3};
+    the rest are mostly valid: a skew-symmetric principal part with entries often
+    0 or a multiple of a common factor, and now and then a column copied up to
+    sign onto another; one of those in five is any profile with m >= n,
+    unvalidated."""
+    if rng.random() < 0.2:
+        return random_valid_matrix(rng)
     scale = rng.choice((1, 1, 2, 3, 4, 6, 9, 12, 15, 45, 2**5 * 3**4))
     entry = lambda: scale * rng.choice((0, 0, -2, -1, 1, 2, 3))
     n = rng.randint(1, 4)
@@ -366,9 +371,11 @@ def test_criteria_match_their_statements():
     matrices += [a3_matrix(), lampe_matrix(), rank2_matrix(2, 2)]
     matrices += [_random_matrix(rng) for _ in range(1500)]
     found = {"equal_columns": 0, "negated": 0, "column_gcd": 0}
-    refused = invalid = 0
+    refused = invalid = symmetrizable = 0
     for B in matrices:
         bad = validate(B)
+        n, rows = B.profile.n, B.entries
+        symmetrizable += not bad and any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n))
         criteria = [(column_criterion, column_criterion_reference)]
         criteria += [(partial(gcd_criterion, field=f), partial(gcd_criterion_reference, field=f)) for f in FieldTag]
         for criterion, reference in criteria:
@@ -394,6 +401,7 @@ def test_criteria_match_their_statements():
     assert min(found.values()) > 100, found  # every witness kind is drawn
     assert refused > 10, refused  # zero columns, refused by both criteria
     assert invalid > 10, invalid  # and matrices that fail validate
+    assert symmetrizable > 50, symmetrizable  # valid with D != I
 
 
 def test_criteria_refuse_matrices_that_fail_validate():
